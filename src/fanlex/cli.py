@@ -121,7 +121,9 @@ def _resolve_analyzer(args: argparse.Namespace, cfg: RunConfig) -> AnalyzerRuleT
 
 
 def _emit_json(obj: object) -> None:
-    sys.stdout.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")))
+    sys.stdout.write(
+        json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+    )
     sys.stdout.write("\n")
 
 
@@ -241,6 +243,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                         },
                         ensure_ascii=False,
                         separators=(",", ":"),
+                        allow_nan=False,
                     )
                 )
                 out.write("\n")

@@ -7,6 +7,7 @@ Command-line flags override file values, which override the defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fanlex.errors import InputError
 from fanlex.lexicon import CountMode
@@ -27,10 +28,10 @@ class RunConfig:
     display_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.smoothing < 0:
-            raise ValueError("smoothing must be >= 0")
-        if self.display_scale <= 0:
-            raise ValueError("display_scale must be > 0")
+        if not (math.isfinite(self.smoothing) and self.smoothing >= 0):
+            raise ValueError("smoothing must be finite and >= 0")
+        if not (math.isfinite(self.display_scale) and self.display_scale > 0):
+            raise ValueError("display_scale must be finite and > 0")
 
     def to_dict(self) -> dict:
         """JSON-ready form, embedded in run reports."""

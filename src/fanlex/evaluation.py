@@ -6,15 +6,22 @@ FAKE and predicted FAKE, tn counts VALID predicted VALID.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from fanlex.config import RunConfig
 from fanlex.corpus import Dataset, Label, stratified_folds
 from fanlex.errors import LeakageError
-from fanlex.lexicon import ModelClass, build_lexicon
+from fanlex.lexicon import (
+    ModelClass,
+    add_document_terms,
+    build_lexicon,
+    document_terms_by_class,
+    lexicon_from_counts,
+)
 from fanlex.morph import AnalyzerRuleTable
-from fanlex.scorer import score_document
+from fanlex.scorer import _score_terms, score_document
 
 
 @dataclass(frozen=True)
@@ -160,23 +167,51 @@ def cross_validate(
 
     Per-class means are the arithmetic means of the per-fold metrics.
     The same seed always produces the same folds and the same report.
+
+    The corpus is counted once per class and label; each fold's
+    training counts are those totals minus its test documents' counts,
+    so fold lexicons are built by subtraction. Counts add up exactly,
+    under either count mode, so the report equals one built by
+    running evaluate_models on every fold of stratified_folds.
     """
     if config is None:
         config = RunConfig()
+    if len(set(classes)) != len(classes):
+        raise ValueError("model classes must be distinct")
     folds = stratified_folds(ds, k, seed)
+    mode = config.count_mode
+    opts = dict(
+        analyzer=analyzer, locale=config.locale, include_title=config.include_title
+    )
+    totals = [{Label.FAKE: Counter(), Label.VALID: Counter()} for _ in classes]
+    for doc in ds.documents:
+        for counts, terms in zip(totals, document_terms_by_class(doc, classes, **opts)):
+            add_document_terms(counts[doc.label], terms, mode)
     per_fold: list[FoldMetrics] = []
     sums: dict[ModelClass, list[float]] = {c: [0.0, 0.0, 0.0, 0.0] for c in classes}
-    for index, (train, test) in enumerate(folds):
-        results = evaluate_models(
-            train.filter(Label.FAKE),
-            train.filter(Label.VALID),
-            test,
-            classes,
-            config,
-            analyzer,
-        )
-        for model_class in classes:
-            m = results[model_class].metrics
+    for index, (_, test) in enumerate(folds):
+        # Recomputed per fold rather than cached for the run: the
+        # analyzer memo makes this cheap, and memory stays one fold's.
+        test_terms = [
+            document_terms_by_class(doc, classes, **opts) for doc in test.documents
+        ]
+        actual = [doc.label for doc in test.documents]
+        for i, model_class in enumerate(classes):
+            held = {Label.FAKE: Counter(), Label.VALID: Counter()}
+            for label, terms in zip(actual, test_terms):
+                add_document_terms(held[label], terms[i], mode)
+            lex = lexicon_from_counts(
+                model_class,
+                totals[i][Label.FAKE] - held[Label.FAKE],
+                totals[i][Label.VALID] - held[Label.VALID],
+                mode,
+                config.smoothing,
+            )
+            predicted = [
+                _score_terms(terms[i], lex, config.term_set_mode).label
+                for terms in test_terms
+            ]
+            m = metrics(confusion(predicted, actual))
             per_fold.append(FoldMetrics(index, model_class, m))
             acc = sums[model_class]
             acc[0] += m.precision

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from fanlex._kernels import normalize_token, normalized_tokens, suffix_runs
 from fanlex.corpus import Dataset, Document
@@ -152,13 +154,53 @@ def document_terms(
     the normalized letter-bearing tokens are the surface forms the
     full pipeline would produce.
     """
-    if doc.analyses is None and model_class is ModelClass.RAW:
-        text = compose_text(doc.title, doc.text, include_title)
-        return Counter(
-            normalized_tokens(text, locale is Locale.TURKISH, letters_only=True)
-        )
-    analyses = analyze_document(doc, analyzer, locale=locale, include_title=include_title)
-    return extract_terms(analyses, model_class, locale)
+    return document_terms_by_class(
+        doc,
+        (model_class,),
+        analyzer=analyzer,
+        locale=locale,
+        include_title=include_title,
+    )[0]
+
+
+def document_terms_by_class(
+    doc: Document,
+    classes: Sequence[ModelClass],
+    *,
+    analyzer: AnalyzerRuleTable | None = None,
+    locale: Locale = Locale.TURKISH,
+    include_title: bool = True,
+) -> list[Counter]:
+    """document_terms for several model classes, in the given order.
+
+    The document is analyzed at most once, whatever the number of
+    classes that need its analyses.
+    """
+    analyses = None
+    out: list[Counter] = []
+    for model_class in classes:
+        if doc.analyses is None and model_class is ModelClass.RAW:
+            text = compose_text(doc.title, doc.text, include_title)
+            out.append(
+                Counter(
+                    normalized_tokens(text, locale is Locale.TURKISH, letters_only=True)
+                )
+            )
+            continue
+        if analyses is None:
+            analyses = analyze_document(
+                doc, analyzer, locale=locale, include_title=include_title
+            )
+        out.append(extract_terms(analyses, model_class, locale))
+    return out
+
+
+def add_document_terms(totals: Counter, terms: Counter, count_mode: CountMode) -> None:
+    """Add one document's terms to running totals under a count mode."""
+    if count_mode is CountMode.DOC_PRESENCE:
+        totals.update(set(terms))
+    else:
+        totals.update(terms)
 
 
 def lexicon_from_counts(
@@ -174,8 +216,8 @@ def lexicon_from_counts(
     which reduces to count / total at the default smoothing of 0 and
     sums to 1 over the stored entries either way.
     """
-    if smoothing < 0:
-        raise ValueError("smoothing must be >= 0")
+    if not (math.isfinite(smoothing) and smoothing >= 0):
+        raise ValueError("smoothing must be finite and >= 0")
     terms = sorted(set(fake_counts) | set(valid_counts))
     fake_total = sum(fake_counts.values())
     valid_total = sum(valid_counts.values())
@@ -226,10 +268,7 @@ def _count_split(
             locale=locale,
             include_title=include_title,
         )
-        if count_mode is CountMode.DOC_PRESENCE:
-            totals.update(set(terms))
-        else:
-            totals.update(terms)
+        add_document_terms(totals, terms, count_mode)
     return totals
 
 
@@ -355,7 +394,11 @@ def load_lexicon(path: str) -> Lexicon:
     except (KeyError, ValueError) as exc:
         raise LexiconParseError(f"{path}: bad header field ({exc})") from exc
     smoothing = header.get("smoothing", 0.0)
-    if not isinstance(smoothing, (int, float)) or smoothing < 0:
+    if (
+        not isinstance(smoothing, (int, float))
+        or not math.isfinite(smoothing)
+        or smoothing < 0
+    ):
         raise LexiconParseError(f"{path}: bad smoothing value {smoothing!r}")
 
     entry_lines = [line for line in raw_lines[1:] if line.strip()]

@@ -100,7 +100,12 @@ class AnalyzerRuleTable:
 
     entries is keyed by normalized surface form; suffix_rules hold
     (surface, tag) pairs and are applied longest surface first.
-    Treated as immutable after construction.
+
+    analyze_document memoizes its results on the table: one entry per
+    distinct analyzed token and locale, kept for the table's lifetime.
+    A later change to entries or suffix_rules would not reach memoized
+    tokens, so the table must be treated as immutable after
+    construction.
     """
 
     entries: dict[str, tuple[MorphAnalysis, ...]] = field(default_factory=dict)
@@ -118,6 +123,9 @@ class AnalyzerRuleTable:
             if not surface:
                 raise ValueError("suffix rule surface must be non-empty")
             self._by_last_char.setdefault(surface[-1], []).append((surface, tag))
+        self._memo: dict[Locale, dict[str, MorphAnalysis]] = {
+            locale: {} for locale in Locale
+        }
 
 
 def tokenize(text: str) -> list[str]:
@@ -217,21 +225,28 @@ def analyze_document(
 
     Pre-computed analyses on the document are returned unchanged.
     Tokens without a single letter (numerals) are skipped: they carry
-    no morphology.
+    no morphology. Each token is analyzed once per table and locale;
+    repeats are served from the table's memo. Failures are not
+    memoized, so every call reports the failing token's position.
     """
     if doc.analyses is not None:
         return list(doc.analyses)
     if table is None:
         table = default_rule_table()
+    memo = table._memo[locale]
     text = compose_text(doc.title, doc.text, include_title)
     out: list[MorphAnalysis] = []
     for position, token in enumerate(tokenize(text)):
-        if not has_letter(token):
-            continue
-        try:
-            out.append(analyze_token(token, table, locale))
-        except AnalysisError as exc:
-            raise AnalysisError(f"token {position}: {exc}") from exc
+        analysis = memo.get(token)
+        if analysis is None:
+            if not has_letter(token):
+                continue
+            try:
+                analysis = analyze_token(token, table, locale)
+            except AnalysisError as exc:
+                raise AnalysisError(f"token {position}: {exc}") from exc
+            memo[token] = analysis
+        out.append(analysis)
     return out
 
 

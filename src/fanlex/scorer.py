@@ -9,6 +9,7 @@ FAKE.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -67,6 +68,17 @@ def score_document(
         locale=locale,
         include_title=include_title,
     )
+    return _score_terms(terms, lex, term_set_mode)
+
+
+def _score_terms(
+    terms: Counter, lex: Lexicon, term_set_mode: TermSetMode
+) -> DocumentScore:
+    """score_document on a document's term multiset, already extracted.
+
+    Scores are summed in the multiset's iteration order, so the same
+    Counter always yields bit-identical scores.
+    """
     distinct = term_set_mode is TermSetMode.DISTINCT
     fake = 0.0
     valid = 0.0

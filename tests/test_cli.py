@@ -217,6 +217,71 @@ def test_score_tampered_lexicon_is_format_error(capsys, cli_files):
     assert "checksum" in err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--smoothing", "nan"], ["--smoothing", "inf"], ["--display-scale", "inf"]]
+)
+def test_build_lexicon_rejects_non_finite_flag(capsys, cli_files, flags):
+    out = cli_files["dir"] / "lex-nan.jsonl"
+    code, stdout, err = run(
+        capsys,
+        [
+            "build-lexicon",
+            "--fake",
+            cli_files["fake"],
+            "--valid",
+            cli_files["valid"],
+            "--class",
+            "RAW",
+            "--out",
+            out,
+            *flags,
+        ],
+    )
+    assert code == 2
+    assert "finite" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_build_lexicon_rejects_non_finite_config(capsys, cli_files, write_text):
+    conf = write_text("inf.conf", "smoothing = inf\n")
+    out = cli_files["dir"] / "lex-inf.jsonl"
+    code, stdout, err = run(
+        capsys,
+        [
+            "build-lexicon",
+            "--fake",
+            cli_files["fake"],
+            "--valid",
+            cli_files["valid"],
+            "--class",
+            "RAW",
+            "--out",
+            out,
+            "--config",
+            conf,
+        ],
+    )
+    assert code == 2
+    assert "finite" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_score_non_finite_lexicon_smoothing_is_format_error(capsys, cli_files, value):
+    lex, _ = build(capsys, cli_files, "RAW")
+    text = lex.read_text(encoding="utf-8")
+    assert '"smoothing":0.0' in text
+    lex.write_text(text.replace('"smoothing":0.0', f'"smoothing":{value}', 1), encoding="utf-8")
+    code, stdout, err = run(
+        capsys, ["score", "--lexicon", lex, "--input", cli_files["test"]]
+    )
+    assert code == 4
+    assert "smoothing" in err
+    assert stdout == ""
+
+
 def test_evaluate(capsys, cli_files):
     code, stdout, err = run(
         capsys,

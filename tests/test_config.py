@@ -23,6 +23,11 @@ def test_validation():
         RunConfig(smoothing=-1.0)
     with pytest.raises(ValueError):
         RunConfig(display_scale=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            RunConfig(smoothing=bad)
+        with pytest.raises(ValueError):
+            RunConfig(display_scale=bad)
 
 
 def test_to_dict_round_trips_names():

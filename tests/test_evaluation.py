@@ -1,19 +1,27 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanlex.config import RunConfig
-from fanlex.corpus import Dataset, Label
-from fanlex.errors import LeakageError
+from fanlex.corpus import Dataset, Document, Label, stratified_folds
+from fanlex.errors import DomainError, LeakageError
 from fanlex.evaluation import (
     ConfusionMatrix,
+    CvReport,
+    FoldMetrics,
+    Metrics,
     confusion,
     cross_validate,
     evaluate_models,
     metrics,
 )
 from fanlex.lexicon import CountMode, ModelClass
-from synth import analyzed_corpus, separable_corpus
+from fanlex.morph import AnalyzerRuleTable, Locale, MorphAnalysis
+from fanlex.scorer import TermSetMode
+from synth import analyzed_corpus, make_analysis, separable_corpus
 
 ALL_CLASSES = list(ModelClass)
 F, V = Label.FAKE, Label.VALID
@@ -162,3 +170,113 @@ def test_cross_validate_fold_indices():
     ds = analyzed_corpus(rng, 8, 8, vocab=5)
     report = cross_validate(ds, 2, [ModelClass.RAW], seed=0)
     assert [f.fold for f in report.per_fold] == [0, 1]
+
+
+def test_cross_validate_rejects_duplicate_classes():
+    ds = separable_corpus(random.Random(4), 4, 4)
+    with pytest.raises(ValueError, match="distinct"):
+        cross_validate(ds, 2, [ModelClass.ROOT, ModelClass.RAW, ModelClass.ROOT], seed=0)
+
+
+def reference_cross_validate(ds, k, classes, seed, config, analyzer):
+    """Cross-validation by a full per-fold rebuild through evaluate_models."""
+    per_fold = []
+    for index, (train, test) in enumerate(stratified_folds(ds, k, seed)):
+        results = evaluate_models(
+            train.filter(F), train.filter(V), test, classes, config, analyzer
+        )
+        per_fold.extend(FoldMetrics(index, c, results[c].metrics) for c in classes)
+    means = {}
+    for c in classes:
+        rows = [f.metrics for f in per_fold if f.model_class is c]
+        means[c] = Metrics(
+            precision=sum(r.precision for r in rows) / k,
+            recall=sum(r.recall for r in rows) / k,
+            accuracy=sum(r.accuracy for r in rows) / k,
+            f1=sum(r.f1 for r in rows) / k,
+        )
+    return CvReport(per_fold=tuple(per_fold), means=means)
+
+
+# Surfaces that hit the table, take the fallback suffix rules, or
+# normalize differently under the two locales.
+CV_WORDS = [
+    "Vergi", "vergiler", "IŞIK", "ışıklar", "İstanbul'da", "kitaplardan",
+    "evde", "yok", "Yok!", "gidecek", "okudu", "47", "kalem",
+]
+CV_TABLE = AnalyzerRuleTable(
+    entries={
+        "vergi": (MorphAnalysis(raw="vergi", root="vergi", pos="Noun"),),
+        "yok": (
+            MorphAnalysis(raw="yok", root="yok", pos="Adj"),
+            MorphAnalysis(raw="yok", root="yoğ", pos="Verb", suffixes=("Neg",)),
+        ),
+        "ışıklar": (
+            MorphAnalysis(raw="ışıklar", root="ışık", pos="Noun", suffixes=("A3pl",)),
+        ),
+    },
+    suffix_rules=(
+        ("ler", "A3pl"), ("lar", "A3pl"), ("dan", "Abl"), ("de", "Loc"), ("du", "Past"),
+    ),
+)
+
+
+@st.composite
+def cv_corpora(draw):
+    k = draw(st.integers(2, 4))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    docs = []
+    for label in (F, V):
+        for i in range(draw(st.integers(k, k + 4))):
+            text = " ".join(rng.choices(CV_WORDS, k=rng.randint(0, 7)))
+            title = rng.choice([None, "", rng.choice(CV_WORDS)])
+            analyses = None
+            if draw(st.booleans()):
+                roots = ["k" + w.lower()[:2] for w in CV_WORDS[:5]]
+                analyses = tuple(
+                    make_analysis(rng, roots, max_suffixes=2)
+                    for _ in range(rng.randint(1, 5))
+                )
+            docs.append(
+                Document(
+                    id=f"{label.value}{i}", text=text, label=label, title=title,
+                    analyses=analyses,
+                )
+            )
+    rng.shuffle(docs)
+    return Dataset(tuple(docs)), k
+
+
+@given(
+    corpus=cv_corpora(),
+    classes=st.permutations(list(ModelClass)).flatmap(
+        lambda order: st.integers(1, 4).map(lambda n: order[:n])
+    ),
+    count_mode=st.sampled_from(list(CountMode)),
+    term_set_mode=st.sampled_from(list(TermSetMode)),
+    smoothing=st.sampled_from([0.0, 0.5, 1.0]),
+    locale=st.sampled_from(list(Locale)),
+    include_title=st.booleans(),
+    analyzer=st.sampled_from([None, CV_TABLE]),
+    seed=st.integers(0, 50),
+)
+@settings(max_examples=80, deadline=None)
+def test_cross_validate_equals_per_fold_rebuild(
+    corpus, classes, count_mode, term_set_mode, smoothing, locale, include_title,
+    analyzer, seed,
+):
+    ds, k = corpus
+    config = RunConfig(
+        locale=locale,
+        count_mode=count_mode,
+        term_set_mode=term_set_mode,
+        smoothing=smoothing,
+        include_title=include_title,
+    )
+    try:
+        expected = reference_cross_validate(ds, k, classes, seed, config, analyzer)
+    except DomainError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            cross_validate(ds, k, classes, seed, config, analyzer)
+        return
+    assert cross_validate(ds, k, classes, seed, config, analyzer) == expected

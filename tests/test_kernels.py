@@ -1,5 +1,8 @@
 """Kernel behavior plus pure/compiled parity."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,3 +153,20 @@ def test_tokens_have_content(kernels, text):
     for tok in kernels.tokenize(text):
         assert tok
         assert kernels.normalize_token(tok, True)
+
+
+def test_ckernels_pyx_matches_recorded_hash():
+    """_ckernels.c is generated from _ckernels.pyx, and only the .c can
+    be compiled without Cython, so a .pyx edit must come with a new .c.
+    """
+    kernels_dir = Path(_pure.__file__).parent
+    pyx = kernels_dir / "_ckernels.pyx"
+    recorded = (kernels_dir / "_ckernels.pyx.sha256").read_text(encoding="utf-8")
+    recorded = recorded.split()[0]
+    actual = hashlib.sha256(pyx.read_bytes()).hexdigest()
+    assert actual == recorded, (
+        "_ckernels.pyx no longer matches the hash recorded when _ckernels.c "
+        "was generated: regenerate the .c (cython -3 "
+        "src/fanlex/_kernels/_ckernels.pyx) and update "
+        "src/fanlex/_kernels/_ckernels.pyx.sha256 (sha256sum _ckernels.pyx)"
+    )

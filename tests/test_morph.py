@@ -1,9 +1,17 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanlex.corpus import Document, Label
-from fanlex.errors import InputError
+import fanlex.morph as morph
+from fanlex._kernels import has_letter
+from fanlex.config import RunConfig
+from fanlex.corpus import Dataset, Document, Label
+from fanlex.errors import AnalysisError, InputError
+from fanlex.evaluation import cross_validate
+from fanlex.lexicon import ModelClass
 from fanlex.morph import (
     DEFAULT_SUFFIX_RULES,
     UNKNOWN_POS,
@@ -140,6 +148,94 @@ def test_analyze_document_respects_include_title(demo_table):
     without = analyze_document(doc, demo_table, include_title=False)
     assert [a.raw for a in with_title] == ["vergi", "gidecek"]
     assert [a.raw for a in without] == ["gidecek"]
+
+
+def test_analyze_document_memo_matches_fresh_analysis(demo_table):
+    doc = Document(
+        id="a",
+        title="Vergi yok",
+        text="Kitaplar yok, kitaplar VERGİ 47 gidecek. Yok!",
+        label=Label.FAKE,
+    )
+    tokens = tokenize(compose_text(doc.title, doc.text))
+    fresh = [analyze_token(t, demo_table) for t in tokens if has_letter(t)]
+    assert analyze_document(doc, demo_table) == fresh
+    assert analyze_document(doc, demo_table) == fresh
+
+
+def test_analyze_document_memo_is_per_locale():
+    table = AnalyzerRuleTable()
+    doc = Document(id="a", text="IŞIK IŞIKLAR", label=Label.FAKE)
+    turkish = analyze_document(doc, table, locale=Locale.TURKISH)
+    generic = analyze_document(doc, table, locale=Locale.GENERIC)
+    assert [a.raw for a in turkish] == ["ışık", "ışıklar"]
+    assert [a.raw for a in generic] == ["işik", "işiklar"]
+    for locale, got in ((Locale.TURKISH, turkish), (Locale.GENERIC, generic)):
+        assert got == [analyze_token(t, table, locale) for t in ("IŞIK", "IŞIKLAR")]
+    assert analyze_document(doc, table, locale=Locale.TURKISH) == turkish
+
+
+def test_analyze_document_memo_is_per_table():
+    plural = AnalyzerRuleTable(suffix_rules=(("lar", "A3pl"),))
+    aorist = AnalyzerRuleTable(suffix_rules=(("ar", "Aor"),))
+    doc = Document(id="a", text="kitaplar", label=Label.VALID)
+    assert analyze_document(doc, plural) == [
+        MorphAnalysis(raw="kitaplar", root="kitap", pos=UNKNOWN_POS, suffixes=("A3pl",))
+    ]
+    assert analyze_document(doc, aorist) == [
+        MorphAnalysis(raw="kitaplar", root="kitapl", pos=UNKNOWN_POS, suffixes=("Aor",))
+    ]
+    assert analyze_document(doc, plural)[0].root == "kitap"
+
+
+def test_analyze_document_does_not_memoize_failures(monkeypatch):
+    calls = []
+    real = morph.analyze_token
+
+    def failing(token, table, locale=Locale.TURKISH):
+        calls.append(token)
+        if token == "bozuk":
+            raise AnalysisError(f"token {token!r} rejected")
+        return real(token, table, locale)
+
+    monkeypatch.setattr(morph, "analyze_token", failing)
+    doc = Document(id="a", text="iyi 12 bozuk", label=Label.FAKE)
+    table = AnalyzerRuleTable()
+    for _ in range(2):
+        with pytest.raises(AnalysisError, match="token 2: "):
+            analyze_document(doc, table)
+    assert calls == ["iyi", "bozuk", "bozuk"]
+
+
+@pytest.mark.parametrize("locale", list(Locale))
+def test_cross_validate_analyzes_each_token_once(monkeypatch, demo_table, locale):
+    calls: Counter = Counter()
+    real = morph.analyze_token
+
+    def counting(token, table, locale=Locale.TURKISH):
+        calls[token, locale] += 1
+        return real(token, table, locale)
+
+    monkeypatch.setattr(morph, "analyze_token", counting)
+    rng = random.Random(5)
+    vocab = ["Vergi", "yok", "insanlara", "gidecek", "Kitaplar", "evlerden", "IŞIK", "47"]
+    docs = tuple(
+        Document(
+            id=f"d{i}",
+            title=rng.choice(vocab),
+            text=" ".join(rng.choices(vocab, k=rng.randint(3, 9))),
+            label=Label.FAKE if i % 2 else Label.VALID,
+        )
+        for i in range(20)
+    )
+    config = RunConfig(locale=locale)
+    cross_validate(Dataset(docs), 5, list(ModelClass), 1, config, demo_table)
+    letter_tokens = {
+        t for d in docs for t in tokenize(compose_text(d.title, d.text)) if has_letter(t)
+    }
+    assert {token for token, _ in calls} == letter_tokens
+    assert {loc for _, loc in calls} == {locale}
+    assert max(calls.values()) == 1
 
 
 def test_default_rule_table_is_shared():
