@@ -13,7 +13,6 @@ from fanlex.corpus import (
     CorpusStats,
     Dataset,
     Document,
-    Format,
     Label,
     Split,
     VerificationReport,
@@ -24,6 +23,7 @@ from fanlex.corpus import (
     split_sentences,
     stratified_folds,
     verify_stats,
+    verify_stats_by_group,
 )
 from fanlex.evaluation import (
     ConfusionMatrix,
@@ -89,7 +89,6 @@ __all__ = [
     "DocumentScore",
     "EvalResult",
     "FoldMetrics",
-    "Format",
     "Label",
     "Lexicon",
     "LexiconStats",
@@ -131,4 +130,5 @@ __all__ = [
     "stratified_folds",
     "tokenize",
     "verify_stats",
+    "verify_stats_by_group",
 ]

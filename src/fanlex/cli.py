@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, astuple
 
 from fanlex import __version__
 from fanlex.config import ENV_CONFIG, RunConfig, load_config_file, make_config
@@ -21,9 +22,10 @@ from fanlex.corpus import (
     corpus_stats,
     load_corpus,
     load_word_list,
-    verify_stats,
+    verify_stats_by_group,
+    write_atomic,
 )
-from fanlex.errors import DomainError, FormatError, InputError, NoSentencesError
+from fanlex.errors import DomainError, FormatError, InputError
 from fanlex.evaluation import cross_validate, evaluate_models
 from fanlex.lexicon import (
     CountMode,
@@ -42,7 +44,7 @@ from fanlex.morph import (
     load_suffix_rules,
     normalize,
 )
-from fanlex.scorer import TermSetMode, explain, score_batch
+from fanlex.scorer import TermSetMode, _explain_terms, _score_rows
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -120,21 +122,22 @@ def _resolve_analyzer(args: argparse.Namespace, cfg: RunConfig) -> AnalyzerRuleT
     return None
 
 
+def _json_line(obj: object) -> str:
+    text = json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+    return text + "\n"
+
+
 def _emit_json(obj: object) -> None:
-    sys.stdout.write(
-        json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
-    )
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_line(obj))
 
 
 def _emit_report(args: argparse.Namespace, text: str) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        write_atomic(args.report, [text])
     else:
-        sys.stderr.write(text if text.endswith("\n") else text + "\n")
+        sys.stderr.write(text)
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -218,74 +221,50 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise InputError("--explain must be >= 0")
     lexicons = [load_lexicon(path) for path in args.lexicon]
     ds = load_corpus(args.input)
-    table = score_batch(
+    scale = cfg.display_scale
+    lines = []
+    blocks = []
+    for doc, lex, terms, score in _score_rows(
         ds,
         lexicons,
         cfg.term_set_mode,
         analyzer=analyzer,
         locale=cfg.locale,
         include_title=cfg.include_title,
-    )
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for doc in ds.documents:
-            for lex in lexicons:
-                score = table[doc.id][lex.model_class]
-                out.write(
-                    json.dumps(
-                        {
-                            "id": doc.id,
-                            "class": score.model_class.value,
-                            "fake_score": score.fake_score,
-                            "valid_score": score.valid_score,
-                            "label": score.label.value,
-                            "unknown_terms": score.unknown_terms,
-                        },
-                        ensure_ascii=False,
-                        separators=(",", ":"),
-                        allow_nan=False,
-                    )
-                )
-                out.write("\n")
-    finally:
-        if args.out:
-            out.close()
-    if args.explain:
-        scale = cfg.display_scale
-        blocks = []
-        for doc in ds.documents:
-            for lex in lexicons:
-                rows = [
-                    [
-                        c.term.replace(RAW_POS_SEPARATOR, "/"),
-                        f"{c.fake_score * scale:.4f}",
-                        f"{c.valid_score * scale:.4f}",
-                        f"{c.delta * scale:+.4f}",
-                    ]
-                    for c in explain(
-                        doc,
-                        lex,
-                        args.explain,
-                        analyzer=analyzer,
-                        locale=cfg.locale,
-                        include_title=cfg.include_title,
-                    )
+    ):
+        lines.append(
+            _json_line(
+                {
+                    "id": doc.id,
+                    "class": score.model_class.value,
+                    "fake_score": score.fake_score,
+                    "valid_score": score.valid_score,
+                    "label": score.label.value,
+                    "unknown_terms": score.unknown_terms,
+                }
+            )
+        )
+        if args.explain:
+            rows = [
+                [
+                    c.term.replace(RAW_POS_SEPARATOR, "/"),
+                    f"{c.fake_score * scale:.4f}",
+                    f"{c.valid_score * scale:.4f}",
+                    f"{c.delta * scale:+.4f}",
                 ]
-                blocks.append(
-                    f"doc {doc.id} [{lex.model_class.value}] top terms (x{scale:g}):\n"
-                    + _table(["term", "fake", "valid", "delta"], rows)
-                )
+                for c in _explain_terms(terms, lex, args.explain)
+            ]
+            blocks.append(
+                f"doc {doc.id} [{lex.model_class.value}] top terms (x{scale:g}):\n"
+                + _table(["term", "fake", "valid", "delta"], rows)
+            )
+    if args.out:
+        write_atomic(args.out, lines)
+    else:
+        sys.stdout.writelines(lines)
+    if args.explain:
         _emit_report(args, "\n\n".join(blocks))
     return EXIT_OK
-
-
-def _metrics_obj(m) -> dict:
-    return {
-        "precision": m.precision,
-        "recall": m.recall,
-        "accuracy": m.accuracy,
-        "f1": m.f1,
-    }
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -304,18 +283,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         {
             "config": cfg.to_dict(),
             "classes": [c.value for c in classes],
-            "results": {
-                c.value: {
-                    "confusion": {
-                        "tp": r.confusion.tp,
-                        "fn": r.confusion.fn,
-                        "fp": r.confusion.fp,
-                        "tn": r.confusion.tn,
-                    },
-                    "metrics": _metrics_obj(r.metrics),
-                }
-                for c, r in results.items()
-            },
+            "results": {c.value: asdict(r) for c, r in results.items()},
         }
     )
     blocks = []
@@ -350,38 +318,18 @@ def cmd_cross_validate(args: argparse.Namespace) -> int:
             "folds": args.folds,
             "classes": [c.value for c in classes],
             "per_fold": [
-                {
-                    "fold": fm.fold,
-                    "class": fm.model_class.value,
-                    **_metrics_obj(fm.metrics),
-                }
+                {"fold": fm.fold, "class": fm.model_class.value, **asdict(fm.metrics)}
                 for fm in report.per_fold
             ],
-            "means": {c.value: _metrics_obj(m) for c, m in report.means.items()},
+            "means": {c.value: asdict(m) for c, m in report.means.items()},
         }
     )
+    labeled = [(str(fm.fold), fm.model_class, fm.metrics) for fm in report.per_fold]
+    labeled += [("mean", c, m) for c, m in report.means.items()]
     rows = [
-        [
-            str(fm.fold),
-            fm.model_class.value,
-            f"{fm.metrics.precision:.3f}",
-            f"{fm.metrics.recall:.3f}",
-            f"{fm.metrics.accuracy:.3f}",
-            f"{fm.metrics.f1:.3f}",
-        ]
-        for fm in report.per_fold
+        [fold, c.value, *(f"{v:.3f}" for v in astuple(m))]
+        for fold, c, m in labeled
     ]
-    for model_class, m in report.means.items():
-        rows.append(
-            [
-                "mean",
-                model_class.value,
-                f"{m.precision:.3f}",
-                f"{m.recall:.3f}",
-                f"{m.accuracy:.3f}",
-                f"{m.f1:.3f}",
-            ]
-        )
     _emit_report(
         args, _table(["fold", "class", "precision", "recall", "accuracy", "f1"], rows)
     )
@@ -431,46 +379,27 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
     ds = load_corpus(args.input)
     slang = load_word_list(args.slang, cfg.locale)
     dictionary = load_word_list(args.dictionary, cfg.locale)
-    overall = verify_stats(
-        ds, slang, dictionary, locale=cfg.locale, include_title=cfg.include_title
+    overall, groups = verify_stats_by_group(
+        ds,
+        slang,
+        dictionary,
+        _group_key,
+        locale=cfg.locale,
+        include_title=cfg.include_title,
     )
-    group_docs: dict[tuple[str, str], list] = {}
-    for doc in ds.documents:
-        group_docs.setdefault(_group_key(doc), []).append(doc)
-    group_rows = []
-    for key in sorted(group_docs):
-        subset = Dataset(tuple(group_docs[key]), ds.split)
-        try:
-            report = verify_stats(
-                subset, slang, dictionary, locale=cfg.locale, include_title=cfg.include_title
-            )
-        except NoSentencesError:
-            continue
-        group_rows.append((key, report))
+    group_rows = sorted(groups.items())
     _emit_json(
         {
-            "overall": {
-                "slang_per_sentence": overall.slang_per_sentence,
-                "misspelling_per_sentence": overall.misspelling_per_sentence,
-            },
+            "overall": asdict(overall),
             "groups": [
-                {
-                    "source": source,
-                    "label": label,
-                    "slang_per_sentence": rep.slang_per_sentence,
-                    "misspelling_per_sentence": rep.misspelling_per_sentence,
-                }
+                {"source": source, "label": label, **asdict(rep)}
                 for (source, label), rep in group_rows
             ],
         }
     )
-    rows = [
-        [f"{source} ({label})", f"{rep.slang_per_sentence:.3f}", f"{rep.misspelling_per_sentence:.3f}"]
-        for (source, label), rep in group_rows
-    ]
-    rows.append(
-        ["overall", f"{overall.slang_per_sentence:.3f}", f"{overall.misspelling_per_sentence:.3f}"]
-    )
+    labeled = [(f"{source} ({label})", rep) for (source, label), rep in group_rows]
+    labeled.append(("overall", overall))
+    rows = [[name, *(f"{v:.3f}" for v in astuple(rep))] for name, rep in labeled]
     _emit_report(
         args, _table(["group", "slang/sentence", "misspellings/sentence"], rows)
     )

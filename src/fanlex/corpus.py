@@ -8,11 +8,12 @@ optional pre-computed analyses. Datasets are immutable after load.
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from fanlex._kernels import normalize_token, normalized_tokens
 from fanlex.errors import (
@@ -20,7 +21,6 @@ from fanlex.errors import (
     DomainError,
     DuplicateDocumentError,
     FoldSizeError,
-    InputError,
     NoSentencesError,
 )
 from fanlex.morph import Locale, MorphAnalysis, compose_text, tokenize
@@ -35,10 +35,6 @@ class Split(Enum):
     TRAIN = "TRAIN"
     TEST = "TEST"
     UNSPLIT = "UNSPLIT"
-
-
-class Format(Enum):
-    JSONL = "jsonl"
 
 
 # Words that end with a period without ending a sentence. Compared
@@ -199,10 +195,8 @@ def _parse_document(obj: object, where: str) -> Document:
     )
 
 
-def load_corpus(path: str, fmt: Format = Format.JSONL) -> Dataset:
+def load_corpus(path: str) -> Dataset:
     """Load a JSONL corpus; errors name the offending file and line."""
-    if fmt is not Format.JSONL:
-        raise InputError(f"unsupported corpus format {fmt!r}")
     docs: list[Document] = []
     seen: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
@@ -243,12 +237,28 @@ def document_to_json(doc: Document) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
+def write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write text chunks to path through a temporary file beside it.
+
+    The target is replaced only after every chunk is written, so a
+    failure leaves an existing file with its old bytes and removes the
+    temporary file. There is no fsync: this guards against failures of
+    the process, not of the machine.
+    """
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_corpus(ds: Dataset, path: str) -> None:
     """Write a dataset back out as canonical JSONL."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in ds.documents:
-            fh.write(document_to_json(doc))
-            fh.write("\n")
+    write_atomic(path, (document_to_json(doc) + "\n" for doc in ds.documents))
 
 
 def split_sentences(
@@ -323,20 +333,22 @@ def load_word_list(path: str, locale: Locale = Locale.TURKISH) -> list[str]:
     return entries
 
 
-def verify_stats(
+def verify_stats_by_group(
     ds: Dataset,
     slang: Sequence[str],
     dictionary: Iterable[str],
+    group_key: Callable[[Document], Hashable],
     *,
     locale: Locale = Locale.TURKISH,
     include_title: bool = True,
-) -> VerificationReport:
-    """Slang and misspelling rates per sentence across a dataset.
+) -> tuple[VerificationReport, dict[Hashable, VerificationReport]]:
+    """verify_stats over the whole dataset and per group, in one pass.
 
-    Slang entries may span several words; multi-word phrases are
-    matched greedily left to right and count one occurrence per match.
-    A normalized token counts as misspelled when it is in neither the
-    dictionary nor the slang list, unless it is all digits.
+    Each document is tokenized once; its sentence, slang and
+    misspelling counts are added to its group's, and the overall
+    figures are the sums over groups. Groups come in first-seen order;
+    those without sentences are left out. Raises NoSentencesError when
+    the whole dataset has no sentence.
     """
     if not slang:
         raise DomainError("slang list is empty")
@@ -358,13 +370,13 @@ def verify_stats(
     if not dict_words:
         raise DomainError("dictionary is empty")
 
-    sentence_total = 0
-    slang_hits = 0
-    misspelled = 0
+    # group key -> [sentences, slang hits, misspellings]
+    counts: dict[Hashable, list[int]] = {}
     for doc in ds.documents:
         text = compose_text(doc.title, doc.text, include_title)
-        sentence_total += len(split_sentences(text))
         tokens = normalized_tokens(text, turkish)
+        hits = 0
+        missed = 0
         i = 0
         n = len(tokens)
         while i < n:
@@ -374,21 +386,48 @@ def verify_stats(
                     hit = length
                     break
             if hit:
-                slang_hits += 1
+                hits += 1
                 i += hit
                 continue
             tok = tokens[i]
             if tok in singles:
-                slang_hits += 1
+                hits += 1
             elif tok not in dict_words and not tok.isdigit():
-                misspelled += 1
+                missed += 1
             i += 1
-    if sentence_total == 0:
+        group = counts.setdefault(group_key(doc), [0, 0, 0])
+        group[0] += len(split_sentences(text))
+        group[1] += hits
+        group[2] += missed
+    total = [sum(column) for column in zip((0, 0, 0), *counts.values())]
+    if total[0] == 0:
         raise NoSentencesError("no sentences in dataset")
-    return VerificationReport(
-        slang_per_sentence=slang_hits / sentence_total,
-        misspelling_per_sentence=misspelled / sentence_total,
-    )
+    return _rates(total), {key: _rates(c) for key, c in counts.items() if c[0]}
+
+
+def _rates(counts: list[int]) -> VerificationReport:
+    sentences, slang_hits, misspelled = counts
+    return VerificationReport(slang_hits / sentences, misspelled / sentences)
+
+
+def verify_stats(
+    ds: Dataset,
+    slang: Sequence[str],
+    dictionary: Iterable[str],
+    *,
+    locale: Locale = Locale.TURKISH,
+    include_title: bool = True,
+) -> VerificationReport:
+    """Slang and misspelling rates per sentence across a dataset.
+
+    Slang entries may span several words; multi-word phrases are
+    matched greedily left to right and count one occurrence per match.
+    A normalized token counts as misspelled when it is in neither the
+    dictionary nor the slang list, unless it is all digits.
+    """
+    return verify_stats_by_group(
+        ds, slang, dictionary, lambda doc: None, locale=locale, include_title=include_title
+    )[0]
 
 
 def stratified_folds(

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Sequence
 
 from fanlex._kernels import normalize_token, normalized_tokens, suffix_runs
-from fanlex.corpus import Dataset, Document
+from fanlex.corpus import Dataset, Document, write_atomic
 from fanlex.errors import (
     EmptyTrainingSplitError,
     LexiconChecksumError,
@@ -357,12 +357,8 @@ def save_lexicon(lex: Lexicon, path: str) -> None:
         "smoothing": lex.smoothing,
         "checksum": _checksum(lines),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, ensure_ascii=False, separators=(",", ":")))
-        fh.write("\n")
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+    header_line = json.dumps(header, ensure_ascii=False, separators=(",", ":"))
+    write_atomic(path, (line + "\n" for line in [header_line, *lines]))
 
 
 def load_lexicon(path: str) -> Lexicon:

@@ -12,11 +12,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from fanlex.corpus import Dataset, Document, Label
 from fanlex.errors import ModelMismatchError
-from fanlex.lexicon import Lexicon, ModelClass, document_terms
+from fanlex.lexicon import Lexicon, ModelClass, document_terms, document_terms_by_class
 from fanlex.morph import AnalyzerRuleTable, Locale
 
 
@@ -126,6 +126,11 @@ def explain(
         locale=locale,
         include_title=include_title,
     )
+    return _explain_terms(terms, lex, top_n)
+
+
+def _explain_terms(terms: Counter, lex: Lexicon, top_n: int) -> list[TermContribution]:
+    """explain on a document's term multiset, already extracted."""
     contributions = []
     for term in terms:
         entry = lex.entries.get(term)
@@ -159,24 +164,44 @@ def score_batch(
     given lexicon order; each document's scores are independent of the
     rest of the batch.
     """
-    seen: set[ModelClass] = set()
-    for lex in lexicons:
-        if lex.model_class in seen:
-            raise ModelMismatchError(
-                f"duplicate lexicon class {lex.model_class.value} in batch"
-            )
-        seen.add(lex.model_class)
-    table: dict[str, dict[ModelClass, DocumentScore]] = {}
-    for doc in docs.documents:
-        row: dict[ModelClass, DocumentScore] = {}
-        for lex in lexicons:
-            row[lex.model_class] = score_document(
-                doc,
-                lex,
-                term_set_mode,
-                analyzer=analyzer,
-                locale=locale,
-                include_title=include_title,
-            )
-        table[doc.id] = row
+    table: dict[str, dict[ModelClass, DocumentScore]] = {
+        doc.id: {} for doc in docs.documents
+    }
+    for doc, lex, _, score in _score_rows(
+        docs,
+        lexicons,
+        term_set_mode,
+        analyzer=analyzer,
+        locale=locale,
+        include_title=include_title,
+    ):
+        table[doc.id][lex.model_class] = score
     return table
+
+
+def _score_rows(
+    docs: Dataset,
+    lexicons: Sequence[Lexicon],
+    term_set_mode: TermSetMode,
+    *,
+    analyzer: AnalyzerRuleTable | None,
+    locale: Locale,
+    include_title: bool,
+) -> Iterator[tuple[Document, Lexicon, Counter, DocumentScore]]:
+    """(document, lexicon, terms, score) in document, then lexicon order.
+
+    Each document's terms for every lexicon class come from one call to
+    document_terms_by_class, so it is analyzed at most once.
+    """
+    classes = [lex.model_class for lex in lexicons]
+    for i, model_class in enumerate(classes):
+        if model_class in classes[:i]:
+            raise ModelMismatchError(
+                f"duplicate lexicon class {model_class.value} in batch"
+            )
+    for doc in docs.documents:
+        terms_by_class = document_terms_by_class(
+            doc, classes, analyzer=analyzer, locale=locale, include_title=include_title
+        )
+        for lex, terms in zip(lexicons, terms_by_class):
+            yield doc, lex, terms, _score_terms(terms, lex, term_set_mode)

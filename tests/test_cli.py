@@ -1,13 +1,20 @@
 import json
+import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+import fanlex.corpus
+import fanlex.lexicon
 from fanlex.cli import main
-from fanlex.corpus import Label, save_corpus
-from fanlex.lexicon import load_lexicon
+from fanlex.config import RunConfig
+from fanlex.corpus import Label, load_corpus, save_corpus
+from fanlex.lexicon import RAW_POS_SEPARATOR, load_lexicon
+from fanlex.morph import compose_text
+from fanlex.scorer import explain
 from synth import separable_corpus
 
 CLASS_NAMES = ["RAW", "ROOT", "RAW_POS", "SUFFIX"]
@@ -204,6 +211,116 @@ def test_score_rejects_negative_explain(capsys, cli_files):
     )
     assert code == 2
     assert "--explain" in err
+
+
+def _plain_copy(src, dst):
+    """The corpus at src without its analyses, so scoring must analyze it."""
+    rows = [json.loads(line) for line in src.read_text(encoding="utf-8").splitlines()]
+    for row in rows:
+        row.pop("analyses", None)
+    dst.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    return dst
+
+
+def test_score_explain_analyzes_each_document_once(capsys, cli_files, monkeypatch):
+    raw_lex, _ = build(capsys, cli_files, "RAW")
+    root_lex, _ = build(capsys, cli_files, "ROOT")
+    plain = _plain_copy(cli_files["test"], cli_files["dir"] / "plain.jsonl")
+    calls: Counter = Counter()
+    real = fanlex.lexicon.analyze_document
+
+    def counting(doc, *args, **kwargs):
+        calls[doc.id] += 1
+        return real(doc, *args, **kwargs)
+
+    monkeypatch.setattr(fanlex.lexicon, "analyze_document", counting)
+    code, stdout, err = run(
+        capsys,
+        [
+            "score",
+            "--lexicon",
+            raw_lex,
+            "--lexicon",
+            root_lex,
+            "--input",
+            plain,
+            "--explain",
+            "3",
+        ],
+    )
+    assert code == 0
+    assert "top terms" in err
+    ids = [doc.id for doc in load_corpus(str(plain)).documents]
+    assert calls == Counter(ids)
+
+
+def test_score_explain_report_equals_explain(capsys, cli_files, tmp_path):
+    lexicon_paths = [build(capsys, cli_files, c)[0] for c in ("RAW", "RAW_POS", "SUFFIX")]
+    report = tmp_path / "explain.txt"
+    argv = ["score", "--input", cli_files["test"], "--explain", "2", "--report", report]
+    for path in lexicon_paths:
+        argv += ["--lexicon", path]
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    blocks = report.read_text(encoding="utf-8").rstrip("\n").split("\n\n")
+    scale = RunConfig().display_scale
+    expected = []
+    for doc in load_corpus(str(cli_files["test"])).documents:
+        for lex in [load_lexicon(str(p)) for p in lexicon_paths]:
+            rows = [
+                [
+                    c.term.replace(RAW_POS_SEPARATOR, "/"),
+                    f"{c.fake_score * scale:.4f}",
+                    f"{c.valid_score * scale:.4f}",
+                    f"{c.delta * scale:+.4f}",
+                ]
+                for c in explain(doc, lex, 2)
+            ]
+            expected.append((f"doc {doc.id} [{lex.model_class.value}]", rows))
+    got = []
+    for block in blocks:
+        lines = block.split("\n")
+        got.append((lines[0].split(" top terms")[0], [line.split() for line in lines[3:]]))
+    assert got == expected
+    assert all(rows for _, rows in got)
+
+
+def test_score_duplicate_lexicon_class_is_domain_error(capsys, cli_files):
+    raw_lex, _ = build(capsys, cli_files, "RAW")
+    code, stdout, err = run(
+        capsys,
+        ["score", "--lexicon", raw_lex, "--lexicon", raw_lex, "--input", cli_files["test"]],
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "duplicate lexicon class" in err
+
+
+@pytest.mark.parametrize("target", ["build-lexicon --out", "score --out", "--report"])
+def test_failed_write_keeps_old_file(capsys, cli_files, monkeypatch, tmp_path, target):
+    lex, _ = build(capsys, cli_files, "RAW")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    path = out_dir / "target"
+    path.write_bytes(b"old bytes\n")
+    if target == "build-lexicon --out":
+        argv = ["build-lexicon", "--fake", cli_files["fake"], "--valid", cli_files["valid"]]
+        argv += ["--class", "RAW", "--out", path]
+    elif target == "score --out":
+        argv = ["score", "--lexicon", lex, "--input", cli_files["test"], "--out", path]
+    else:
+        argv = ["score", "--lexicon", lex, "--input", cli_files["test"]]
+        argv += ["--explain", "2", "--report", path]
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "replace refused" in err
+    assert path.read_bytes() == b"old bytes\n"
+    assert [p.name for p in out_dir.iterdir()] == ["target"]
 
 
 def test_score_tampered_lexicon_is_format_error(capsys, cli_files):
@@ -469,6 +586,50 @@ def test_verify_corpus(capsys, write_text):
     ]
     assert "x (FAKE)" in err
     assert "overall" in err
+
+
+def test_verify_corpus_without_sentences_is_domain_error(capsys, write_text):
+    corpus = write_text(
+        "v.jsonl",
+        '{"id":"a","text":"","label":"FAKE","source":"x"}\n'
+        '{"id":"b","text":"  ","title":"","label":"VALID"}\n',
+    )
+    slang = write_text("slang.txt", "lan\n")
+    words = write_text("dict.txt", "bu\n")
+    code, stdout, err = run(
+        capsys,
+        ["verify-corpus", "--input", corpus, "--slang", slang, "--dictionary", words],
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "no sentences" in err
+
+
+def test_verify_corpus_tokenizes_each_document_once(capsys, write_text, monkeypatch):
+    docs = [
+        {"id": "a", "text": "Bu çok fena lan. Bu iyi.", "label": "FAKE", "source": "x"},
+        {"id": "b", "text": "Ccok fenna 47.", "label": "VALID", "source": "y"},
+        {"id": "c", "text": "", "label": "FAKE", "source": "z"},
+        {"id": "d", "title": "Başlık", "text": "iyi lan", "label": "FAKE", "source": "x"},
+    ]
+    corpus = write_text("v.jsonl", "".join(json.dumps(d) + "\n" for d in docs))
+    slang = write_text("slang.txt", "lan\nçok fena\n")
+    words = write_text("dict.txt", "bu\nçok\nfena\niyi\n")
+    calls: Counter = Counter()
+    real = fanlex.corpus.normalized_tokens
+
+    def counting(text, *args, **kwargs):
+        calls[text] += 1
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(fanlex.corpus, "normalized_tokens", counting)
+    code, _, _ = run(
+        capsys,
+        ["verify-corpus", "--input", corpus, "--slang", slang, "--dictionary", words],
+    )
+    assert code == 0
+    texts = [compose_text(d.get("title"), d["text"], True) for d in docs]
+    assert calls == Counter(texts)
 
 
 def test_inspect_term(capsys, cli_files):

@@ -18,6 +18,8 @@ from fanlex.corpus import (
     split_sentences,
     stratified_folds,
     verify_stats,
+    verify_stats_by_group,
+    write_atomic,
 )
 from fanlex.errors import (
     CorpusParseError,
@@ -26,6 +28,7 @@ from fanlex.errors import (
     FoldSizeError,
     NoSentencesError,
 )
+from fanlex.morph import Locale
 from synth import analyzed_corpus
 
 
@@ -271,6 +274,112 @@ def test_verify_stats_guards():
     empty = (Document(id="a", text="   ", label=Label.FAKE),)
     with pytest.raises(NoSentencesError):
         verify_stats(Dataset(empty), slang=["lan"], dictionary=["bu"])
+
+
+SLANG = ["lan", "çok fena"]
+DICTIONARY = ["bu", "çok", "fena", "iyi"]
+
+
+def _source_label(doc):
+    return (doc.source or "(none)", doc.label.value)
+
+
+def _per_subset(ds, key, **kwargs):
+    """verify_stats on each group's own dataset, skipping sentenceless ones."""
+    expected = {}
+    for group in {key(doc) for doc in ds.documents}:
+        subset = Dataset(tuple(doc for doc in ds.documents if key(doc) == group))
+        try:
+            expected[group] = verify_stats(subset, SLANG, DICTIONARY, **kwargs)
+        except NoSentencesError:
+            pass
+    return expected
+
+
+def test_verify_stats_by_group_equals_per_group_verify_stats():
+    docs = (
+        Document(id="a", text="Bu çok fena lan. Bu iyi.", label=Label.FAKE, source="x"),
+        Document(id="b", text="Ccok fenna 47.", label=Label.VALID, source="y"),
+        Document(id="c", text="", label=Label.FAKE, source="z"),
+        Document(id="d", text="lan iyi", label=Label.FAKE, source="x", title="Bu"),
+        Document(id="e", text="İyi mi? Çok fena!", label=Label.VALID),
+    )
+    ds = Dataset(docs)
+    overall, groups = verify_stats_by_group(ds, SLANG, DICTIONARY, _source_label)
+    assert overall == verify_stats(ds, SLANG, DICTIONARY)
+    assert groups == _per_subset(ds, _source_label)
+    assert ("z", "FAKE") not in groups
+    assert list(groups) == [("x", "FAKE"), ("y", "VALID"), ("(none)", "VALID")]
+
+
+_WORDS = ["bu", "Çok", "fena", "lan", "iyi", "ccok", "47", "Dr.", "x.", "!", "...", "?"]
+_verify_docs = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(_WORDS), max_size=8),
+        st.one_of(st.none(), st.lists(st.sampled_from(_WORDS), max_size=3)),
+        st.sampled_from(Label),
+        st.sampled_from([None, "x", "y"]),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=_verify_docs,
+    include_title=st.booleans(),
+    locale=st.sampled_from(Locale),
+)
+def test_verify_stats_by_group_is_exact(rows, include_title, locale):
+    docs = tuple(
+        Document(
+            id=f"d{i}",
+            text=" ".join(words),
+            label=label,
+            title=None if title is None else " ".join(title),
+            source=source,
+        )
+        for i, (words, title, label, source) in enumerate(rows)
+    )
+    ds = Dataset(docs)
+    kwargs = {"locale": locale, "include_title": include_title}
+    try:
+        expected_overall = verify_stats(ds, SLANG, DICTIONARY, **kwargs)
+    except NoSentencesError:
+        with pytest.raises(NoSentencesError):
+            verify_stats_by_group(ds, SLANG, DICTIONARY, _source_label, **kwargs)
+        return
+    overall, groups = verify_stats_by_group(
+        ds, SLANG, DICTIONARY, _source_label, **kwargs
+    )
+    assert overall == expected_overall
+    assert groups == _per_subset(ds, _source_label, **kwargs)
+
+
+def test_verify_stats_by_group_without_sentences():
+    docs = (
+        Document(id="a", text="", label=Label.FAKE, source="x"),
+        Document(id="b", text="  ", label=Label.VALID, title="", source="y"),
+    )
+    with pytest.raises(NoSentencesError):
+        verify_stats_by_group(Dataset(docs), SLANG, DICTIONARY, _source_label)
+
+
+def test_write_atomic_failure_keeps_old_bytes(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old\n")
+
+    def chunks():
+        yield "new\n"
+        raise RuntimeError("disk gone")
+
+    with pytest.raises(RuntimeError):
+        write_atomic(str(target), chunks())
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    write_atomic(str(target), ["ne", "w\n"])
+    assert target.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_stratified_folds_partition():

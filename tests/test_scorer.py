@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+import fanlex.lexicon
 import oracle
 from fanlex.corpus import Dataset, Document, Label
 from fanlex.errors import ModelMismatchError
@@ -148,6 +150,46 @@ def test_score_batch_shape(mini_lexicon):
 def test_score_batch_rejects_duplicate_classes(mini_lexicon):
     with pytest.raises(ModelMismatchError):
         score_batch(Dataset(()), [mini_lexicon, mini_lexicon])
+
+
+def test_score_batch_analyzes_each_document_once(monkeypatch, demo_table):
+    texts = ["Vergi yok insanlara", "gidecek vergi 47", "yok yok demeyin", ""]
+    docs = Dataset(
+        tuple(
+            Document(id=f"d{i}", text=t, label=Label.FAKE if i % 2 else Label.VALID)
+            for i, t in enumerate(texts)
+        )
+    )
+    lexicons = [
+        build_lexicon(docs.filter(Label.FAKE), docs.filter(Label.VALID), c, analyzer=demo_table)
+        for c in (ModelClass.SUFFIX, ModelClass.RAW, ModelClass.ROOT, ModelClass.RAW_POS)
+    ]
+    expected = {
+        doc.id: {
+            lex.model_class: score_document(doc, lex, analyzer=demo_table)
+            for lex in lexicons
+        }
+        for doc in docs.documents
+    }
+    calls: Counter = Counter()
+    real = fanlex.lexicon.analyze_document
+
+    def counting(doc, *args, **kwargs):
+        calls[doc.id] += 1
+        return real(doc, *args, **kwargs)
+
+    monkeypatch.setattr(fanlex.lexicon, "analyze_document", counting)
+    table = score_batch(docs, lexicons, analyzer=demo_table)
+    assert table == expected
+    assert [list(row) for row in table.values()] == [
+        [lex.model_class for lex in lexicons]
+    ] * len(texts)
+    assert calls == Counter(doc.id for doc in docs.documents)
+
+
+def test_score_batch_without_lexicons():
+    docs = Dataset((raw_doc("d1", Label.FAKE, ["a"]), raw_doc("d2", Label.VALID, [])))
+    assert score_batch(docs, []) == {"d1": {}, "d2": {}}
 
 
 def test_score_uses_mini_example_values(mini_lexicon):
