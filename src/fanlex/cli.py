@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, astuple
 
 from fanlex import __version__
@@ -187,10 +188,7 @@ def cmd_build_lexicon(args: argparse.Namespace) -> int:
         {
             "class": lex.model_class.value,
             "count_mode": lex.count_mode.value,
-            "unique_terms": stats.unique_terms,
-            "common_terms": stats.common_terms,
-            "only_fake": stats.only_fake,
-            "only_valid": stats.only_valid,
+            **asdict(stats),
             "fake_total": lex.fake_total,
             "valid_total": lex.valid_total,
             "out": args.out,
@@ -200,15 +198,7 @@ def cmd_build_lexicon(args: argparse.Namespace) -> int:
         args,
         _table(
             ["model", "unique terms", "common", "only fake", "only valid"],
-            [
-                [
-                    lex.model_class.value,
-                    str(stats.unique_terms),
-                    str(stats.common_terms),
-                    str(stats.only_fake),
-                    str(stats.only_valid),
-                ]
-            ],
+            [[lex.model_class.value, *map(str, astuple(stats))]],
         ),
     )
     return EXIT_OK
@@ -340,11 +330,7 @@ def cmd_corpus_stats(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     ds = load_corpus(args.input)
     stats = corpus_stats(ds, include_title=cfg.include_title)
-    groups: dict[tuple[str, str], int] = {}
-    for doc in ds.documents:
-        key = _group_key(doc)
-        groups[key] = groups.get(key, 0) + 1
-    ordered = sorted(groups.items())
+    ordered = sorted(Counter(_group_key(doc) for doc in ds.documents).items())
     _emit_json(
         {
             "doc_count_by_label": {
@@ -419,15 +405,7 @@ def cmd_inspect_term(args: argparse.Namespace) -> int:
             entry = lex.entries.get(normalize(args.term, cfg.locale))
         record: dict = {"class": lex.model_class.value, "found": entry is not None}
         if entry is not None:
-            record.update(
-                {
-                    "term": entry.term,
-                    "fake_count": entry.fake_count,
-                    "valid_count": entry.valid_count,
-                    "fake_score": entry.fake_score,
-                    "valid_score": entry.valid_score,
-                }
-            )
+            record.update(asdict(entry))
         results.append(record)
     _emit_json({"term": args.term, "results": results})
     scale = cfg.display_scale

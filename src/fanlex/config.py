@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from fanlex.errors import InputError
+from fanlex.errors import InputError, open_text
 from fanlex.lexicon import CountMode
 from fanlex.morph import Locale
 from fanlex.scorer import TermSetMode
@@ -64,7 +64,7 @@ _FIELD_NAMES = {f.name for f in fields(RunConfig)}
 def load_config_file(path: str) -> dict:
     """Parse a key = value config file into RunConfig keyword arguments."""
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, InputError) as fh:
         for lineno, line in enumerate(fh, 1):
             body = line.split("#", 1)[0].strip()
             if not body:

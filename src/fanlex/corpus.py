@@ -21,9 +21,18 @@ from fanlex.errors import (
     DomainError,
     DuplicateDocumentError,
     FoldSizeError,
+    InputError,
     NoSentencesError,
+    open_text,
+    parse_json,
 )
-from fanlex.morph import Locale, MorphAnalysis, compose_text, tokenize
+from fanlex.morph import (
+    Locale,
+    MorphAnalysis,
+    analysis_from_json,
+    compose_text,
+    tokenize,
+)
 
 
 class Label(Enum):
@@ -129,32 +138,8 @@ def _parse_analyses(listed: object, where: str) -> tuple[MorphAnalysis, ...]:
         raise CorpusParseError(f"{where}: 'analyses' must be a list")
     out = []
     for i, item in enumerate(listed):
-        if not isinstance(item, dict):
-            raise CorpusParseError(f"{where}: analysis {i} must be an object")
-        for key in ("raw", "root", "pos"):
-            if not isinstance(item.get(key), str):
-                raise CorpusParseError(f"{where}: analysis {i} needs string {key!r}")
-        suffixes = item.get("suffixes", [])
-        if not isinstance(suffixes, list) or any(
-            not isinstance(s, str) for s in suffixes
-        ):
-            raise CorpusParseError(
-                f"{where}: analysis {i} 'suffixes' must be a list of strings"
-            )
-        extra = set(item) - {"raw", "root", "pos", "suffixes"}
-        if extra:
-            raise CorpusParseError(
-                f"{where}: analysis {i} has unknown fields {sorted(extra)}"
-            )
         try:
-            out.append(
-                MorphAnalysis(
-                    raw=item["raw"],
-                    root=item["root"],
-                    pos=item["pos"],
-                    suffixes=tuple(suffixes),
-                )
-            )
+            out.append(analysis_from_json(item))
         except ValueError as exc:
             raise CorpusParseError(f"{where}: analysis {i}: {exc}") from exc
     return tuple(out)
@@ -199,16 +184,11 @@ def load_corpus(path: str) -> Dataset:
     """Load a JSONL corpus; errors name the offending file and line."""
     docs: list[Document] = []
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, CorpusParseError) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusParseError(
-                    f"{path}:{lineno}: invalid JSON ({exc.msg})"
-                ) from exc
+            obj = parse_json(line, CorpusParseError, f"{path}:{lineno}")
             doc = _parse_document(obj, f"{path}:{lineno}")
             if doc.id in seen:
                 raise DuplicateDocumentError(
@@ -317,7 +297,7 @@ def load_word_list(path: str, locale: Locale = Locale.TURKISH) -> list[str]:
     turkish = locale is Locale.TURKISH
     entries: list[str] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, InputError) as fh:
         for line in fh:
             body = line.strip()
             if not body or body.startswith("#"):

@@ -1,8 +1,13 @@
 """Exception taxonomy shared across the toolkit.
 
 The CLI maps these onto exit codes: InputError and I/O problems exit
-with 2, DomainError with 3, FormatError with 4.
+with 2, DomainError with 3, FormatError with 4. open_text and
+parse_json raise a loader's own type for undecodable or unparsable input.
 """
+
+import json
+from contextlib import contextmanager
+from typing import IO, Iterator
 
 
 class FanlexError(Exception):
@@ -67,3 +72,27 @@ class LexiconChecksumError(FormatError):
 
 class LexiconConsistencyError(FormatError):
     """Stored totals or entries contradict each other."""
+
+
+@contextmanager
+def open_text(path: str, error: type[FanlexError]) -> Iterator[IO[str]]:
+    """Open a UTF-8 text file; undecodable bytes raise `error` naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not valid UTF-8 text ({exc.reason})") from exc
+
+
+def parse_json(text: str, error: type[FanlexError], where: str) -> object:
+    """json.loads; text it cannot parse raises `error` naming `where`.
+
+    That includes integers past the interpreter's digit limit
+    (ValueError) and nesting past the recursion limit.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: invalid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: invalid JSON ({exc})") from exc

@@ -7,8 +7,8 @@ FAKE and predicted FAKE, tn counts VALID predicted VALID.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from dataclasses import astuple, dataclass
+from typing import Iterable, NamedTuple, Sequence
 
 from fanlex.config import RunConfig
 from fanlex.corpus import Dataset, Label, stratified_folds
@@ -16,12 +16,12 @@ from fanlex.errors import LeakageError
 from fanlex.lexicon import (
     ModelClass,
     add_document_terms,
-    build_lexicon,
+    count_splits,
     document_terms_by_class,
     lexicon_from_counts,
 )
 from fanlex.morph import AnalyzerRuleTable
-from fanlex.scorer import _score_terms, score_document
+from fanlex.scorer import _score_terms
 
 
 @dataclass(frozen=True)
@@ -70,19 +70,14 @@ def confusion(predicted: Sequence[Label], actual: Sequence[Label]) -> ConfusionM
         )
     if not predicted:
         raise ValueError("empty prediction list")
-    tp = fn = fp = tn = 0
-    for pred, act in zip(predicted, actual):
-        if act is Label.FAKE:
-            if pred is Label.FAKE:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if pred is Label.FAKE:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn)
+    outcomes = Counter(zip(predicted, actual))
+    fake, valid = Label.FAKE, Label.VALID
+    return ConfusionMatrix(
+        tp=outcomes[fake, fake],
+        fn=outcomes[valid, fake],
+        fp=outcomes[fake, valid],
+        tn=outcomes[valid, valid],
+    )
 
 
 def metrics(cm: ConfusionMatrix) -> Metrics:
@@ -113,7 +108,8 @@ def evaluate_models(
     """Train one lexicon per model class and evaluate on the test set.
 
     Refuses id overlap between the training splits and the test set.
-    Results do not depend on test document order.
+    Results do not depend on test document order. Each document is
+    analyzed at most once, for all classes together.
     """
     if config is None:
         config = RunConfig()
@@ -126,33 +122,17 @@ def evaluate_models(
         raise LeakageError(
             f"{len(overlap)} document id(s) shared between train and test: {sample}"
         )
+    opts = dict(
+        analyzer=analyzer, locale=config.locale, include_title=config.include_title
+    )
+    fake_counts, valid_counts = count_splits(
+        train_fake, train_valid, classes, config.count_mode, **opts
+    )
+    test_terms = [
+        document_terms_by_class(doc, classes, **opts) for doc in test.documents
+    ]
     actual = [doc.label for doc in test.documents]
-    results: dict[ModelClass, EvalResult] = {}
-    for model_class in classes:
-        lex = build_lexicon(
-            train_fake,
-            train_valid,
-            model_class,
-            config.count_mode,
-            analyzer=analyzer,
-            locale=config.locale,
-            include_title=config.include_title,
-            smoothing=config.smoothing,
-        )
-        predicted = [
-            score_document(
-                doc,
-                lex,
-                config.term_set_mode,
-                analyzer=analyzer,
-                locale=config.locale,
-                include_title=config.include_title,
-            ).label
-            for doc in test.documents
-        ]
-        cm = confusion(predicted, actual)
-        results[model_class] = EvalResult(confusion=cm, metrics=metrics(cm))
-    return results
+    return _score_fold(classes, fake_counts, valid_counts, test_terms, actual, config)
 
 
 def cross_validate(
@@ -169,10 +149,10 @@ def cross_validate(
     The same seed always produces the same folds and the same report.
 
     The corpus is counted once per class and label; each fold's
-    training counts are those totals minus its test documents' counts,
-    so fold lexicons are built by subtraction. Counts add up exactly,
-    under either count mode, so the report equals one built by
-    running evaluate_models on every fold of stratified_folds.
+    training counts are those totals minus its test documents' counts.
+    Counts add up exactly, under either count mode, so each fold's
+    metrics equal those of build_lexicon on its training split and
+    score_document on its test split.
     """
     if config is None:
         config = RunConfig()
@@ -183,12 +163,10 @@ def cross_validate(
     opts = dict(
         analyzer=analyzer, locale=config.locale, include_title=config.include_title
     )
-    totals = [{Label.FAKE: Counter(), Label.VALID: Counter()} for _ in classes]
-    for doc in ds.documents:
-        for counts, terms in zip(totals, document_terms_by_class(doc, classes, **opts)):
-            add_document_terms(counts[doc.label], terms, mode)
+    fake_totals, valid_totals = count_splits(
+        ds.filter(Label.FAKE), ds.filter(Label.VALID), classes, mode, **opts
+    )
     per_fold: list[FoldMetrics] = []
-    sums: dict[ModelClass, list[float]] = {c: [0.0, 0.0, 0.0, 0.0] for c in classes}
     for index, (_, test) in enumerate(folds):
         # Recomputed per fold rather than cached for the run: the
         # analyzer memo makes this cheap, and memory stays one fold's.
@@ -196,35 +174,44 @@ def cross_validate(
             document_terms_by_class(doc, classes, **opts) for doc in test.documents
         ]
         actual = [doc.label for doc in test.documents]
-        for i, model_class in enumerate(classes):
-            held = {Label.FAKE: Counter(), Label.VALID: Counter()}
-            for label, terms in zip(actual, test_terms):
-                add_document_terms(held[label], terms[i], mode)
-            lex = lexicon_from_counts(
-                model_class,
-                totals[i][Label.FAKE] - held[Label.FAKE],
-                totals[i][Label.VALID] - held[Label.VALID],
-                mode,
-                config.smoothing,
-            )
-            predicted = [
-                _score_terms(terms[i], lex, config.term_set_mode).label
-                for terms in test_terms
-            ]
-            m = metrics(confusion(predicted, actual))
-            per_fold.append(FoldMetrics(index, model_class, m))
-            acc = sums[model_class]
-            acc[0] += m.precision
-            acc[1] += m.recall
-            acc[2] += m.accuracy
-            acc[3] += m.f1
-    means = {
-        c: Metrics(
-            precision=sums[c][0] / k,
-            recall=sums[c][1] / k,
-            accuracy=sums[c][2] / k,
-            f1=sums[c][3] / k,
-        )
-        for c in classes
-    }
+        held = {label: [Counter() for _ in classes] for label in Label}
+        for label, terms_by_class in zip(actual, test_terms):
+            for counts, terms in zip(held[label], terms_by_class):
+                add_document_terms(counts, terms, mode)
+        fake = (t - h for t, h in zip(fake_totals, held[Label.FAKE]))
+        valid = (t - h for t, h in zip(valid_totals, held[Label.VALID]))
+        results = _score_fold(classes, fake, valid, test_terms, actual, config)
+        per_fold.extend(FoldMetrics(index, c, results[c].metrics) for c in classes)
+    means = {}
+    for c in classes:
+        rows = [astuple(f.metrics) for f in per_fold if f.model_class is c]
+        means[c] = Metrics(*(sum(column) / k for column in zip(*rows)))
     return CvReport(per_fold=tuple(per_fold), means=means)
+
+
+def _score_fold(
+    classes: Sequence[ModelClass],
+    fake_counts: Iterable[Counter],
+    valid_counts: Iterable[Counter],
+    test_terms: Sequence[Sequence[Counter]],
+    actual: Sequence[Label],
+    config: RunConfig,
+) -> dict[ModelClass, EvalResult]:
+    """Build each class's lexicon from its counts and score the test terms.
+
+    Counts and each test document's terms hold one Counter per class,
+    in class order. Counts are drawn one class at a time.
+    """
+    results: dict[ModelClass, EvalResult] = {}
+    counts = zip(classes, fake_counts, valid_counts)
+    for i, (model_class, fake, valid) in enumerate(counts):
+        lex = lexicon_from_counts(
+            model_class, fake, valid, config.count_mode, config.smoothing
+        )
+        predicted = [
+            _score_terms(terms[i], lex, config.term_set_mode).label
+            for terms in test_terms
+        ]
+        cm = confusion(predicted, actual)
+        results[model_class] = EvalResult(confusion=cm, metrics=metrics(cm))
+    return results

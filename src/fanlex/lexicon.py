@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -27,6 +28,8 @@ from fanlex.errors import (
     LexiconParseError,
     LexiconVersionError,
     ModelMismatchError,
+    open_text,
+    parse_json,
 )
 from fanlex.morph import (
     AnalyzerRuleTable,
@@ -251,25 +254,33 @@ def lexicon_from_counts(
     )
 
 
-def _count_split(
-    ds: Dataset,
-    model_class: ModelClass,
-    count_mode: CountMode,
-    analyzer: AnalyzerRuleTable | None,
-    locale: Locale,
-    include_title: bool,
-) -> Counter:
-    totals: Counter = Counter()
-    for doc in ds.documents:
-        terms = document_terms(
-            doc,
-            model_class,
-            analyzer=analyzer,
-            locale=locale,
-            include_title=include_title,
-        )
-        add_document_terms(totals, terms, count_mode)
-    return totals
+def count_splits(
+    fake: Dataset,
+    valid: Dataset,
+    classes: Sequence[ModelClass],
+    count_mode: CountMode = CountMode.TOKEN_FREQ,
+    *,
+    analyzer: AnalyzerRuleTable | None = None,
+    locale: Locale = Locale.TURKISH,
+    include_title: bool = True,
+) -> tuple[list[Counter], list[Counter]]:
+    """Term totals of a fake and a valid split, one Counter per class.
+
+    The Counters come in class order. Each document is analyzed at
+    most once, whatever the number of classes.
+    """
+    if not fake.documents:
+        raise EmptyTrainingSplitError("empty training split: fake")
+    if not valid.documents:
+        raise EmptyTrainingSplitError("empty training split: valid")
+    opts = dict(analyzer=analyzer, locale=locale, include_title=include_title)
+    out = ([Counter() for _ in classes], [Counter() for _ in classes])
+    for totals, ds in zip(out, (fake, valid)):
+        for doc in ds.documents:
+            terms_by_class = document_terms_by_class(doc, classes, **opts)
+            for counts, terms in zip(totals, terms_by_class):
+                add_document_terms(counts, terms, count_mode)
+    return out
 
 
 def build_lexicon(
@@ -289,15 +300,14 @@ def build_lexicon(
     exact: building on a union of corpora equals merging lexicons
     built on the parts.
     """
-    if not fake_train.documents:
-        raise EmptyTrainingSplitError("empty training split: fake")
-    if not valid_train.documents:
-        raise EmptyTrainingSplitError("empty training split: valid")
-    fake_counts = _count_split(
-        fake_train, model_class, count_mode, analyzer, locale, include_title
-    )
-    valid_counts = _count_split(
-        valid_train, model_class, count_mode, analyzer, locale, include_title
+    (fake_counts,), (valid_counts,) = count_splits(
+        fake_train,
+        valid_train,
+        (model_class,),
+        count_mode,
+        analyzer=analyzer,
+        locale=locale,
+        include_title=include_title,
     )
     return lexicon_from_counts(
         model_class, fake_counts, valid_counts, count_mode, smoothing
@@ -369,32 +379,32 @@ def load_lexicon(path: str) -> Lexicon:
     stored checksum, and LexiconConsistencyError when totals disagree
     with the entry counts or an entry carries no evidence.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
-    if not raw_lines:
+    # Only "\n" ends a line. str.splitlines would also split at U+0085
+    # or U+2028 inside a term, which json.dumps leaves unescaped.
+    with open_text(path, LexiconParseError) as fh:
+        raw_lines = fh.read().split("\n")
+    if raw_lines == [""]:
         raise LexiconParseError(f"{path}: empty lexicon file")
-    try:
-        header = json.loads(raw_lines[0])
-    except json.JSONDecodeError as exc:
-        raise LexiconParseError(f"{path}:1: invalid header ({exc.msg})") from exc
+    header = parse_json(raw_lines[0], LexiconParseError, f"{path}:1")
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise LexiconParseError(f"{path}: not a {FORMAT_NAME} file")
-    version = header.get("version")
+    # type() rather than isinstance(): JSON true and false load as bool,
+    # which is an int subclass.
+    for key in ("version", "fake_total", "valid_total"):
+        if type(header.get(key)) is not int:
+            raise LexiconParseError(f"{path}: header {key!r} must be an integer")
+    version = header["version"]
     if version != FORMAT_VERSION:
         raise LexiconVersionError(f"{path}: unsupported lexicon version {version!r}")
     try:
         model_class = ModelClass(header["class"])
         count_mode = CountMode(header["count_mode"])
-        fake_total = header["fake_total"]
-        valid_total = header["valid_total"]
     except (KeyError, ValueError) as exc:
         raise LexiconParseError(f"{path}: bad header field ({exc})") from exc
+    fake_total, valid_total = header["fake_total"], header["valid_total"]
     smoothing = header.get("smoothing", 0.0)
-    if (
-        not isinstance(smoothing, (int, float))
-        or not math.isfinite(smoothing)
-        or smoothing < 0
-    ):
+    # The upper bound also refuses integers too large for a float.
+    if type(smoothing) not in (int, float) or not 0 <= smoothing <= sys.float_info.max:
         raise LexiconParseError(f"{path}: bad smoothing value {smoothing!r}")
 
     entry_lines = [line for line in raw_lines[1:] if line.strip()]
@@ -409,13 +419,13 @@ def load_lexicon(path: str) -> Lexicon:
             term = obj["t"]
             fc = obj["fc"]
             vc = obj["vc"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise LexiconParseError(f"{path}:{offset}: bad entry line") from exc
         if (
             not isinstance(term, str)
             or not term
-            or not isinstance(fc, int)
-            or not isinstance(vc, int)
+            or type(fc) is not int
+            or type(vc) is not int
             or fc < 0
             or vc < 0
         ):
@@ -468,8 +478,6 @@ def merge_lexicons(a: Lexicon, b: Lexicon) -> Lexicon:
         for entry in lex.entries.values():
             fake_counts[entry.term] += entry.fake_count
             valid_counts[entry.term] += entry.valid_count
-    fake_counts = +fake_counts
-    valid_counts = +valid_counts
     return lexicon_from_counts(
-        a.model_class, dict(fake_counts), dict(valid_counts), a.count_mode, a.smoothing
+        a.model_class, +fake_counts, +valid_counts, a.count_mode, a.smoothing
     )

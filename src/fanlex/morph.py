@@ -8,14 +8,13 @@ not know. Documents that carry pre-computed analyses bypass both.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from fanlex._kernels import has_letter, normalize_token
 from fanlex._kernels import tokenize as _kernel_tokenize
-from fanlex.errors import AnalysisError, InputError
+from fanlex.errors import AnalysisError, InputError, open_text, parse_json
 
 if TYPE_CHECKING:
     from fanlex.corpus import Document
@@ -92,6 +91,32 @@ class MorphAnalysis:
             raise ValueError("analysis root must be non-empty")
         if any(not tag for tag in self.suffixes):
             raise ValueError("suffix tags must be non-empty")
+
+
+def analysis_from_json(item: object, raw: str | None = None) -> MorphAnalysis:
+    """A MorphAnalysis from a decoded JSON object, or ValueError saying why not.
+
+    Rule-table analyses pass their table surface as raw and carry no
+    "raw" field; corpus analyses carry one.
+    """
+    keys = ("raw", "root", "pos") if raw is None else ("root", "pos")
+    if not isinstance(item, dict):
+        raise ValueError("must be an object")
+    for key in keys:
+        if not isinstance(item.get(key), str):
+            raise ValueError(f"needs string {key!r}")
+    suffixes = item.get("suffixes", [])
+    if not isinstance(suffixes, list) or any(not isinstance(s, str) for s in suffixes):
+        raise ValueError("'suffixes' must be a list of strings")
+    extra = set(item) - {*keys, "suffixes"}
+    if extra:
+        raise ValueError(f"unknown fields {sorted(extra)}")
+    return MorphAnalysis(
+        raw=item.get("raw", raw),
+        root=item["root"],
+        pos=item["pos"],
+        suffixes=tuple(suffixes),
+    )
 
 
 @dataclass
@@ -262,14 +287,11 @@ def load_rule_table(
     order of analyses is preserved.
     """
     entries: dict[str, tuple[MorphAnalysis, ...]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, InputError) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            obj = parse_json(line, InputError, f"{path}:{lineno}")
             if not isinstance(obj, dict):
                 raise InputError(f"{path}:{lineno}: expected an object")
             surface = obj.get("surface")
@@ -283,20 +305,10 @@ def load_rule_table(
                 raise InputError(
                     f"{path}:{lineno}: surface {surface!r} is empty after normalization"
                 )
-            parsed = []
-            for item in listed:
-                try:
-                    parsed.append(
-                        MorphAnalysis(
-                            raw=norm,
-                            root=item["root"],
-                            pos=item["pos"],
-                            suffixes=tuple(item.get("suffixes", ())),
-                        )
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise InputError(f"{path}:{lineno}: bad analysis: {exc}") from exc
-            entries[norm] = tuple(parsed)
+            try:
+                entries[norm] = tuple(analysis_from_json(a, raw=norm) for a in listed)
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: bad analysis: {exc}") from exc
     return AnalyzerRuleTable(entries=entries, suffix_rules=tuple(suffix_rules))
 
 
@@ -307,7 +319,7 @@ def load_suffix_rules(path: str) -> tuple[tuple[str, str], ...]:
     and lines starting with # are ignored.
     """
     rules: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, InputError) as fh:
         for lineno, line in enumerate(fh, 1):
             body = line.strip()
             if not body or body.startswith("#"):

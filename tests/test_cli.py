@@ -334,6 +334,52 @@ def test_score_tampered_lexicon_is_format_error(capsys, cli_files):
     assert "checksum" in err
 
 
+def test_score_undecodable_lexicon_is_format_error(capsys, cli_files):
+    lex = cli_files["dir"] / "bad.lex"
+    lex.write_bytes(b"\xff\xfe\n")
+    code, _, err = run(
+        capsys, ["score", "--lexicon", lex, "--input", cli_files["test"]]
+    )
+    assert code == 4
+    assert "bad.lex: not valid UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "model_class,analysis",
+    [
+        ("ROOT", {"root": 5, "pos": "Noun"}),
+        ("RAW_POS", {"root": "ev", "pos": 7}),
+        ("SUFFIX", {"root": "ev", "pos": "Noun", "suffixes": [3]}),
+    ],
+)
+def test_build_lexicon_bad_rule_table_is_input_error(
+    capsys, tmp_path, write_jsonl, model_class, analysis
+):
+    fake = write_jsonl("fake.jsonl", [{"id": "f", "text": "ev evde", "label": "FAKE"}])
+    valid = write_jsonl("valid.jsonl", [{"id": "v", "text": "ev", "label": "VALID"}])
+    table = write_jsonl("table.jsonl", [{"surface": "ev", "analyses": [analysis]}])
+    out = tmp_path / "x.lex"
+    code, _, err = run(
+        capsys,
+        [
+            "build-lexicon",
+            "--fake",
+            fake,
+            "--valid",
+            valid,
+            "--class",
+            model_class,
+            "--rule-table",
+            table,
+            "--out",
+            out,
+        ],
+    )
+    assert code == 2
+    assert "table.jsonl:1: bad analysis" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags", [["--smoothing", "nan"], ["--smoothing", "inf"], ["--display-scale", "inf"]]
 )

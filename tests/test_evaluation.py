@@ -1,16 +1,19 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fanlex.lexicon
 from fanlex.config import RunConfig
 from fanlex.corpus import Dataset, Document, Label, stratified_folds
 from fanlex.errors import DomainError, LeakageError
 from fanlex.evaluation import (
     ConfusionMatrix,
     CvReport,
+    EvalResult,
     FoldMetrics,
     Metrics,
     confusion,
@@ -18,9 +21,9 @@ from fanlex.evaluation import (
     evaluate_models,
     metrics,
 )
-from fanlex.lexicon import CountMode, ModelClass
+from fanlex.lexicon import CountMode, ModelClass, build_lexicon
 from fanlex.morph import AnalyzerRuleTable, Locale, MorphAnalysis
-from fanlex.scorer import TermSetMode
+from fanlex.scorer import TermSetMode, score_document
 from synth import analyzed_corpus, make_analysis, separable_corpus
 
 ALL_CLASSES = list(ModelClass)
@@ -178,11 +181,32 @@ def test_cross_validate_rejects_duplicate_classes():
         cross_validate(ds, 2, [ModelClass.ROOT, ModelClass.RAW, ModelClass.ROOT], seed=0)
 
 
+def reference_evaluate(train_fake, train_valid, test, classes, config, analyzer):
+    """evaluate_models one class at a time: build_lexicon, then score_document."""
+    opts = dict(
+        analyzer=analyzer, locale=config.locale, include_title=config.include_title
+    )
+    actual = [doc.label for doc in test.documents]
+    results = {}
+    for c in classes:
+        lex = build_lexicon(
+            train_fake, train_valid, c, config.count_mode,
+            smoothing=config.smoothing, **opts,
+        )
+        predicted = [
+            score_document(doc, lex, config.term_set_mode, **opts).label
+            for doc in test.documents
+        ]
+        cm = confusion(predicted, actual)
+        results[c] = EvalResult(confusion=cm, metrics=metrics(cm))
+    return results
+
+
 def reference_cross_validate(ds, k, classes, seed, config, analyzer):
-    """Cross-validation by a full per-fold rebuild through evaluate_models."""
+    """Cross-validation by a full per-fold, per-class rebuild."""
     per_fold = []
     for index, (train, test) in enumerate(stratified_folds(ds, k, seed)):
-        results = evaluate_models(
+        results = reference_evaluate(
             train.filter(F), train.filter(V), test, classes, config, analyzer
         )
         per_fold.extend(FoldMetrics(index, c, results[c].metrics) for c in classes)
@@ -280,3 +304,75 @@ def test_cross_validate_equals_per_fold_rebuild(
             cross_validate(ds, k, classes, seed, config, analyzer)
         return
     assert cross_validate(ds, k, classes, seed, config, analyzer) == expected
+
+
+@st.composite
+def eval_splits(draw):
+    """Train and test sets split from one cv_corpora corpus.
+
+    The training set may lack a label and the test set may be empty.
+    """
+    ds, _ = draw(cv_corpora())
+    in_test = draw(st.lists(st.booleans(), min_size=len(ds), max_size=len(ds)))
+    train = Dataset(tuple(d for d, t in zip(ds.documents, in_test) if not t))
+    test = Dataset(tuple(d for d, t in zip(ds.documents, in_test) if t))
+    return train, test
+
+
+@given(
+    splits=eval_splits(),
+    classes=st.permutations(list(ModelClass)).flatmap(
+        lambda order: st.integers(1, 4).map(lambda n: order[:n])
+    ),
+    count_mode=st.sampled_from(list(CountMode)),
+    term_set_mode=st.sampled_from(list(TermSetMode)),
+    smoothing=st.sampled_from([0.0, 0.5, 1.0]),
+    locale=st.sampled_from(list(Locale)),
+    include_title=st.booleans(),
+    analyzer=st.sampled_from([None, CV_TABLE]),
+)
+@settings(max_examples=80, deadline=None)
+def test_evaluate_models_equals_per_class_rebuild(
+    splits, classes, count_mode, term_set_mode, smoothing, locale, include_title,
+    analyzer,
+):
+    train, test = splits
+    config = RunConfig(
+        locale=locale,
+        count_mode=count_mode,
+        term_set_mode=term_set_mode,
+        smoothing=smoothing,
+        include_title=include_title,
+    )
+    args = (train.filter(F), train.filter(V), test, classes, config, analyzer)
+    try:
+        expected = reference_evaluate(*args)
+    except (DomainError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            evaluate_models(*args)
+        return
+    assert evaluate_models(*args) == expected
+
+
+def test_evaluate_models_analyzes_each_document_once(monkeypatch, demo_table):
+    texts = [
+        "Vergi yok insanlara", "gidecek vergi 47", "yok yok demeyin",
+        "insanlara gidecek", "vergi vergi", "",
+    ]
+    docs = [
+        Document(id=f"d{i}", text=t, label=F if i % 2 else V)
+        for i, t in enumerate(texts)
+    ]
+    train, test = Dataset(tuple(docs[:4])), Dataset(tuple(docs[4:]))
+    args = (train.filter(F), train.filter(V), test, ALL_CLASSES, RunConfig(), demo_table)
+    expected = reference_evaluate(*args)
+    calls: Counter = Counter()
+    real = fanlex.lexicon.analyze_document
+
+    def counting(doc, *args, **kwargs):
+        calls[doc.id] += 1
+        return real(doc, *args, **kwargs)
+
+    monkeypatch.setattr(fanlex.lexicon, "analyze_document", counting)
+    assert evaluate_models(*args) == expected
+    assert calls == Counter(doc.id for doc in docs)

@@ -303,6 +303,22 @@ def test_save_load_preserves_smoothing(tmp_path):
     assert loaded.entries == lex.entries
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+def test_save_load_round_trip_with_line_separator_in_term(tmp_path, separator):
+    # json.dumps leaves these characters unescaped, so the file carries
+    # them raw inside an entry line.
+    term = f"ab{separator}c"
+    lex = lexicon_from_counts(ModelClass.ROOT, {term: 2, "x": 1}, {term: 1, "y": 1})
+    path = tmp_path / "lex.jsonl"
+    save_lexicon(lex, str(path))
+    assert separator in path.read_text(encoding="utf-8")
+    loaded = load_lexicon(str(path))
+    assert loaded.entries == lex.entries
+    again = tmp_path / "again.jsonl"
+    save_lexicon(loaded, str(again))
+    assert path.read_bytes() == again.read_bytes()
+
+
 def test_load_rejects_version(tmp_path, mini_lexicon):
     path = tmp_path / "lex.jsonl"
     save_lexicon(mini_lexicon, str(path))
@@ -396,6 +412,34 @@ def test_load_rejects_bad_headers(write_text, content, error):
     path = write_text("lex.jsonl", content)
     with pytest.raises(error):
         load_lexicon(path)
+
+
+@pytest.mark.parametrize(
+    "header_extra,entry",
+    [
+        ({}, {"t": "a", "fc": True, "vc": 1}),
+        ({}, {"t": "a", "fc": 1, "vc": True}),
+        ({"version": True}, {"t": "a", "fc": 1, "vc": 1}),
+        ({"fake_total": True}, {"t": "a", "fc": 1, "vc": 1}),
+        ({"valid_total": True}, {"t": "a", "fc": 1, "vc": 1}),
+        ({"smoothing": True}, {"t": "a", "fc": 1, "vc": 1}),
+        ({"fake_total": 1.0}, {"t": "a", "fc": 1, "vc": 1}),
+        ({"valid_total": "1"}, {"t": "a", "fc": 1, "vc": 1}),
+        ({"smoothing": 10**400}, {"t": "a", "fc": 1, "vc": 1}),
+    ],
+)
+def test_load_rejects_non_integer_values(tmp_path, header_extra, entry):
+    path = tmp_path / "lex.jsonl"
+    _write_manual(path, header_extra, [entry])
+    with pytest.raises(LexiconParseError):
+        load_lexicon(str(path))
+
+
+def test_load_rejects_undecodable_file(tmp_path):
+    path = tmp_path / "lex.jsonl"
+    path.write_bytes(b'{"format":"fanlex-lexicon"}\n{"t":"\xff","fc":1,"vc":0}\n')
+    with pytest.raises(LexiconParseError, match="lex.jsonl: not valid UTF-8"):
+        load_lexicon(str(path))
 
 
 def test_load_rejects_bad_entry_values(tmp_path):

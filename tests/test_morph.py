@@ -281,6 +281,23 @@ def test_load_rule_table_rejects(write_jsonl, row):
     assert ":1:" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "analysis,needle",
+    [
+        ({"root": 5, "pos": "Noun"}, "needs string 'root'"),
+        ({"root": "ev", "pos": 7}, "needs string 'pos'"),
+        ({"root": "ev", "pos": "Noun", "suffixes": [3]}, "list of strings"),
+        ({"root": "ev", "pos": "Noun", "suffixes": "Abl"}, "list of strings"),
+        ({"root": "ev", "pos": "Noun", "raw": "ev"}, "unknown fields"),
+        ([], "must be an object"),
+    ],
+)
+def test_load_rule_table_rejects_bad_analysis(write_jsonl, analysis, needle):
+    path = write_jsonl("bad.jsonl", [{"surface": "ev", "analyses": [analysis]}])
+    with pytest.raises(InputError, match=f":1: bad analysis: .*{needle}"):
+        load_rule_table(path)
+
+
 def test_load_rule_table_bad_json(write_text):
     path = write_text("bad.jsonl", "{nope\n")
     with pytest.raises(InputError) as err:
