@@ -73,6 +73,8 @@ def _parse_classes(values: list[str] | None) -> list[ModelClass]:
             name = name.strip()
             if name:
                 out.append(_model_class(name))
+    if not out:
+        raise InputError("--classes names no model class")
     if len(set(out)) != len(out):
         raise InputError("duplicate entries in --classes")
     return out

@@ -223,17 +223,23 @@ def write_atomic(path: str, chunks: Iterable[str]) -> None:
     The target is replaced only after every chunk is written, so a
     failure leaves an existing file with its old bytes and removes the
     temporary file. There is no fsync: this guards against failures of
-    the process, not of the machine.
+    the process, not of the machine. An OS error on the temporary file
+    is raised naming the target path.
     """
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def save_corpus(ds: Dataset, path: str) -> None:

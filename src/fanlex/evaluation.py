@@ -15,9 +15,9 @@ from fanlex.corpus import Dataset, Label, stratified_folds
 from fanlex.errors import LeakageError
 from fanlex.lexicon import (
     ModelClass,
+    TermPipeline,
     add_document_terms,
     count_splits,
-    document_terms_by_class,
     lexicon_from_counts,
 )
 from fanlex.morph import AnalyzerRuleTable
@@ -122,15 +122,13 @@ def evaluate_models(
         raise LeakageError(
             f"{len(overlap)} document id(s) shared between train and test: {sample}"
         )
-    opts = dict(
-        analyzer=analyzer, locale=config.locale, include_title=config.include_title
+    pipeline = TermPipeline(
+        classes, analyzer, locale=config.locale, include_title=config.include_title
     )
     fake_counts, valid_counts = count_splits(
-        train_fake, train_valid, classes, config.count_mode, **opts
+        train_fake, train_valid, pipeline, config.count_mode
     )
-    test_terms = [
-        document_terms_by_class(doc, classes, **opts) for doc in test.documents
-    ]
+    test_terms = [pipeline.terms(doc) for doc in test.documents]
     actual = [doc.label for doc in test.documents]
     return _score_fold(classes, fake_counts, valid_counts, test_terms, actual, config)
 
@@ -160,19 +158,17 @@ def cross_validate(
         raise ValueError("model classes must be distinct")
     folds = stratified_folds(ds, k, seed)
     mode = config.count_mode
-    opts = dict(
-        analyzer=analyzer, locale=config.locale, include_title=config.include_title
+    pipeline = TermPipeline(
+        classes, analyzer, locale=config.locale, include_title=config.include_title
     )
     fake_totals, valid_totals = count_splits(
-        ds.filter(Label.FAKE), ds.filter(Label.VALID), classes, mode, **opts
+        ds.filter(Label.FAKE), ds.filter(Label.VALID), pipeline, mode
     )
     per_fold: list[FoldMetrics] = []
     for index, (_, test) in enumerate(folds):
         # Recomputed per fold rather than cached for the run: the
-        # analyzer memo makes this cheap, and memory stays one fold's.
-        test_terms = [
-            document_terms_by_class(doc, classes, **opts) for doc in test.documents
-        ]
+        # pipeline's token memo makes this cheap; memory stays one fold's.
+        test_terms = [pipeline.terms(doc) for doc in test.documents]
         actual = [doc.label for doc in test.documents]
         held = {label: [Counter() for _ in classes] for label in Label}
         for label, terms_by_class in zip(actual, test_terms):

@@ -17,11 +17,14 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
-from fanlex._kernels import normalize_token, normalized_tokens, suffix_runs
+from fanlex import morph
+from fanlex._kernels import has_letter, normalize_token, normalized_tokens, suffix_runs
 from fanlex.corpus import Dataset, Document, write_atomic
 from fanlex.errors import (
+    AnalysisError,
     EmptyTrainingSplitError,
     LexiconChecksumError,
     LexiconConsistencyError,
@@ -35,8 +38,9 @@ from fanlex.morph import (
     AnalyzerRuleTable,
     Locale,
     MorphAnalysis,
-    analyze_document,
     compose_text,
+    default_rule_table,
+    tokenize,
 )
 
 FORMAT_NAME = "fanlex-lexicon"
@@ -110,7 +114,7 @@ def expand_suffix_subsequences(suffixes: list[str]) -> list[list[str]]:
 
 
 def extract_terms(
-    analyses: list[MorphAnalysis],
+    analyses: Iterable[MorphAnalysis],
     model_class: ModelClass,
     locale: Locale = Locale.TURKISH,
 ) -> Counter:
@@ -121,26 +125,89 @@ def extract_terms(
     every contiguous run of suffix tags serialized with "-" joins.
     Surfaces that normalize to nothing contribute no term.
     """
-    turkish = locale is Locale.TURKISH
-    counts: Counter = Counter()
+    return Counter(_terms(analyses, model_class, locale is Locale.TURKISH))
+
+
+def _terms(
+    analyses: Iterable[MorphAnalysis], model_class: ModelClass, turkish: bool
+) -> Iterator[str]:
+    """extract_terms as a stream of terms, repeats kept, in token order."""
     if model_class is ModelClass.RAW:
         for a in analyses:
             term = normalize_token(a.raw, turkish)
             if term:
-                counts[term] += 1
+                yield term
     elif model_class is ModelClass.ROOT:
         for a in analyses:
-            counts[a.root] += 1
+            yield a.root
     elif model_class is ModelClass.RAW_POS:
         for a in analyses:
             surface = normalize_token(a.raw, turkish)
             if surface:
-                counts[surface + RAW_POS_SEPARATOR + a.pos] += 1
+                yield surface + RAW_POS_SEPARATOR + a.pos
     else:
         for a in analyses:
             if a.suffixes:
-                counts.update(suffix_runs(a.suffixes))
-    return counts
+                yield from suffix_runs(a.suffixes)
+
+
+class TermPipeline:
+    """Turns documents into term multisets, one Counter per model class.
+
+    A pipeline holds one run's classes, rule table, locale and title
+    setting. It analyzes each distinct plain-text token once and keeps
+    its terms per class in a memo that lives as long as the pipeline;
+    failures are not memoized. Pre-analyzed documents, and plain text
+    under RAW alone, skip the analyzer and the memo.
+    """
+
+    def __init__(
+        self,
+        classes: Sequence[ModelClass],
+        analyzer: AnalyzerRuleTable | None = None,
+        *,
+        locale: Locale = Locale.TURKISH,
+        include_title: bool = True,
+    ) -> None:
+        self.classes = tuple(classes)
+        self.analyzer = default_rule_table() if analyzer is None else analyzer
+        self.locale = locale
+        self.include_title = include_title
+        self._turkish = locale is Locale.TURKISH
+        self._no_terms: tuple[tuple[str, ...], ...] = ((),) * len(self.classes)
+        self._memo: dict[str, tuple[tuple[str, ...], ...]] = {}
+
+    def terms(self, doc: Document) -> list[Counter]:
+        """The document's term multisets, one per class in class order."""
+        if doc.analyses is not None:
+            return [extract_terms(doc.analyses, c, self.locale) for c in self.classes]
+        text = compose_text(doc.title, doc.text, self.include_title)
+        if self.classes == (ModelClass.RAW,):
+            return [Counter(normalized_tokens(text, self._turkish, letters_only=True))]
+        rows = []
+        for position, token in enumerate(tokenize(text)):
+            row = self._memo.get(token)
+            rows.append(self._memoize(token, position) if row is None else row)
+        # The leading term-less row keeps one column per class for empty text.
+        return [Counter(chain.from_iterable(c)) for c in zip(self._no_terms, *rows)]
+
+    def _memoize(self, token: str, position: int) -> tuple[tuple[str, ...], ...]:
+        """Analyze one token and memoize its terms per class, repeats kept."""
+        row = self._no_terms
+        if has_letter(token):
+            try:
+                analysis = morph.analyze_token(token, self.analyzer, self.locale)
+            except AnalysisError as exc:
+                raise AnalysisError(f"token {position}: {exc}") from exc
+            turkish = self._turkish
+            # RAW is the normalized token, as on the RAW-only route.
+            raw = (normalize_token(token, turkish),)
+            row = tuple(
+                raw if c is ModelClass.RAW else tuple(_terms((analysis,), c, turkish))
+                for c in self.classes
+            )
+        self._memo[token] = row
+        return row
 
 
 def document_terms(
@@ -151,51 +218,11 @@ def document_terms(
     locale: Locale = Locale.TURKISH,
     include_title: bool = True,
 ) -> Counter:
-    """Term multiset of a document, analyzing its text when needed.
-
-    For RAW over plain-text documents the analysis step is skipped:
-    the normalized letter-bearing tokens are the surface forms the
-    full pipeline would produce.
-    """
-    return document_terms_by_class(
-        doc,
-        (model_class,),
-        analyzer=analyzer,
-        locale=locale,
-        include_title=include_title,
-    )[0]
-
-
-def document_terms_by_class(
-    doc: Document,
-    classes: Sequence[ModelClass],
-    *,
-    analyzer: AnalyzerRuleTable | None = None,
-    locale: Locale = Locale.TURKISH,
-    include_title: bool = True,
-) -> list[Counter]:
-    """document_terms for several model classes, in the given order.
-
-    The document is analyzed at most once, whatever the number of
-    classes that need its analyses.
-    """
-    analyses = None
-    out: list[Counter] = []
-    for model_class in classes:
-        if doc.analyses is None and model_class is ModelClass.RAW:
-            text = compose_text(doc.title, doc.text, include_title)
-            out.append(
-                Counter(
-                    normalized_tokens(text, locale is Locale.TURKISH, letters_only=True)
-                )
-            )
-            continue
-        if analyses is None:
-            analyses = analyze_document(
-                doc, analyzer, locale=locale, include_title=include_title
-            )
-        out.append(extract_terms(analyses, model_class, locale))
-    return out
+    """Term multiset of one document; see TermPipeline."""
+    pipeline = TermPipeline(
+        (model_class,), analyzer, locale=locale, include_title=include_title
+    )
+    return pipeline.terms(doc)[0]
 
 
 def add_document_terms(totals: Counter, terms: Counter, count_mode: CountMode) -> None:
@@ -255,30 +282,20 @@ def lexicon_from_counts(
 
 
 def count_splits(
-    fake: Dataset,
-    valid: Dataset,
-    classes: Sequence[ModelClass],
-    count_mode: CountMode = CountMode.TOKEN_FREQ,
-    *,
-    analyzer: AnalyzerRuleTable | None = None,
-    locale: Locale = Locale.TURKISH,
-    include_title: bool = True,
+    fake: Dataset, valid: Dataset, pipeline: TermPipeline, count_mode: CountMode
 ) -> tuple[list[Counter], list[Counter]]:
     """Term totals of a fake and a valid split, one Counter per class.
 
-    The Counters come in class order. Each document is analyzed at
-    most once, whatever the number of classes.
+    The Counters come in the pipeline's class order.
     """
     if not fake.documents:
         raise EmptyTrainingSplitError("empty training split: fake")
     if not valid.documents:
         raise EmptyTrainingSplitError("empty training split: valid")
-    opts = dict(analyzer=analyzer, locale=locale, include_title=include_title)
-    out = ([Counter() for _ in classes], [Counter() for _ in classes])
+    out = ([Counter() for _ in pipeline.classes], [Counter() for _ in pipeline.classes])
     for totals, ds in zip(out, (fake, valid)):
         for doc in ds.documents:
-            terms_by_class = document_terms_by_class(doc, classes, **opts)
-            for counts, terms in zip(totals, terms_by_class):
+            for counts, terms in zip(totals, pipeline.terms(doc)):
                 add_document_terms(counts, terms, count_mode)
     return out
 
@@ -300,14 +317,11 @@ def build_lexicon(
     exact: building on a union of corpora equals merging lexicons
     built on the parts.
     """
+    pipeline = TermPipeline(
+        (model_class,), analyzer, locale=locale, include_title=include_title
+    )
     (fake_counts,), (valid_counts,) = count_splits(
-        fake_train,
-        valid_train,
-        (model_class,),
-        count_mode,
-        analyzer=analyzer,
-        locale=locale,
-        include_title=include_title,
+        fake_train, valid_train, pipeline, count_mode
     )
     return lexicon_from_counts(
         model_class, fake_counts, valid_counts, count_mode, smoothing

@@ -124,13 +124,9 @@ class AnalyzerRuleTable:
     """Surface lookup table plus ordered fallback suffix rules.
 
     entries is keyed by normalized surface form; suffix_rules hold
-    (surface, tag) pairs and are applied longest surface first.
-
-    analyze_document memoizes its results on the table: one entry per
-    distinct analyzed token and locale, kept for the table's lifetime.
-    A later change to entries or suffix_rules would not reach memoized
-    tokens, so the table must be treated as immutable after
-    construction.
+    (surface, tag) pairs and are applied longest surface first. The
+    table is plain data and caches no analyses: lexicon.TermPipeline
+    keeps the per-run token memo.
     """
 
     entries: dict[str, tuple[MorphAnalysis, ...]] = field(default_factory=dict)
@@ -148,9 +144,6 @@ class AnalyzerRuleTable:
             if not surface:
                 raise ValueError("suffix rule surface must be non-empty")
             self._by_last_char.setdefault(surface[-1], []).append((surface, tag))
-        self._memo: dict[Locale, dict[str, MorphAnalysis]] = {
-            locale: {} for locale in Locale
-        }
 
 
 def tokenize(text: str) -> list[str]:
@@ -250,28 +243,23 @@ def analyze_document(
 
     Pre-computed analyses on the document are returned unchanged.
     Tokens without a single letter (numerals) are skipped: they carry
-    no morphology. Each token is analyzed once per table and locale;
-    repeats are served from the table's memo. Failures are not
-    memoized, so every call reports the failing token's position.
+    no morphology. Every token is analyzed afresh; to turn many
+    documents into terms, lexicon.TermPipeline analyzes each distinct
+    token once. A failure names the failing token's position.
     """
     if doc.analyses is not None:
         return list(doc.analyses)
     if table is None:
         table = default_rule_table()
-    memo = table._memo[locale]
     text = compose_text(doc.title, doc.text, include_title)
     out: list[MorphAnalysis] = []
     for position, token in enumerate(tokenize(text)):
-        analysis = memo.get(token)
-        if analysis is None:
-            if not has_letter(token):
-                continue
-            try:
-                analysis = analyze_token(token, table, locale)
-            except AnalysisError as exc:
-                raise AnalysisError(f"token {position}: {exc}") from exc
-            memo[token] = analysis
-        out.append(analysis)
+        if not has_letter(token):
+            continue
+        try:
+            out.append(analyze_token(token, table, locale))
+        except AnalysisError as exc:
+            raise AnalysisError(f"token {position}: {exc}") from exc
     return out
 
 
@@ -284,9 +272,11 @@ def load_rule_table(
 
     Each line holds {"surface": ..., "analyses": [{"root", "pos",
     "suffixes"}, ...]}; surfaces are normalized at load and the listed
-    order of analyses is preserved.
+    order of analyses is preserved. Two lines whose surfaces normalize
+    alike raise InputError.
     """
     entries: dict[str, tuple[MorphAnalysis, ...]] = {}
+    first_line: dict[str, int] = {}
     with open_text(path, InputError) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -305,6 +295,12 @@ def load_rule_table(
                 raise InputError(
                     f"{path}:{lineno}: surface {surface!r} is empty after normalization"
                 )
+            if norm in first_line:
+                raise InputError(
+                    f"{path}:{lineno}: duplicate surface {norm!r} "
+                    f"(first on line {first_line[norm]})"
+                )
+            first_line[norm] = lineno
             try:
                 entries[norm] = tuple(analysis_from_json(a, raw=norm) for a in listed)
             except ValueError as exc:

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 from fanlex.corpus import Dataset, Document, Label
 from fanlex.errors import ModelMismatchError
-from fanlex.lexicon import Lexicon, ModelClass, document_terms, document_terms_by_class
+from fanlex.lexicon import Lexicon, ModelClass, TermPipeline, document_terms
 from fanlex.morph import AnalyzerRuleTable, Locale
 
 
@@ -59,7 +59,8 @@ def score_document(
 
     DISTINCT sums each of the document's distinct terms once; MULTISET
     weights each term by its occurrence count. unknown_terms counts
-    lexicon misses the same way: distinct terms or occurrences.
+    lexicon misses the same way: distinct terms or occurrences. For
+    many documents use score_batch, which shares one TermPipeline.
     """
     terms = document_terms(
         doc,
@@ -190,8 +191,8 @@ def _score_rows(
 ) -> Iterator[tuple[Document, Lexicon, Counter, DocumentScore]]:
     """(document, lexicon, terms, score) in document, then lexicon order.
 
-    Each document's terms for every lexicon class come from one call to
-    document_terms_by_class, so it is analyzed at most once.
+    One TermPipeline over the lexicon classes serves every document,
+    so each document's terms for all lexicons come from one call.
     """
     classes = [lex.model_class for lex in lexicons]
     for i, model_class in enumerate(classes):
@@ -199,9 +200,9 @@ def _score_rows(
             raise ModelMismatchError(
                 f"duplicate lexicon class {model_class.value} in batch"
             )
+    pipeline = TermPipeline(
+        classes, analyzer, locale=locale, include_title=include_title
+    )
     for doc in docs.documents:
-        terms_by_class = document_terms_by_class(
-            doc, classes, analyzer=analyzer, locale=locale, include_title=include_title
-        )
-        for lex, terms in zip(lexicons, terms_by_class):
+        for lex, terms in zip(lexicons, pipeline.terms(doc)):
             yield doc, lex, terms, _score_terms(terms, lex, term_set_mode)

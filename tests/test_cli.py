@@ -8,11 +8,10 @@ from collections import Counter
 import pytest
 
 import fanlex.corpus
-import fanlex.lexicon
 from fanlex.cli import main
 from fanlex.config import RunConfig
 from fanlex.corpus import Label, load_corpus, save_corpus
-from fanlex.lexicon import RAW_POS_SEPARATOR, load_lexicon
+from fanlex.lexicon import RAW_POS_SEPARATOR, TermPipeline, load_lexicon
 from fanlex.morph import compose_text
 from fanlex.scorer import explain
 from synth import separable_corpus
@@ -227,13 +226,13 @@ def test_score_explain_analyzes_each_document_once(capsys, cli_files, monkeypatc
     root_lex, _ = build(capsys, cli_files, "ROOT")
     plain = _plain_copy(cli_files["test"], cli_files["dir"] / "plain.jsonl")
     calls: Counter = Counter()
-    real = fanlex.lexicon.analyze_document
+    real = TermPipeline.terms
 
-    def counting(doc, *args, **kwargs):
+    def counting(self, doc):
         calls[doc.id] += 1
-        return real(doc, *args, **kwargs)
+        return real(self, doc)
 
-    monkeypatch.setattr(fanlex.lexicon, "analyze_document", counting)
+    monkeypatch.setattr(TermPipeline, "terms", counting)
     code, stdout, err = run(
         capsys,
         [
@@ -321,6 +320,22 @@ def test_failed_write_keeps_old_file(capsys, cli_files, monkeypatch, tmp_path, t
     assert "replace refused" in err
     assert path.read_bytes() == b"old bytes\n"
     assert [p.name for p in out_dir.iterdir()] == ["target"]
+
+
+@pytest.mark.parametrize("target", ["build-lexicon --out", "score --out", "--report"])
+def test_write_error_names_target(capsys, cli_files, tmp_path, target):
+    path = tmp_path / "missing" / "target"
+    if target == "build-lexicon --out":
+        argv = ["build-lexicon", "--fake", cli_files["fake"], "--valid", cli_files["valid"]]
+        argv += ["--class", "RAW", "--out", path]
+    else:
+        lex, _ = build(capsys, cli_files, "RAW")
+        argv = ["score", "--lexicon", lex, "--input", cli_files["test"]]
+        argv += ["--out", path] if target == "score --out" else ["--explain", "2", "--report", path]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert f"No such file or directory: '{path}'\n" in err
+    assert ".tmp" not in err
 
 
 def test_score_tampered_lexicon_is_format_error(capsys, cli_files):
@@ -509,6 +524,20 @@ def test_evaluate_duplicate_classes(capsys, cli_files):
     )
     assert code == 2
     assert "duplicate" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "cross-validate"])
+@pytest.mark.parametrize("spelling", ["", ","])
+def test_empty_classes_is_input_error(capsys, cli_files, command, spelling):
+    if command == "evaluate":
+        argv = ["evaluate", "--train-fake", cli_files["fake"]]
+        argv += ["--train-valid", cli_files["valid"], "--test", cli_files["test"]]
+    else:
+        argv = ["cross-validate", "--input", cli_files["mixed"], "--folds", "2"]
+    code, stdout, err = run(capsys, [*argv, "--classes", spelling])
+    assert code == 2
+    assert stdout == ""
+    assert "--classes names no model class" in err
 
 
 def test_evaluate_leakage(capsys, cli_files):

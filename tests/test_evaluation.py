@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fanlex.lexicon
 from fanlex.config import RunConfig
 from fanlex.corpus import Dataset, Document, Label, stratified_folds
 from fanlex.errors import DomainError, LeakageError
@@ -21,7 +20,7 @@ from fanlex.evaluation import (
     evaluate_models,
     metrics,
 )
-from fanlex.lexicon import CountMode, ModelClass, build_lexicon
+from fanlex.lexicon import CountMode, ModelClass, TermPipeline, build_lexicon
 from fanlex.morph import AnalyzerRuleTable, Locale, MorphAnalysis
 from fanlex.scorer import TermSetMode, score_document
 from synth import analyzed_corpus, make_analysis, separable_corpus
@@ -367,12 +366,12 @@ def test_evaluate_models_analyzes_each_document_once(monkeypatch, demo_table):
     args = (train.filter(F), train.filter(V), test, ALL_CLASSES, RunConfig(), demo_table)
     expected = reference_evaluate(*args)
     calls: Counter = Counter()
-    real = fanlex.lexicon.analyze_document
+    real = TermPipeline.terms
 
-    def counting(doc, *args, **kwargs):
+    def counting(self, doc):
         calls[doc.id] += 1
-        return real(doc, *args, **kwargs)
+        return real(self, doc)
 
-    monkeypatch.setattr(fanlex.lexicon, "analyze_document", counting)
+    monkeypatch.setattr(TermPipeline, "terms", counting)
     assert evaluate_models(*args) == expected
     assert calls == Counter(doc.id for doc in docs)

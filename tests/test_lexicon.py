@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from fanlex.corpus import Dataset, Document, Label
@@ -18,6 +20,7 @@ from fanlex.lexicon import (
     RAW_POS_SEPARATOR,
     CountMode,
     ModelClass,
+    TermPipeline,
     build_lexicon,
     document_terms,
     expand_suffix_subsequences,
@@ -28,7 +31,7 @@ from fanlex.lexicon import (
     merge_lexicons,
     save_lexicon,
 )
-from fanlex.morph import MorphAnalysis, analyze_document
+from fanlex.morph import AnalyzerRuleTable, Locale, MorphAnalysis, analyze_document
 from synth import analyzed_corpus, make_analysis, text_corpus
 
 ALL_CLASSES = list(ModelClass)
@@ -173,6 +176,98 @@ def test_raw_fast_path_equals_full_pipeline():
         fast = document_terms(titled, ModelClass.RAW)
         slow = extract_terms(analyze_document(titled), ModelClass.RAW)
         assert fast == slow
+
+
+PIPELINE_WORDS = [
+    "Vergi", "yok", "YOK!", "İnsanlara", "IŞIKLAR", "ışıklar", "kitaplar",
+    "evlerden", "evde", "47", "3b", "x-y", "Küba'da", "gidecek", ".", ",",
+]
+PIPELINE_TABLE = AnalyzerRuleTable(
+    entries={
+        "yok": (
+            MorphAnalysis(raw="yok", root="yok", pos="Adj"),
+            MorphAnalysis(raw="yok", root="yoğ", pos="Verb", suffixes=("Neg",)),
+        ),
+        "ışıklar": (
+            MorphAnalysis(raw="ışıklar", root="ışık", pos="Noun", suffixes=("A3pl",)),
+        ),
+        "gidecek": (
+            MorphAnalysis(raw="gidecek", root="git", pos="Verb", suffixes=("Fut",)),
+        ),
+    },
+    suffix_rules=(("lar", "A3pl"), ("ler", "A3pl"), ("den", "Abl"), ("de", "Loc")),
+)
+pipeline_analyses = st.builds(
+    MorphAnalysis,
+    raw=st.sampled_from(["Kitap", "ev", "IŞIK", "--", "yok"]),
+    root=st.sampled_from(["kitap", "ev", "ışık"]),
+    pos=st.sampled_from(["Noun", "Verb"]),
+    # Repeated tags give repeated suffix runs within one token.
+    suffixes=st.lists(st.sampled_from(["A3pl", "Abl", "Loc"]), max_size=4).map(tuple),
+)
+pipeline_documents = st.lists(
+    st.builds(
+        Document,
+        id=st.just("d"),
+        text=st.lists(st.sampled_from(PIPELINE_WORDS), max_size=10).map(" ".join),
+        label=st.just(Label.FAKE),
+        title=st.sampled_from([None, "", "Vergi yok", "IŞIK!"]),
+        analyses=st.none() | st.lists(pipeline_analyses, max_size=6).map(tuple),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(
+    docs=pipeline_documents,
+    classes=st.permutations(list(ModelClass)).flatmap(
+        lambda order: st.integers(1, 4).map(lambda n: order[:n])
+    ),
+    locale=st.sampled_from(list(Locale)),
+    include_title=st.booleans(),
+    analyzer=st.sampled_from([None, PIPELINE_TABLE]),
+)
+@settings(max_examples=150, deadline=None)
+def test_term_pipeline_equals_per_document_analysis(
+    docs, classes, locale, include_title, analyzer
+):
+    pipeline = TermPipeline(
+        classes, analyzer, locale=locale, include_title=include_title
+    )
+    for doc in docs:
+        analyses = analyze_document(
+            doc, analyzer, locale=locale, include_title=include_title
+        )
+        expected = [list(extract_terms(analyses, c, locale).items()) for c in classes]
+        # Cold, then warm: the second call is served from the token memo.
+        for _ in range(2):
+            assert [list(t.items()) for t in pipeline.terms(doc)] == expected
+
+
+def test_term_pipeline_raw_terms_do_not_depend_on_other_classes():
+    # A hand-built entry whose raw form differs from its surface: RAW
+    # stays the normalized token whichever classes ride along.
+    table = AnalyzerRuleTable(
+        entries={"kitaplar": (MorphAnalysis(raw="kitap", root="kitap", pos="Noun"),)}
+    )
+    doc = Document(id="a", text="Kitaplar 47 kitaplar", label=Label.FAKE)
+    alone = TermPipeline([ModelClass.RAW], table).terms(doc)
+    (_, with_root) = TermPipeline([ModelClass.ROOT, ModelClass.RAW], table).terms(doc)
+    assert alone == [with_root] == [Counter({"kitaplar": 2})]
+
+
+def test_build_lexicon_sees_rule_table_edits():
+    table = AnalyzerRuleTable(suffix_rules=(("lar", "A3pl"),))
+    fake = Dataset((Document(id="f", text="kitaplar", label=Label.FAKE),))
+    valid = Dataset((Document(id="v", text="evler", label=Label.VALID),))
+    first = build_lexicon(fake, valid, ModelClass.ROOT, analyzer=table)
+    assert set(first.entries) == {"kitap", "evler"}
+    table.entries["kitaplar"] = (
+        MorphAnalysis(raw="kitaplar", root="kitaplık", pos="Noun"),
+    )
+    second = build_lexicon(fake, valid, ModelClass.ROOT, analyzer=table)
+    assert set(second.entries) == {"kitaplık", "evler"}
 
 
 def test_document_terms_include_title():

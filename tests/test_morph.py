@@ -11,7 +11,7 @@ from fanlex.config import RunConfig
 from fanlex.corpus import Dataset, Document, Label
 from fanlex.errors import AnalysisError, InputError
 from fanlex.evaluation import cross_validate
-from fanlex.lexicon import ModelClass
+from fanlex.lexicon import ModelClass, TermPipeline
 from fanlex.morph import (
     DEFAULT_SUFFIX_RULES,
     UNKNOWN_POS,
@@ -188,7 +188,7 @@ def test_analyze_document_memo_is_per_table():
     assert analyze_document(doc, plural)[0].root == "kitap"
 
 
-def test_analyze_document_does_not_memoize_failures(monkeypatch):
+def test_term_pipeline_does_not_memoize_failures(monkeypatch):
     calls = []
     real = morph.analyze_token
 
@@ -200,10 +200,10 @@ def test_analyze_document_does_not_memoize_failures(monkeypatch):
 
     monkeypatch.setattr(morph, "analyze_token", failing)
     doc = Document(id="a", text="iyi 12 bozuk", label=Label.FAKE)
-    table = AnalyzerRuleTable()
+    pipeline = TermPipeline([ModelClass.ROOT], AnalyzerRuleTable())
     for _ in range(2):
         with pytest.raises(AnalysisError, match="token 2: "):
-            analyze_document(doc, table)
+            pipeline.terms(doc)
     assert calls == ["iyi", "bozuk", "bozuk"]
 
 
@@ -295,6 +295,21 @@ def test_load_rule_table_rejects(write_jsonl, row):
 def test_load_rule_table_rejects_bad_analysis(write_jsonl, analysis, needle):
     path = write_jsonl("bad.jsonl", [{"surface": "ev", "analyses": [analysis]}])
     with pytest.raises(InputError, match=f":1: bad analysis: .*{needle}"):
+        load_rule_table(path)
+
+
+def test_load_rule_table_rejects_duplicate_surface(write_jsonl):
+    path = write_jsonl(
+        "dup.jsonl",
+        [
+            {"surface": "Yok", "analyses": [{"root": "yok", "pos": "Adj"}]},
+            {"surface": "ev", "analyses": [{"root": "ev", "pos": "Noun"}]},
+            {"surface": "yok", "analyses": [{"root": "yoğ", "pos": "Verb"}]},
+        ],
+    )
+    with pytest.raises(
+        InputError, match=r":3: duplicate surface 'yok' \(first on line 1\)"
+    ):
         load_rule_table(path)
 
 

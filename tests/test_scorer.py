@@ -3,11 +3,10 @@ from collections import Counter
 
 import pytest
 
-import fanlex.lexicon
 import oracle
 from fanlex.corpus import Dataset, Document, Label
 from fanlex.errors import ModelMismatchError
-from fanlex.lexicon import CountMode, ModelClass, build_lexicon
+from fanlex.lexicon import CountMode, ModelClass, TermPipeline, build_lexicon
 from fanlex.morph import MorphAnalysis
 from fanlex.scorer import TermSetMode, explain, score_batch, score_document
 from synth import analyzed_corpus
@@ -172,13 +171,13 @@ def test_score_batch_analyzes_each_document_once(monkeypatch, demo_table):
         for doc in docs.documents
     }
     calls: Counter = Counter()
-    real = fanlex.lexicon.analyze_document
+    real = TermPipeline.terms
 
-    def counting(doc, *args, **kwargs):
+    def counting(self, doc):
         calls[doc.id] += 1
-        return real(doc, *args, **kwargs)
+        return real(self, doc)
 
-    monkeypatch.setattr(fanlex.lexicon, "analyze_document", counting)
+    monkeypatch.setattr(TermPipeline, "terms", counting)
     table = score_batch(docs, lexicons, analyzer=demo_table)
     assert table == expected
     assert [list(row) for row in table.values()] == [
