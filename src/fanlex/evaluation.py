@@ -113,6 +113,8 @@ def evaluate_models(
     """
     if config is None:
         config = RunConfig()
+    if not classes:
+        raise ValueError("no model class")
     if len(set(classes)) != len(classes):
         raise ValueError("model classes must be distinct")
     train_ids = train_fake.ids() | train_valid.ids()
@@ -154,6 +156,8 @@ def cross_validate(
     """
     if config is None:
         config = RunConfig()
+    if not classes:
+        raise ValueError("no model class")
     if len(set(classes)) != len(classes):
         raise ValueError("model classes must be distinct")
     folds = stratified_folds(ds, k, seed)

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from fanlex import morph
 from fanlex._kernels import has_letter, normalize_token, normalized_tokens, suffix_runs
@@ -78,17 +78,121 @@ class TermEntry:
     valid_score: float
 
 
-@dataclass
 class Lexicon:
-    """Term table for one model class. Treated as immutable."""
+    """Term counts for one model class; scores are derived from them.
 
-    model_class: ModelClass
-    entries: dict[str, TermEntry]
-    fake_total: int
-    valid_total: int
-    count_mode: CountMode
-    smoothing: float = 0.0
-    version: int = FORMAT_VERSION
+    counts maps each term to its (fake, valid) counts, at least one of
+    them above zero, and each total is the sum of its side. Counts,
+    totals, count mode and smoothing are the whole state; treat them as
+    immutable. scores is derived on first use and entries is a
+    read-only TermEntry view of both. A lexicon given entries instead
+    of counts takes their counts and scores as they are.
+
+    Raises ValueError for a smoothing that is not finite and >= 0, and
+    EmptyTrainingSplitError for a total that is not above zero.
+    """
+
+    def __init__(
+        self,
+        model_class: ModelClass,
+        *,
+        fake_total: int,
+        valid_total: int,
+        count_mode: CountMode,
+        smoothing: float = 0.0,
+        version: int = FORMAT_VERSION,
+        counts: dict[str, tuple[int, int]] | None = None,
+        entries: Mapping[str, TermEntry] | None = None,
+    ) -> None:
+        if not (math.isfinite(smoothing) and smoothing >= 0):
+            raise ValueError("smoothing must be finite and >= 0")
+        if fake_total <= 0:
+            raise EmptyTrainingSplitError(
+                "empty training split: fake side yields no terms"
+            )
+        if valid_total <= 0:
+            raise EmptyTrainingSplitError(
+                "empty training split: valid side yields no terms"
+            )
+        self.model_class = model_class
+        self.fake_total = fake_total
+        self.valid_total = valid_total
+        self.count_mode = count_mode
+        self.smoothing = smoothing
+        self.version = version
+        self._scores: dict[str, tuple[float, float]] | None = None
+        if entries is not None:
+            counts = {t: (e.fake_count, e.valid_count) for t, e in entries.items()}
+            self._scores = {
+                t: (e.fake_score, e.valid_score) for t, e in entries.items()
+            }
+        if counts is None:
+            raise TypeError("Lexicon needs counts or entries")
+        self.counts = counts
+
+    @property
+    def scores(self) -> dict[str, tuple[float, float]]:
+        """term -> (fake, valid) scores, each
+        (count + smoothing) / (total + smoothing * vocabulary)."""
+        if self._scores is None:
+            s = self.smoothing
+            fake_denom = self.fake_total + s * len(self.counts)
+            valid_denom = self.valid_total + s * len(self.counts)
+            self._scores = {
+                t: ((fc + s) / fake_denom, (vc + s) / valid_denom)
+                for t, (fc, vc) in self.counts.items()
+            }
+        return self._scores
+
+    @property
+    def entries(self) -> Mapping[str, TermEntry]:
+        return _EntryView(self.counts, self.scores)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Lexicon):
+            return NotImplemented
+        return self._state() == other._state()
+
+    def _state(self) -> tuple:
+        return (
+            self.model_class,
+            self.count_mode,
+            self.fake_total,
+            self.valid_total,
+            self.smoothing,
+            self.version,
+            self.counts,
+            self.scores,
+        )
+
+
+class _EntryView(Mapping[str, TermEntry]):
+    """Counts and scores as a read-only term -> TermEntry mapping.
+
+    It holds the two dicts, not the lexicon: a view kept on the lexicon
+    that pointed back at it would keep the lexicon alive until the
+    cyclic garbage collector runs.
+    """
+
+    def __init__(
+        self,
+        counts: dict[str, tuple[int, int]],
+        scores: dict[str, tuple[float, float]],
+    ) -> None:
+        self._counts = counts
+        self._scores = scores
+
+    def __getitem__(self, term: str) -> TermEntry:
+        return TermEntry(term, *self._counts[term], *self._scores[term])
+
+    def __contains__(self, term: object) -> bool:
+        return term in self._counts
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._counts)
+
+    def __len__(self) -> int:
+        return len(self._counts)
 
 
 @dataclass(frozen=True)
@@ -235,47 +339,32 @@ def add_document_terms(totals: Counter, terms: Counter, count_mode: CountMode) -
 
 def lexicon_from_counts(
     model_class: ModelClass,
-    fake_counts: dict[str, int],
-    valid_counts: dict[str, int],
+    fake_counts: Mapping[str, int],
+    valid_counts: Mapping[str, int],
     count_mode: CountMode = CountMode.TOKEN_FREQ,
     smoothing: float = 0.0,
 ) -> Lexicon:
     """Assemble a lexicon from per-class term counts.
 
-    Scores are (count + smoothing) / (total + smoothing * vocabulary),
-    which reduces to count / total at the default smoothing of 0 and
-    sums to 1 over the stored entries either way.
+    Counts must be ints >= 0; terms counted zero on both sides are
+    dropped. Scores are (count + smoothing) / (total + smoothing *
+    vocabulary), which reduces to count / total at the default
+    smoothing of 0 and sums to 1 over the stored terms either way.
+    Nothing is sorted here: terms are ordered when the lexicon is saved.
     """
-    if not (math.isfinite(smoothing) and smoothing >= 0):
-        raise ValueError("smoothing must be finite and >= 0")
-    terms = sorted(set(fake_counts) | set(valid_counts))
-    fake_total = sum(fake_counts.values())
-    valid_total = sum(valid_counts.values())
-    if fake_total <= 0:
-        raise EmptyTrainingSplitError("empty training split: fake side yields no terms")
-    if valid_total <= 0:
-        raise EmptyTrainingSplitError(
-            "empty training split: valid side yields no terms"
-        )
-    vocabulary = len(terms)
-    fake_denom = fake_total + smoothing * vocabulary
-    valid_denom = valid_total + smoothing * vocabulary
-    entries: dict[str, TermEntry] = {}
-    for term in terms:
-        fc = fake_counts.get(term, 0)
-        vc = valid_counts.get(term, 0)
-        entries[term] = TermEntry(
-            term=term,
-            fake_count=fc,
-            valid_count=vc,
-            fake_score=(fc + smoothing) / fake_denom,
-            valid_score=(vc + smoothing) / valid_denom,
-        )
+    for side, side_counts in (("fake", fake_counts), ("valid", valid_counts)):
+        if not all(type(c) is int and c >= 0 for c in side_counts.values()):
+            raise ValueError(f"{side} counts must be integers >= 0")
+    valid_count = valid_counts.get
+    counts = {t: (fc, valid_count(t, 0)) for t, fc in fake_counts.items()}
+    counts.update((t, (0, vc)) for t, vc in valid_counts.items() if t not in counts)
+    if (0, 0) in counts.values():
+        counts = {t: pair for t, pair in counts.items() if pair != (0, 0)}
     return Lexicon(
-        model_class=model_class,
-        entries=entries,
-        fake_total=fake_total,
-        valid_total=valid_total,
+        model_class,
+        counts=counts,
+        fake_total=sum(fake_counts.values()),
+        valid_total=sum(valid_counts.values()),
         count_mode=count_mode,
         smoothing=smoothing,
     )
@@ -331,15 +420,15 @@ def build_lexicon(
 def lexicon_stats(lex: Lexicon) -> LexiconStats:
     """Unique term count and its split into common/only-fake/only-valid."""
     common = only_fake = only_valid = 0
-    for entry in lex.entries.values():
-        if entry.fake_count > 0 and entry.valid_count > 0:
+    for fc, vc in lex.counts.values():
+        if fc > 0 and vc > 0:
             common += 1
-        elif entry.fake_count > 0:
+        elif fc > 0:
             only_fake += 1
         else:
             only_valid += 1
     return LexiconStats(
-        unique_terms=len(lex.entries),
+        unique_terms=len(lex.counts),
         common_terms=common,
         only_fake=only_fake,
         only_valid=only_valid,
@@ -347,13 +436,13 @@ def lexicon_stats(lex: Lexicon) -> LexiconStats:
 
 
 def _entry_lines(lex: Lexicon) -> list[str]:
+    """Entry lines in term order, as json.dumps(ensure_ascii=False,
+    separators=(",", ":")) writes {"t": term, "fc": fc, "vc": vc}."""
+    counts = lex.counts
+    encode = json.encoder.encode_basestring
     return [
-        json.dumps(
-            {"t": e.term, "fc": e.fake_count, "vc": e.valid_count},
-            ensure_ascii=False,
-            separators=(",", ":"),
-        )
-        for e in sorted(lex.entries.values(), key=lambda e: e.term)
+        '{"t":%s,"fc":%d,"vc":%d}' % (encode(term), *counts[term])
+        for term in sorted(counts)
     ]
 
 
@@ -425,11 +514,21 @@ def load_lexicon(path: str) -> Lexicon:
     if "checksum" in header and _checksum(entry_lines) != header["checksum"]:
         raise LexiconChecksumError(f"{path}: checksum mismatch")
 
-    fake_counts: dict[str, int] = {}
-    valid_counts: dict[str, int] = {}
+    # Each line is parsed on its own, so an error names its line: one
+    # scan, and json.loads for a line the scan cannot take whole. One
+    # parse over the joined lines would accept an object split across
+    # lines that fails line by line.
+    scan = json.JSONDecoder().scan_once
+    counts: dict[str, tuple[int, int]] = {}
+    fake_sum = valid_sum = 0
     for offset, line in enumerate(entry_lines, 2):
         try:
-            obj = json.loads(line)
+            try:
+                obj, end = scan(line, 0)
+            except StopIteration:
+                end = -1
+            if end != len(line):
+                obj = json.loads(line)
             term = obj["t"]
             fc = obj["fc"]
             vc = obj["vc"]
@@ -448,23 +547,27 @@ def load_lexicon(path: str) -> Lexicon:
             raise LexiconConsistencyError(
                 f"{path}:{offset}: entry {term!r} has no evidence"
             )
-        if term in fake_counts:
+        if term in counts:
             raise LexiconParseError(f"{path}:{offset}: duplicate term {term!r}")
-        fake_counts[term] = fc
-        valid_counts[term] = vc
+        counts[term] = (fc, vc)
+        fake_sum += fc
+        valid_sum += vc
 
-    if sum(fake_counts.values()) != fake_total:
+    if fake_sum != fake_total:
         raise LexiconConsistencyError(
-            f"{path}: fake_total {fake_total} does not match entry sum "
-            f"{sum(fake_counts.values())}"
+            f"{path}: fake_total {fake_total} does not match entry sum {fake_sum}"
         )
-    if sum(valid_counts.values()) != valid_total:
+    if valid_sum != valid_total:
         raise LexiconConsistencyError(
-            f"{path}: valid_total {valid_total} does not match entry sum "
-            f"{sum(valid_counts.values())}"
+            f"{path}: valid_total {valid_total} does not match entry sum {valid_sum}"
         )
-    return lexicon_from_counts(
-        model_class, fake_counts, valid_counts, count_mode, float(smoothing)
+    return Lexicon(
+        model_class,
+        counts=counts,
+        fake_total=fake_total,
+        valid_total=valid_total,
+        count_mode=count_mode,
+        smoothing=float(smoothing),
     )
 
 
@@ -486,12 +589,15 @@ def merge_lexicons(a: Lexicon, b: Lexicon) -> Lexicon:
         raise ModelMismatchError(
             f"cannot merge smoothing {a.smoothing} with {b.smoothing}"
         )
-    fake_counts: Counter = Counter()
-    valid_counts: Counter = Counter()
-    for lex in (a, b):
-        for entry in lex.entries.values():
-            fake_counts[entry.term] += entry.fake_count
-            valid_counts[entry.term] += entry.valid_count
-    return lexicon_from_counts(
-        a.model_class, +fake_counts, +valid_counts, a.count_mode, a.smoothing
+    counts = dict(a.counts)
+    for term, (fc, vc) in b.counts.items():
+        a_fc, a_vc = counts.get(term, (0, 0))
+        counts[term] = (a_fc + fc, a_vc + vc)
+    return Lexicon(
+        a.model_class,
+        counts=counts,
+        fake_total=a.fake_total + b.fake_total,
+        valid_total=a.valid_total + b.valid_total,
+        count_mode=a.count_mode,
+        smoothing=a.smoothing,
     )

@@ -84,15 +84,15 @@ def _score_terms(
     fake = 0.0
     valid = 0.0
     unknown = 0
-    entries = lex.entries
+    scores = lex.scores
     for term, count in terms.items():
         weight = 1 if distinct else count
-        entry = entries.get(term)
-        if entry is None:
+        pair = scores.get(term)
+        if pair is None:
             unknown += weight
         else:
-            fake += weight * entry.fake_score
-            valid += weight * entry.valid_score
+            fake += weight * pair[0]
+            valid += weight * pair[1]
     label = Label.VALID if valid > fake else Label.FAKE
     return DocumentScore(
         fake_score=fake,
@@ -133,16 +133,15 @@ def explain(
 def _explain_terms(terms: Counter, lex: Lexicon, top_n: int) -> list[TermContribution]:
     """explain on a document's term multiset, already extracted."""
     contributions = []
+    scores = lex.scores
     for term in terms:
-        entry = lex.entries.get(term)
-        if entry is None:
+        pair = scores.get(term)
+        if pair is None:
             continue
+        fake, valid = pair
         contributions.append(
             TermContribution(
-                term=term,
-                fake_score=entry.fake_score,
-                valid_score=entry.valid_score,
-                delta=entry.fake_score - entry.valid_score,
+                term=term, fake_score=fake, valid_score=valid, delta=fake - valid
             )
         )
     contributions.sort(key=lambda c: (-abs(c.delta), c.term))

@@ -180,6 +180,16 @@ def test_cross_validate_rejects_duplicate_classes():
         cross_validate(ds, 2, [ModelClass.ROOT, ModelClass.RAW, ModelClass.ROOT], seed=0)
 
 
+def test_empty_class_list_is_refused():
+    rng = random.Random(4)
+    train = separable_corpus(rng, 4, 4, prefix="tr")
+    test = separable_corpus(rng, 2, 2, prefix="te")
+    with pytest.raises(ValueError, match="no model class"):
+        evaluate_models(train.filter(F), train.filter(V), test, [])
+    with pytest.raises(ValueError, match="no model class"):
+        cross_validate(train, 2, [], seed=0)
+
+
 def reference_evaluate(train_fake, train_valid, test, classes, config, analyzer):
     """evaluate_models one class at a time: build_lexicon, then score_document."""
     opts = dict(

@@ -1,15 +1,17 @@
+import hashlib
 import json
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracle
 from fanlex.corpus import Dataset, Document, Label
 from fanlex.errors import (
     EmptyTrainingSplitError,
+    FanlexError,
     LexiconChecksumError,
     LexiconConsistencyError,
     LexiconParseError,
@@ -20,8 +22,11 @@ from fanlex.lexicon import (
     RAW_POS_SEPARATOR,
     CountMode,
     ModelClass,
+    TermEntry,
     TermPipeline,
+    _entry_lines,
     build_lexicon,
+    count_splits,
     document_terms,
     expand_suffix_subsequences,
     extract_terms,
@@ -319,6 +324,209 @@ def test_smoothing_scores():
     assert sum(e.valid_score for e in lex.entries.values()) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         lexicon_from_counts(ModelClass.RAW, {"a": 1}, {"a": 1}, smoothing=-0.1)
+
+
+def test_terms_counted_zero_on_both_sides_are_dropped(tmp_path):
+    lex = lexicon_from_counts(ModelClass.RAW, {"a": 1, "z": 0}, {"a": 1})
+    assert "z" not in lex.entries
+    assert lexicon_stats(lex).only_valid == 0
+    path = tmp_path / "lex.jsonl"
+    save_lexicon(lex, str(path))
+    assert load_lexicon(str(path)) == lex
+
+
+@pytest.mark.parametrize("bad", [-1, True, False, 1.0, "1", None])
+@pytest.mark.parametrize("side", ["fake", "valid"])
+def test_lexicon_from_counts_rejects_bad_counts(side, bad):
+    fake, valid = {"a": 1}, {"a": 1}
+    (fake if side == "fake" else valid)["b"] = bad
+    with pytest.raises(ValueError, match=side):
+        lexicon_from_counts(ModelClass.RAW, fake, valid)
+
+
+def _reference_entries(fake_counts, valid_counts, smoothing):
+    """TermEntry per term, scored term by term in sorted order."""
+    terms = sorted(set(fake_counts) | set(valid_counts))
+    fake_denom = sum(fake_counts.values()) + smoothing * len(terms)
+    valid_denom = sum(valid_counts.values()) + smoothing * len(terms)
+    entries = {}
+    for term in terms:
+        fc = fake_counts.get(term, 0)
+        vc = valid_counts.get(term, 0)
+        entries[term] = TermEntry(
+            term, fc, vc, (fc + smoothing) / fake_denom, (vc + smoothing) / valid_denom
+        )
+    return entries
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 0.5])
+def test_entries_view_matches_reference(tmp_path, smoothing):
+    ds = analyzed_corpus(random.Random(41), 10, 9, vocab=12)
+    fake, valid = ds.filter(Label.FAKE), ds.filter(Label.VALID)
+    built = build_lexicon(fake, valid, ModelClass.SUFFIX, smoothing=smoothing)
+    path = tmp_path / "lex.jsonl"
+    save_lexicon(built, str(path))
+    loaded = load_lexicon(str(path))
+    (fake_counts,), (valid_counts,) = count_splits(
+        fake, valid, TermPipeline((ModelClass.SUFFIX,)), CountMode.TOKEN_FREQ
+    )
+    expected = _reference_entries(fake_counts, valid_counts, smoothing)
+    for lex in (built, loaded):
+        view = lex.entries
+        assert len(view) == len(expected)
+        assert dict(view.items()) == expected
+        assert sorted(view.values(), key=lambda e: e.term) == list(expected.values())
+        assert view == expected
+        for term, entry in expected.items():
+            assert term in view
+            assert view.get(term) == entry
+        assert "no such term" not in view
+        assert view.get("no such term") is None
+    assert built == loaded
+
+
+def _dumps(obj):
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+# Quotes, backslashes, control characters, characters json.dumps leaves
+# unescaped that other tools read as line breaks, and non-BMP characters.
+awkward_terms = st.text(
+    alphabet=st.sampled_from(
+        ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\x85", "\u2028",
+         "\u2029", "\ud7ff", "\ue000", "\U0001F600", "\U0010FFFF", "a", "ş", "İ"]
+    )
+    | st.characters(),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        awkward_terms,
+        st.tuples(st.integers(0, 10**30), st.integers(0, 10**30)),
+        max_size=12,
+    )
+)
+def test_entry_lines_equal_json_dumps(pairs):
+    fake = {"ok": 1, **{t: fc for t, (fc, _) in pairs.items()}}
+    valid = {"ok": 1, **{t: vc for t, (_, vc) in pairs.items()}}
+    lex = lexicon_from_counts(ModelClass.RAW, fake, valid)
+    assert _entry_lines(lex) == [
+        _dumps({"t": t, "fc": fake[t], "vc": valid[t]})
+        for t in sorted(lex.counts)
+    ]
+
+
+def _per_line_counts(path, entry_lines):
+    """Entry lines parsed one json.loads at a time, with load_lexicon's checks."""
+    counts = {}
+    for offset, line in enumerate(entry_lines, 2):
+        try:
+            obj = json.loads(line)
+            term, fc, vc = obj["t"], obj["fc"], obj["vc"]
+        except (ValueError, RecursionError, KeyError, TypeError):
+            raise LexiconParseError(f"{path}:{offset}: bad entry line")
+        if (
+            not isinstance(term, str)
+            or not term
+            or type(fc) is not int
+            or type(vc) is not int
+            or fc < 0
+            or vc < 0
+        ):
+            raise LexiconParseError(f"{path}:{offset}: bad entry values")
+        if fc + vc < 1:
+            raise LexiconConsistencyError(
+                f"{path}:{offset}: entry {term!r} has no evidence"
+            )
+        if term in counts:
+            raise LexiconParseError(f"{path}:{offset}: duplicate term {term!r}")
+        counts[term] = (fc, vc)
+    return counts
+
+
+entry_objects = st.fixed_dictionaries(
+    {
+        "t": st.text(min_size=1, max_size=3),
+        "fc": st.integers(0, 9),
+        "vc": st.integers(0, 9),
+    }
+)
+odd_values = st.sampled_from([True, False, 1.0, 2.5, 1e2, -1, None, "", "1", [1]])
+# Entry lines that save_lexicon would not write, in groups of consecutive lines.
+odd_lines = st.one_of(
+    st.tuples(
+        entry_objects,
+        st.sampled_from([" ", "  ", "\t", "\x0c", "\x85", "\xa0"]),
+        st.booleans(),
+    ).map(lambda x: [x[1] + _dumps(x[0])] if x[2] else [_dumps(x[0]) + x[1]]),
+    entry_objects.map(lambda o: [_dumps(dict(reversed(o.items())))]),
+    entry_objects.map(lambda o: [_dumps({**o, "x": [1, {"y": None}]})]),
+    st.tuples(entry_objects, entry_objects, st.sampled_from(["", " ", ","])).map(
+        lambda x: [_dumps(x[0]) + x[2] + _dumps(x[1])]
+    ),
+    st.tuples(entry_objects, st.sampled_from(["t", "fc", "vc"]), odd_values).map(
+        lambda x: [_dumps({**x[0], x[1]: x[2]})]
+    ),
+    # An object split over three lines: joined with commas, they parse.
+    st.just(
+        [
+            '{"t":"a","fc":1,"vc":0},{"t":"b","fc":0,"vc":1}',
+            '{"t":"c","fc":1',
+            '"vc":1}',
+        ]
+    ),
+    st.just(['{"t":"d","fc":[[1,', "2]],", '"vc":1}']),
+    st.just(["[[", "]]"]),
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    plain=st.lists(entry_objects, max_size=6, unique_by=lambda o: o["t"]),
+    odd=st.lists(st.tuples(odd_lines, st.integers(0, 7)), max_size=2),
+)
+def test_load_agrees_with_per_line_parse(tmp_path, plain, odd):
+    lines = ['{"t":"ok","fc":1,"vc":1}', *map(_dumps, plain)]
+    for group, at in odd:
+        lines[at:at] = group
+    entry_lines = [line for line in lines if line.strip()]
+    path = str(tmp_path / "lex.jsonl")
+    try:
+        expected = _per_line_counts(path, entry_lines)
+    except FanlexError as exc:
+        expected = (type(exc), str(exc))
+        fake_total = valid_total = 1
+    else:
+        fake_total = sum(fc for fc, _ in expected.values())
+        valid_total = sum(vc for _, vc in expected.values())
+    digest = hashlib.sha256()
+    for line in entry_lines:
+        digest.update(line.encode("utf-8") + b"\n")
+    header = {
+        "format": "fanlex-lexicon",
+        "version": 1,
+        "class": "RAW",
+        "count_mode": "TOKEN_FREQ",
+        "fake_total": fake_total,
+        "valid_total": valid_total,
+        "smoothing": 0.0,
+        "checksum": digest.hexdigest(),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([_dumps(header), *lines]) + "\n")
+    try:
+        got = dict(load_lexicon(path).counts)
+    except FanlexError as exc:
+        got = (type(exc), str(exc))
+    assert got == expected
 
 
 def test_lexicon_stats_partition(mini_lexicon):
