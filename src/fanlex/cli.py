@@ -14,9 +14,10 @@ import os
 import sys
 from collections import Counter
 from dataclasses import asdict, astuple
+from enum import Enum
 
 from fanlex import __version__
-from fanlex.config import ENV_CONFIG, RunConfig, load_config_file, make_config
+from fanlex.config import ENV_CONFIG, FIELD_TYPES, RunConfig, load_config_file, make_config
 from fanlex.corpus import (
     Dataset,
     Label,
@@ -29,7 +30,6 @@ from fanlex.corpus import (
 from fanlex.errors import DomainError, FormatError, InputError
 from fanlex.evaluation import cross_validate, evaluate_models
 from fanlex.lexicon import (
-    CountMode,
     ModelClass,
     RAW_POS_SEPARATOR,
     build_lexicon,
@@ -40,12 +40,11 @@ from fanlex.lexicon import (
 from fanlex.morph import (
     AnalyzerRuleTable,
     DEFAULT_SUFFIX_RULES,
-    Locale,
     load_rule_table,
     load_suffix_rules,
     normalize,
 )
-from fanlex.scorer import TermSetMode, _explain_terms, _score_rows
+from fanlex.scorer import _explain_terms, _score_rows
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -80,37 +79,32 @@ def _parse_classes(values: list[str] | None) -> list[ModelClass]:
     return out
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, analyzes: bool = False) -> None:
     parser.add_argument("--config", metavar="FILE", help=f"config file (default ${ENV_CONFIG})")
-    parser.add_argument("--locale", choices=["TURKISH", "GENERIC"])
-    parser.add_argument("--count-mode", choices=["TOKEN_FREQ", "DOC_PRESENCE"])
-    parser.add_argument("--term-set-mode", choices=["DISTINCT", "MULTISET"])
-    parser.add_argument("--smoothing", type=float)
-    parser.add_argument("--seed", type=int)
-    title = parser.add_mutually_exclusive_group()
-    title.add_argument("--include-title", dest="include_title", action="store_true", default=None)
-    title.add_argument("--no-title", dest="include_title", action="store_false")
-    parser.add_argument("--display-scale", type=float)
-    parser.add_argument("--rule-table", metavar="FILE", help="JSONL analyzer rule table")
-    parser.add_argument("--suffix-rules", metavar="FILE", help="TSV fallback suffix rules")
+    for name, kind in FIELD_TYPES.items():
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            pair = parser.add_mutually_exclusive_group()
+            pair.add_argument(flag, dest=name, action="store_true", default=None)
+            negative = "--no-" + name.removeprefix("include_").replace("_", "-")
+            pair.add_argument(negative, dest=name, action="store_false")
+        elif issubclass(kind, Enum):
+            parser.add_argument(flag, choices=[m.name for m in kind])
+        else:
+            parser.add_argument(flag, type=kind)
+    if analyzes:
+        parser.add_argument("--rule-table", metavar="FILE", help="JSONL analyzer rule table")
+        parser.add_argument("--suffix-rules", metavar="FILE", help="TSV fallback suffix rules")
     parser.add_argument("--report", metavar="FILE", help="write the human-readable report here instead of stderr")
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     path = args.config or os.environ.get(ENV_CONFIG)
     file_values = load_config_file(path) if path else None
-    overrides = {
-        "smoothing": args.smoothing,
-        "seed": args.seed,
-        "include_title": args.include_title,
-        "display_scale": args.display_scale,
-    }
-    if args.locale:
-        overrides["locale"] = Locale[args.locale]
-    if args.count_mode:
-        overrides["count_mode"] = CountMode[args.count_mode]
-    if args.term_set_mode:
-        overrides["term_set_mode"] = TermSetMode[args.term_set_mode]
+    overrides = {}
+    for name, kind in FIELD_TYPES.items():
+        value = getattr(args, name)
+        overrides[name] = kind[value] if value is not None and issubclass(kind, Enum) else value
     return make_config(file_values, **overrides)
 
 
@@ -167,8 +161,7 @@ def _group_key(doc) -> tuple[str, str]:
     return (doc.source or "(none)", doc.label.value)
 
 
-def cmd_build_lexicon(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_build_lexicon(args: argparse.Namespace, cfg: RunConfig) -> int:
     analyzer = _resolve_analyzer(args, cfg)
     fake = load_corpus(args.fake)
     valid = load_corpus(args.valid)
@@ -206,8 +199,7 @@ def cmd_build_lexicon(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
     analyzer = _resolve_analyzer(args, cfg)
     if args.explain is not None and args.explain < 0:
         raise InputError("--explain must be >= 0")
@@ -259,8 +251,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     analyzer = _resolve_analyzer(args, cfg)
     classes = _parse_classes(args.classes)
     train_fake = load_corpus(args.train_fake)
@@ -298,8 +289,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_cross_validate(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_cross_validate(args: argparse.Namespace, cfg: RunConfig) -> int:
     analyzer = _resolve_analyzer(args, cfg)
     classes = _parse_classes(args.classes)
     ds = load_corpus(args.input)
@@ -328,8 +318,7 @@ def cmd_cross_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_corpus_stats(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_corpus_stats(args: argparse.Namespace, cfg: RunConfig) -> int:
     ds = load_corpus(args.input)
     stats = corpus_stats(ds, include_title=cfg.include_title)
     ordered = sorted(Counter(_group_key(doc) for doc in ds.documents).items())
@@ -362,8 +351,7 @@ def cmd_corpus_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify_corpus(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_verify_corpus(args: argparse.Namespace, cfg: RunConfig) -> int:
     ds = load_corpus(args.input)
     slang = load_word_list(args.slang, cfg.locale)
     dictionary = load_word_list(args.dictionary, cfg.locale)
@@ -394,8 +382,7 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_inspect_term(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_inspect_term(args: argparse.Namespace, cfg: RunConfig) -> int:
     lexicons = [load_lexicon(path) for path in args.lexicon]
     results = []
     for lex in lexicons:
@@ -445,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valid", required=True, metavar="FILE")
     p.add_argument("--class", dest="model_class", required=True, type=_model_class)
     p.add_argument("--out", required=True, metavar="FILE")
-    _add_common(p)
+    _add_common(p, analyzes=True)
     p.set_defaults(func=cmd_build_lexicon)
 
     p = sub.add_parser("score", help="score documents against lexicons")
@@ -453,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--out", metavar="FILE", help="write JSONL scores here instead of stdout")
     p.add_argument("--explain", type=int, metavar="N", help="report top N terms per document")
-    _add_common(p)
+    _add_common(p, analyzes=True)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("evaluate", help="train on two splits and evaluate on a test set")
@@ -461,14 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-valid", required=True, metavar="FILE")
     p.add_argument("--test", required=True, metavar="FILE")
     p.add_argument("--classes", action="append", metavar="LIST")
-    _add_common(p)
+    _add_common(p, analyzes=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("cross-validate", help="stratified k-fold cross-validation")
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--classes", action="append", metavar="LIST")
-    _add_common(p)
+    _add_common(p, analyzes=True)
     p.set_defaults(func=cmd_cross_validate)
 
     p = sub.add_parser("corpus-stats", help="document counts and token/sentence means")
@@ -497,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve_config(args))
     except (InputError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from enum import Enum
+
 from fanlex.errors import InputError, open_text
 from fanlex.lexicon import CountMode
 from fanlex.morph import Locale
@@ -28,37 +30,36 @@ class RunConfig:
     display_scale: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, kind in FIELD_TYPES.items():
+            value = getattr(self, name)
+            # A bool is no number; an int is accepted where a float is expected.
+            if isinstance(value, bool) != (kind is bool) or not isinstance(
+                value, (int, float) if kind is float else kind
+            ):
+                raise TypeError(f"{name} must be {kind.__name__}, not {type(value).__name__}")
         if not (math.isfinite(self.smoothing) and self.smoothing >= 0):
             raise ValueError("smoothing must be finite and >= 0")
         if not (math.isfinite(self.display_scale) and self.display_scale > 0):
             raise ValueError("display_scale must be finite and > 0")
 
     def to_dict(self) -> dict:
-        """JSON-ready form, embedded in run reports."""
-        return {
-            "locale": self.locale.name,
-            "count_mode": self.count_mode.name,
-            "term_set_mode": self.term_set_mode.name,
-            "smoothing": self.smoothing,
-            "seed": self.seed,
-            "include_title": self.include_title,
-            "display_scale": self.display_scale,
-        }
+        """JSON-ready form, embedded in run reports; enums by name."""
+        values = {name: getattr(self, name) for name in FIELD_TYPES}
+        return {k: v.name if isinstance(v, Enum) else v for k, v in values.items()}
 
 
-_PARSERS = {
-    "locale": lambda v: Locale[v.upper()],
-    "count_mode": lambda v: CountMode[v.upper()],
-    "term_set_mode": lambda v: TermSetMode[v.upper()],
-    "smoothing": float,
-    "seed": int,
-    "include_title": lambda v: {"true": True, "false": False, "1": True, "0": False}[
-        v.lower()
-    ],
-    "display_scale": float,
-}
+# Each setting's type is the type of its default; config keys, CLI flags
+# and the type check all follow this table.
+FIELD_TYPES: dict[str, type] = {f.name: type(f.default) for f in fields(RunConfig)}
 
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+
+def _parse(kind: type, text: str):
+    """An enum by member name in any case, a bool from true/false/1/0."""
+    if issubclass(kind, Enum):
+        return kind[text.upper()]
+    if kind is bool:
+        return {"true": True, "false": False, "1": True, "0": False}[text.lower()]
+    return kind(text)
 
 
 def load_config_file(path: str) -> dict:
@@ -74,10 +75,10 @@ def load_config_file(path: str) -> dict:
             key, _, value = body.partition("=")
             key = key.strip().lower()
             value = value.strip()
-            if key not in _FIELD_NAMES:
+            if key not in FIELD_TYPES:
                 raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = _PARSERS[key](value)
+                values[key] = _parse(FIELD_TYPES[key], value)
             except (KeyError, ValueError) as exc:
                 raise InputError(
                     f"{path}:{lineno}: bad value {value!r} for {key!r}"

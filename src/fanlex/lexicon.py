@@ -88,7 +88,8 @@ class Lexicon:
     read-only TermEntry view of both. A lexicon given entries instead
     of counts takes their counts and scores as they are.
 
-    Raises ValueError for a smoothing that is not finite and >= 0, and
+    Raises TypeError unless exactly one of counts and entries is given,
+    ValueError for a smoothing that is not finite and >= 0, and
     EmptyTrainingSplitError for a total that is not above zero.
     """
 
@@ -100,7 +101,6 @@ class Lexicon:
         valid_total: int,
         count_mode: CountMode,
         smoothing: float = 0.0,
-        version: int = FORMAT_VERSION,
         counts: dict[str, tuple[int, int]] | None = None,
         entries: Mapping[str, TermEntry] | None = None,
     ) -> None:
@@ -119,15 +119,14 @@ class Lexicon:
         self.valid_total = valid_total
         self.count_mode = count_mode
         self.smoothing = smoothing
-        self.version = version
+        if (counts is None) == (entries is None):
+            raise TypeError("Lexicon needs exactly one of counts or entries")
         self._scores: dict[str, tuple[float, float]] | None = None
         if entries is not None:
             counts = {t: (e.fake_count, e.valid_count) for t, e in entries.items()}
             self._scores = {
                 t: (e.fake_score, e.valid_score) for t, e in entries.items()
             }
-        if counts is None:
-            raise TypeError("Lexicon needs counts or entries")
         self.counts = counts
 
     @property
@@ -160,7 +159,6 @@ class Lexicon:
             self.fake_total,
             self.valid_total,
             self.smoothing,
-            self.version,
             self.counts,
             self.scores,
         )
@@ -462,7 +460,7 @@ def save_lexicon(lex: Lexicon, path: str) -> None:
     lines = _entry_lines(lex)
     header = {
         "format": FORMAT_NAME,
-        "version": lex.version,
+        "version": FORMAT_VERSION,
         "class": lex.model_class.value,
         "count_mode": lex.count_mode.value,
         "fake_total": lex.fake_total,

@@ -9,6 +9,7 @@ FAKE.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -131,21 +132,18 @@ def explain(
 
 
 def _explain_terms(terms: Counter, lex: Lexicon, top_n: int) -> list[TermContribution]:
-    """explain on a document's term multiset, already extracted."""
-    contributions = []
+    """explain on a document's term multiset, already extracted.
+
+    nsmallest equals a full sort cut to top_n, so only the kept terms
+    become TermContributions.
+    """
     scores = lex.scores
-    for term in terms:
-        pair = scores.get(term)
-        if pair is None:
-            continue
-        fake, valid = pair
-        contributions.append(
-            TermContribution(
-                term=term, fake_score=fake, valid_score=valid, delta=fake - valid
-            )
-        )
-    contributions.sort(key=lambda c: (-abs(c.delta), c.term))
-    return contributions[:top_n]
+    known = ((t, *scores[t]) for t in terms if t in scores)
+    top = heapq.nsmallest(top_n, known, key=lambda row: (-abs(row[1] - row[2]), row[0]))
+    return [
+        TermContribution(term=t, fake_score=f, valid_score=v, delta=f - v)
+        for t, f, v in top
+    ]
 
 
 def score_batch(

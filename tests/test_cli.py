@@ -4,16 +4,17 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
 import fanlex.corpus
-from fanlex.cli import main
-from fanlex.config import RunConfig
+from fanlex.cli import build_parser, main
+from fanlex.config import RunConfig, load_config_file
 from fanlex.corpus import Label, load_corpus, save_corpus
-from fanlex.lexicon import RAW_POS_SEPARATOR, TermPipeline, load_lexicon
-from fanlex.morph import compose_text
-from fanlex.scorer import explain
+from fanlex.lexicon import RAW_POS_SEPARATOR, CountMode, TermPipeline, load_lexicon
+from fanlex.morph import Locale, compose_text
+from fanlex.scorer import TermSetMode, explain
 from synth import separable_corpus
 
 CLASS_NAMES = ["RAW", "ROOT", "RAW_POS", "SUFFIX"]
@@ -836,6 +837,82 @@ def test_bad_config_file(capsys, cli_files, write_text):
     )
     assert code == 2
     assert "unknown config key" in err
+
+
+# One row per RunConfig field: a value other than the default, its
+# config-file text and its command-line flags.
+SETTINGS = [
+    ("locale", Locale.GENERIC, "generic", ["--locale", "GENERIC"]),
+    ("count_mode", CountMode.DOC_PRESENCE, "Doc_Presence", ["--count-mode", "DOC_PRESENCE"]),
+    ("term_set_mode", TermSetMode.MULTISET, "multiset", ["--term-set-mode", "MULTISET"]),
+    ("smoothing", 0.5, "0.5", ["--smoothing", "0.5"]),
+    ("seed", 7, "7", ["--seed", "7"]),
+    ("include_title", False, "0", ["--no-title"]),
+    ("display_scale", 2.5, "2.5", ["--display-scale", "2.5"]),
+]
+
+
+def test_settings_table_names_every_field():
+    assert [row[0] for row in SETTINGS] == [f.name for f in fields(RunConfig)]
+
+
+@pytest.mark.parametrize("name,value,text,flags", SETTINGS, ids=[r[0] for r in SETTINGS])
+def test_setting_round_trips(capsys, cli_files, write_text, name, value, text, flags):
+    expected = RunConfig(**{name: value}).to_dict()
+    conf = write_text("one.conf", f"{name} = {text}\n")
+    evaluate = ["evaluate", "--train-fake", cli_files["fake"],
+                "--train-valid", cli_files["valid"], "--test", cli_files["test"]]
+    for extra in (flags, ["--config", conf]):
+        code, stdout, _ = run(capsys, [*evaluate, *extra])
+        assert code == 0
+        assert json.loads(stdout)["config"] == expected
+    # The reported key and value, read back as a config line.
+    again = write_text("again.conf", f"{name} = {expected[name]}\n")
+    assert load_config_file(again) == {name: value}
+
+
+REQUIRED = {
+    "build-lexicon": ["--fake", "f", "--valid", "v", "--class", "RAW", "--out", "o"],
+    "score": ["--lexicon", "l", "--input", "i"],
+    "evaluate": ["--train-fake", "f", "--train-valid", "v", "--test", "t"],
+    "cross-validate": ["--input", "i"],
+    "corpus-stats": ["--input", "i"],
+    "verify-corpus": ["--input", "i", "--slang", "s", "--dictionary", "d"],
+    "inspect-term": ["--term", "t", "--lexicon", "l"],
+}
+ANALYZING = ["build-lexicon", "score", "evaluate", "cross-validate"]
+
+
+@pytest.mark.parametrize("command", ANALYZING)
+def test_analyzing_commands_take_analyzer_files(command):
+    args = build_parser().parse_args(
+        [command, *REQUIRED[command], "--rule-table", "t.jsonl", "--suffix-rules", "s.tsv"]
+    )
+    assert (args.rule_table, args.suffix_rules) == ("t.jsonl", "s.tsv")
+
+
+@pytest.mark.parametrize("flag", ["--rule-table", "--suffix-rules"])
+@pytest.mark.parametrize("command", sorted(set(REQUIRED) - set(ANALYZING)))
+def test_other_commands_refuse_analyzer_files(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED[command], flag, "missing.jsonl"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} missing.jsonl" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--locale", "turkish"],
+         "argument --locale: invalid choice: 'turkish' (choose from 'TURKISH', 'GENERIC')"),
+        (["--smoothing", "abc"], "argument --smoothing: invalid float value: 'abc'"),
+    ],
+)
+def test_bad_setting_flag_is_usage_error(capsys, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", *REQUIRED["evaluate"], *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_unknown_model_class_usage_error(cli_files):

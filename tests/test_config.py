@@ -95,3 +95,35 @@ def test_make_config_precedence():
 def test_make_config_rejects_bad_merge():
     with pytest.raises(InputError):
         make_config({"smoothing": -2.0})
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("locale", "TURKISH"),
+        ("locale", CountMode.TOKEN_FREQ),
+        ("count_mode", "DOC_PRESENCE"),
+        ("term_set_mode", "MULTISET"),
+        ("smoothing", "0.5"),
+        ("smoothing", True),
+        ("seed", 1.0),
+        ("seed", "1"),
+        ("seed", True),
+        ("include_title", "no"),
+        ("include_title", 0),
+        ("display_scale", None),
+        ("display_scale", False),
+    ],
+)
+def test_wrong_types_are_refused(field, value):
+    with pytest.raises(TypeError, match=field):
+        RunConfig(**{field: value})
+    if value is not None:
+        with pytest.raises(InputError, match="bad configuration"):
+            make_config(**{field: value})
+
+
+def test_ints_are_accepted_as_floats():
+    cfg = RunConfig(smoothing=1, display_scale=3)
+    assert cfg.smoothing == 1
+    assert cfg.to_dict()["display_scale"] == 3

@@ -21,6 +21,7 @@ from fanlex.errors import (
 from fanlex.lexicon import (
     RAW_POS_SEPARATOR,
     CountMode,
+    Lexicon,
     ModelClass,
     TermEntry,
     TermPipeline,
@@ -342,6 +343,20 @@ def test_lexicon_from_counts_rejects_bad_counts(side, bad):
     (fake if side == "fake" else valid)["b"] = bad
     with pytest.raises(ValueError, match=side):
         lexicon_from_counts(ModelClass.RAW, fake, valid)
+
+
+@pytest.mark.parametrize("given", ["both", "neither"])
+def test_lexicon_needs_exactly_one_of_counts_and_entries(given):
+    entry = TermEntry("b", 1, 1, 0.5, 0.5)
+    sources = {"counts": {"a": (1, 1)}, "entries": {"b": entry}}
+    with pytest.raises(TypeError, match="exactly one"):
+        Lexicon(
+            ModelClass.RAW,
+            fake_total=2,
+            valid_total=2,
+            count_mode=CountMode.TOKEN_FREQ,
+            **(sources if given == "both" else {}),
+        )
 
 
 def _reference_entries(fake_counts, valid_counts, smoothing):

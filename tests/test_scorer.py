@@ -2,13 +2,22 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from fanlex.corpus import Dataset, Document, Label
 from fanlex.errors import ModelMismatchError
-from fanlex.lexicon import CountMode, ModelClass, TermPipeline, build_lexicon
+from fanlex.lexicon import CountMode, Lexicon, ModelClass, TermPipeline, build_lexicon
 from fanlex.morph import MorphAnalysis
-from fanlex.scorer import TermSetMode, explain, score_batch, score_document
+from fanlex.scorer import (
+    TermContribution,
+    TermSetMode,
+    _explain_terms,
+    explain,
+    score_batch,
+    score_document,
+)
 from synth import analyzed_corpus
 
 ALL_CLASSES = list(ModelClass)
@@ -125,6 +134,44 @@ def test_explain_breaks_ties_alphabetically():
     )
     doc = raw_doc("x", Label.FAKE, ["q", "p", "r"])
     assert [c.term for c in explain(doc, lex, 3)] == ["r", "p", "q"]
+
+
+def _explain_reference(terms, lex, top_n):
+    """Every known term as a TermContribution, fully sorted, then cut."""
+    rows = [
+        TermContribution(t, f, v, f - v)
+        for t in terms
+        if t in lex.scores
+        for f, v in [lex.scores[t]]
+    ]
+    rows.sort(key=lambda c: (-abs(c.delta), c.term))
+    return rows[:top_n]
+
+
+# Few terms and small counts, so equal deltas (and equal |delta| of
+# opposite sign) are common; the document may name unknown terms.
+@given(
+    counts=st.dictionaries(
+        st.sampled_from("abcdefghij"),
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
+        min_size=1,
+    ),
+    doc_terms=st.lists(st.sampled_from("abcdefghijxyz"), max_size=15),
+    top_n=st.integers(0, 16),
+    smoothing=st.sampled_from([0.0, 1.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_explain_terms_matches_full_sort(counts, doc_terms, top_n, smoothing):
+    lex = Lexicon(
+        ModelClass.RAW,
+        counts=counts,
+        fake_total=sum(fc for fc, _ in counts.values()) or 1,
+        valid_total=sum(vc for _, vc in counts.values()) or 1,
+        count_mode=CountMode.TOKEN_FREQ,
+        smoothing=smoothing,
+    )
+    terms = Counter(doc_terms)
+    assert _explain_terms(terms, lex, top_n) == _explain_reference(terms, lex, top_n)
 
 
 def test_score_batch_shape(mini_lexicon):
