@@ -54,17 +54,22 @@ FIELD_TYPES: dict[str, type] = {f.name: type(f.default) for f in fields(RunConfi
 
 
 def _parse(kind: type, text: str):
-    """An enum by member name in any case, a bool from true/false/1/0."""
+    """An enum by member name in any case, a bool from true/false/1/0, a
+    number without the digit separator `_` that int() and float() allow."""
     if issubclass(kind, Enum):
         return kind[text.upper()]
     if kind is bool:
         return {"true": True, "false": False, "1": True, "0": False}[text.lower()]
+    if "_" in text:
+        raise ValueError(text)
     return kind(text)
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a key = value config file into RunConfig keyword arguments."""
+    """Parse a key = value config file, each key at most once, into
+    RunConfig keyword arguments."""
     values: dict = {}
+    first_line: dict[str, int] = {}
     with open_text(path, InputError) as fh:
         for lineno, line in enumerate(fh, 1):
             body = line.split("#", 1)[0].strip()
@@ -77,6 +82,12 @@ def load_config_file(path: str) -> dict:
             value = value.strip()
             if key not in FIELD_TYPES:
                 raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in first_line:
+                raise InputError(
+                    f"{path}:{lineno}: duplicate config key {key!r} "
+                    f"(first on line {first_line[key]})"
+                )
+            first_line[key] = lineno
             try:
                 values[key] = _parse(FIELD_TYPES[key], value)
             except (KeyError, ValueError) as exc:

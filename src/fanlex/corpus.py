@@ -77,7 +77,11 @@ _BOUNDARY = re.compile(r"[.!?…]+(?=\s|$)")
 
 @dataclass(frozen=True)
 class Document:
-    """One news item with a gold label."""
+    """One news item with a gold label.
+
+    Documents loaded from one file share one frozen MorphAnalysis per
+    distinct analysis.
+    """
 
     id: str
     text: str
@@ -131,21 +135,53 @@ class VerificationReport:
 
 
 _DOCUMENT_KEYS = {"id", "title", "text", "label", "source", "analyses"}
+_ANALYSIS_KEYS = {"raw", "root", "pos"}
+_ANALYSIS_KEYS_WITH_SUFFIXES = {"raw", "root", "pos", "suffixes"}
 
 
-def _parse_analyses(listed: object, where: str) -> tuple[MorphAnalysis, ...]:
+def _parse_analyses(
+    listed: object, where: str, interned: dict[tuple, MorphAnalysis]
+) -> tuple[MorphAnalysis, ...]:
+    """Validated analyses, one shared object per distinct analysis in interned.
+
+    An item gets a key only when its fields are raw, root, pos and,
+    optionally, a list suffixes. A key is stored only after
+    analysis_from_json has validated its item, so stored keys hold only
+    strings, and no other JSON value equals a string: an item that would
+    fail validation never hits.
+    """
     if not isinstance(listed, list):
         raise CorpusParseError(f"{where}: 'analyses' must be a list")
     out = []
     for i, item in enumerate(listed):
+        key = None
+        if type(item) is dict:
+            keys = item.keys()
+            if keys == _ANALYSIS_KEYS or (
+                keys == _ANALYSIS_KEYS_WITH_SUFFIXES and type(item["suffixes"]) is list
+            ):
+                key = (item["raw"], item["root"], item["pos"], *item.get("suffixes", ()))
+                try:
+                    hit = interned.get(key)
+                except TypeError:  # an unhashable value, which validation refuses
+                    key = None
+                else:
+                    if hit is not None:
+                        out.append(hit)
+                        continue
         try:
-            out.append(analysis_from_json(item))
+            analysis = analysis_from_json(item)
         except ValueError as exc:
             raise CorpusParseError(f"{where}: analysis {i}: {exc}") from exc
+        if key is not None:
+            interned[key] = analysis
+        out.append(analysis)
     return tuple(out)
 
 
-def _parse_document(obj: object, where: str) -> Document:
+def _parse_document(
+    obj: object, where: str, interned: dict[tuple, MorphAnalysis]
+) -> Document:
     if not isinstance(obj, dict):
         raise CorpusParseError(f"{where}: expected a JSON object")
     extra = set(obj) - _DOCUMENT_KEYS
@@ -169,7 +205,7 @@ def _parse_document(obj: object, where: str) -> Document:
             raise CorpusParseError(f"{where}: {key!r} must be a string")
     analyses = None
     if "analyses" in obj:
-        analyses = _parse_analyses(obj["analyses"], where)
+        analyses = _parse_analyses(obj["analyses"], where, interned)
     return Document(
         id=obj["id"],
         text=obj["text"],
@@ -181,15 +217,20 @@ def _parse_document(obj: object, where: str) -> Document:
 
 
 def load_corpus(path: str) -> Dataset:
-    """Load a JSONL corpus; errors name the offending file and line."""
+    """Load a JSONL corpus; errors name the offending file and line.
+
+    Equal analyses within the file are one shared, frozen MorphAnalysis.
+    Nothing is shared between two loads.
+    """
     docs: list[Document] = []
     seen: dict[str, int] = {}
+    interned: dict[tuple, MorphAnalysis] = {}
     with open_text(path, CorpusParseError) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             obj = parse_json(line, CorpusParseError, f"{path}:{lineno}")
-            doc = _parse_document(obj, f"{path}:{lineno}")
+            doc = _parse_document(obj, f"{path}:{lineno}", interned)
             if doc.id in seen:
                 raise DuplicateDocumentError(
                     f"{path}:{lineno}: duplicate document id {doc.id!r} "

@@ -73,6 +73,9 @@ def test_load_config_file(write_text):
         ("seed = many\n", "bad value"),
         ("locale = KLINGON\n", "bad value"),
         ("include_title = maybe\n", "bad value"),
+        ("seed = 1_0\n", "bad value '1_0' for 'seed'"),
+        ("smoothing = 1_0.5\n", "bad value '1_0.5' for 'smoothing'"),
+        ("display_scale = 1_000\n", "bad value"),
     ],
 )
 def test_load_config_file_rejects(write_text, line, needle):
@@ -82,6 +85,13 @@ def test_load_config_file_rejects(write_text, line, needle):
     msg = str(err.value)
     assert ":1:" in msg
     assert needle in msg
+
+
+def test_load_config_file_rejects_repeated_key(write_text):
+    path = write_text("dup.conf", "smoothing = 0.5\n# comment\nSmoothing = 0\n")
+    with pytest.raises(InputError) as err:
+        load_config_file(path)
+    assert str(err.value) == f"{path}:3: duplicate config key 'smoothing' (first on line 1)"
 
 
 def test_make_config_precedence():

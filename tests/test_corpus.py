@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fanlex.corpus import (
@@ -28,7 +28,7 @@ from fanlex.errors import (
     FoldSizeError,
     NoSentencesError,
 )
-from fanlex.morph import Locale
+from fanlex.morph import Locale, analysis_from_json
 from synth import analyzed_corpus
 
 
@@ -123,6 +123,106 @@ def test_load_corpus_duplicate_id(write_text):
     msg = str(err.value)
     assert ":2:" in msg
     assert "first seen on line 1" in msg
+
+
+def _reference_load(path):
+    """load_corpus for documents that are valid apart from their analyses,
+    validating every analysis item on its own."""
+    docs = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            obj = json.loads(line)
+            analyses = []
+            for i, item in enumerate(obj["analyses"]):
+                try:
+                    analyses.append(analysis_from_json(item))
+                except ValueError as exc:
+                    raise CorpusParseError(f"{path}:{lineno}: analysis {i}: {exc}") from exc
+            docs.append(
+                Document(id=obj["id"], text=obj["text"], label=Label(obj["label"]),
+                         analyses=tuple(analyses))
+            )
+    return tuple(docs)
+
+
+def _twins(a):
+    """Near copies of a valid analysis that an intern key must tell apart."""
+    tags = a["suffixes"]
+    return [
+        {**a, "extra": "x"},
+        {**a, "suffixes": "".join(tags)},
+        {k: a[k] for k in ("raw", "root", "pos")},
+        {**a, "suffixes": [*tags, 1]},
+        {**a, "suffixes": [*tags, ["A"]]},
+        {**a, "suffixes": [*tags, ""]},
+        {**a, "root": True},
+        {**a, "root": 1},
+        {**a, "pos": False},
+        {**a, "pos": 0.5},
+        {**a, "raw": ""},
+    ]
+
+
+valid_analyses = st.fixed_dictionaries(
+    {
+        "raw": st.sampled_from(["ev", "evde"]),
+        "root": st.just("ev"),
+        "pos": st.sampled_from(["Noun", "Verb"]),
+        # Single-letter tags make a joined string suffixes splat back
+        # into the list it came from.
+        "suffixes": st.lists(st.sampled_from(["A", "B", "Loc"]), max_size=3),
+    }
+)
+
+
+@st.composite
+def analysis_rows(draw):
+    """A valid analysis followed by some of its mutated twins."""
+    a = draw(valid_analyses)
+    return [a, *draw(st.lists(st.sampled_from(_twins(a)), max_size=4))]
+
+
+@given(rows=st.lists(analysis_rows(), min_size=1, max_size=4))
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_load_corpus_matches_per_item_validation(write_text, rows):
+    lines = [
+        json.dumps({"id": f"d{n}", "text": "x", "label": "FAKE", "analyses": row})
+        for n, row in enumerate(rows)
+    ]
+    path = write_text("twins.jsonl", "\n".join(lines) + "\n")
+
+    def outcome(load):
+        try:
+            return load(path)
+        except CorpusParseError as exc:
+            return type(exc), str(exc)
+
+    got = outcome(load_corpus)
+    assert (got.documents if isinstance(got, Dataset) else got) == outcome(_reference_load)
+
+
+def test_equal_analyses_share_one_object_per_load(write_text):
+    loc = {"raw": "evde", "root": "ev", "pos": "Noun", "suffixes": ["Loc"]}
+    bare = {"raw": "ev", "root": "ev", "pos": "Noun"}
+    rows = [[loc, bare], [{**bare, "suffixes": []}, loc]]
+    path = write_text(
+        "shared.jsonl",
+        "".join(
+            json.dumps({"id": f"d{n}", "text": "x", "label": "FAKE", "analyses": row}) + "\n"
+            for n, row in enumerate(rows)
+        ),
+    )
+    first, second = load_corpus(path), load_corpus(path)
+    (a, b), (c, d) = (doc.analyses for doc in first.documents)
+    assert a is d and b is c
+    assert a != b
+    ours = {id(x) for doc in first.documents for x in doc.analyses}
+    theirs = {id(x) for doc in second.documents for x in doc.analyses}
+    assert not ours & theirs
 
 
 def test_document_json_key_order():
