@@ -17,7 +17,7 @@ from dataclasses import asdict, astuple
 from enum import Enum
 
 from fanlex import __version__
-from fanlex.config import ENV_CONFIG, FIELD_TYPES, RunConfig, load_config_file, make_config
+from fanlex.config import ENV_CONFIG, FIELD_TYPES, RunConfig, _parse, load_config_file, make_config
 from fanlex.corpus import (
     Dataset,
     Label,
@@ -79,6 +79,17 @@ def _parse_classes(values: list[str] | None) -> list[ModelClass]:
     return out
 
 
+def _number(kind: type):
+    """A flag parser with the config file's number rule, named after kind
+    so that argparse reports "invalid float value" as for kind itself."""
+
+    def parse(text: str):
+        return _parse(kind, text)
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser, analyzes: bool = False) -> None:
     parser.add_argument("--config", metavar="FILE", help=f"config file (default ${ENV_CONFIG})")
     for name, kind in FIELD_TYPES.items():
@@ -91,7 +102,7 @@ def _add_common(parser: argparse.ArgumentParser, analyzes: bool = False) -> None
         elif issubclass(kind, Enum):
             parser.add_argument(flag, choices=[m.name for m in kind])
         else:
-            parser.add_argument(flag, type=kind)
+            parser.add_argument(flag, type=_number(kind))
     if analyzes:
         parser.add_argument("--rule-table", metavar="FILE", help="JSONL analyzer rule table")
         parser.add_argument("--suffix-rules", metavar="FILE", help="TSV fallback suffix rules")

@@ -148,11 +148,12 @@ def cross_validate(
     Per-class means are the arithmetic means of the per-fold metrics.
     The same seed always produces the same folds and the same report.
 
-    The corpus is counted once per class and label; each fold's
-    training counts are those totals minus its test documents' counts.
-    Counts add up exactly, under either count mode, so each fold's
-    metrics equal those of build_lexicon on its training split and
-    score_document on its test split.
+    Each document's terms are computed once per run and counted once
+    per class and label; each fold's training counts are those totals
+    minus its test documents' counts. Counts add up exactly, under
+    either count mode, so each fold's metrics equal those of
+    build_lexicon on its training split and score_document on its test
+    split.
     """
     if config is None:
         config = RunConfig()
@@ -165,21 +166,23 @@ def cross_validate(
     pipeline = TermPipeline(
         classes, analyzer, locale=config.locale, include_title=config.include_title
     )
-    fake_totals, valid_totals = count_splits(
-        ds.filter(Label.FAKE), ds.filter(Label.VALID), pipeline, mode
-    )
+    terms_of: dict[str, list[Counter]] = {}
+    totals = {label: [Counter() for _ in classes] for label in Label}
+    for label in (Label.FAKE, Label.VALID):
+        for doc in ds.filter(label).documents:
+            terms_of[doc.id] = terms_by_class = pipeline.terms(doc)
+            for counts, terms in zip(totals[label], terms_by_class):
+                add_document_terms(counts, terms, mode)
     per_fold: list[FoldMetrics] = []
     for index, (_, test) in enumerate(folds):
-        # Recomputed per fold rather than cached for the run: the
-        # pipeline's token memo makes this cheap; memory stays one fold's.
-        test_terms = [pipeline.terms(doc) for doc in test.documents]
+        test_terms = [terms_of[doc.id] for doc in test.documents]
         actual = [doc.label for doc in test.documents]
         held = {label: [Counter() for _ in classes] for label in Label}
         for label, terms_by_class in zip(actual, test_terms):
             for counts, terms in zip(held[label], terms_by_class):
                 add_document_terms(counts, terms, mode)
-        fake = (t - h for t, h in zip(fake_totals, held[Label.FAKE]))
-        valid = (t - h for t, h in zip(valid_totals, held[Label.VALID]))
+        fake = map(_minus, totals[Label.FAKE], held[Label.FAKE])
+        valid = map(_minus, totals[Label.VALID], held[Label.VALID])
         results = _score_fold(classes, fake, valid, test_terms, actual, config)
         per_fold.extend(FoldMetrics(index, c, results[c].metrics) for c in classes)
     means = {}
@@ -187,6 +190,13 @@ def cross_validate(
         rows = [astuple(f.metrics) for f in per_fold if f.model_class is c]
         means[c] = Metrics(*(sum(column) / k for column in zip(*rows)))
     return CvReport(per_fold=tuple(per_fold), means=means)
+
+
+def _minus(total: Counter, held: Counter) -> Counter:
+    """total - held, looping over held only; a term may be left at 0."""
+    out = total.copy()
+    out.subtract(held)
+    return out
 
 
 def _score_fold(

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -906,13 +907,18 @@ def test_other_commands_refuse_analyzer_files(capsys, command, flag):
         (["--locale", "turkish"],
          "argument --locale: invalid choice: 'turkish' (choose from 'TURKISH', 'GENERIC')"),
         (["--smoothing", "abc"], "argument --smoothing: invalid float value: 'abc'"),
+        # A config file refuses a number with the digit separator; so do flags.
+        (["--seed", "1_0"], "argument --seed: invalid int value: '1_0'"),
+        (["--smoothing", "1_0.5"], "argument --smoothing: invalid float value: '1_0.5'"),
     ],
 )
 def test_bad_setting_flag_is_usage_error(capsys, flags, message):
     with pytest.raises(SystemExit) as exc:
         main(["evaluate", *REQUIRED["evaluate"], *flags])
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
 
 
 def test_unknown_model_class_usage_error(cli_files):
@@ -966,10 +972,10 @@ def test_score_byte_determinism(cli_files):
     ]
     first = subprocess.run(base, capture_output=True)
     assert first.returncode == 0
-    lex_bytes = open(env_lex, "rb").read()
+    lex_bytes = Path(env_lex).read_bytes()
     second = subprocess.run(base, capture_output=True)
     assert second.returncode == 0
-    assert open(env_lex, "rb").read() == lex_bytes
+    assert Path(env_lex).read_bytes() == lex_bytes
     assert first.stdout == second.stdout
 
     score = [

@@ -385,3 +385,43 @@ def test_evaluate_models_analyzes_each_document_once(monkeypatch, demo_table):
     monkeypatch.setattr(TermPipeline, "terms", counting)
     assert evaluate_models(*args) == expected
     assert calls == Counter(doc.id for doc in docs)
+
+
+def test_cross_validate_terms_each_document_once(monkeypatch, demo_table):
+    texts = [
+        "Vergi yok insanlara", "gidecek vergi 47", "yok yok demeyin",
+        "insanlara gidecek", "vergi vergi", "", "demeyin 47",
+    ]
+    ds = Dataset(tuple(
+        Document(id=f"d{i}", text=t, label=F if i % 2 else V)
+        for i, t in enumerate(texts)
+    ))
+    args = (ds, 3, ALL_CLASSES, 5, RunConfig(), demo_table)
+    expected = reference_cross_validate(*args)
+    calls: Counter = Counter()
+    real = TermPipeline.terms
+
+    def counting(self, doc):
+        calls[doc.id] += 1
+        return real(self, doc)
+
+    monkeypatch.setattr(TermPipeline, "terms", counting)
+    assert cross_validate(*args) == expected
+    assert calls == Counter(doc.id for doc in ds.documents)
+
+
+@pytest.mark.parametrize("count_mode", list(CountMode))
+@pytest.mark.parametrize("term_set_mode", list(TermSetMode))
+def test_cross_validate_term_held_out_entirely(count_mode, term_set_mode):
+    # "c", "d" and "e" each occur in one document only, so the fold that
+    # holds that document out counts them 0 on both sides. Such a term is
+    # not in the fold's vocabulary: kept as (0, 0), it would add to each
+    # smoothed denominator and flip predictions in every mode here.
+    texts = {"F0": "b d", "F1": "a a c e", "V0": "b", "V1": "b a a"}
+    ds = Dataset(tuple(
+        Document(id=i, text=t, label=F if i[0] == "F" else V)
+        for i, t in texts.items()
+    ))
+    config = RunConfig(count_mode=count_mode, term_set_mode=term_set_mode, smoothing=1.0)
+    args = (ds, 2, [ModelClass.RAW], 0, config, None)
+    assert cross_validate(*args) == reference_cross_validate(*args)
