@@ -225,42 +225,32 @@ def extract_terms(
     RAW uses normalized surface forms, ROOT the roots as analyzed,
     RAW_POS the normalized surface joined to the POS tag, and SUFFIX
     every contiguous run of suffix tags serialized with "-" joins.
-    Surfaces that normalize to nothing contribute no term.
+    Surfaces that normalize to nothing contribute no term. This is the
+    one-class case of TermPipeline's one pass over a document's
+    analyses, with a suffix-run memo that lasts for this call.
     """
-    return Counter(_terms(analyses, model_class, locale is Locale.TURKISH))
+    return Counter(TermPipeline((model_class,), locale=locale)._term_lists(analyses)[0])
 
 
-def _terms(
-    analyses: Iterable[MorphAnalysis], model_class: ModelClass, turkish: bool
-) -> Iterator[str]:
-    """extract_terms as a stream of terms, repeats kept, in token order."""
-    if model_class is ModelClass.RAW:
-        for a in analyses:
-            term = normalize_token(a.raw, turkish)
-            if term:
-                yield term
-    elif model_class is ModelClass.ROOT:
-        for a in analyses:
-            yield a.root
-    elif model_class is ModelClass.RAW_POS:
-        for a in analyses:
-            surface = normalize_token(a.raw, turkish)
-            if surface:
-                yield surface + RAW_POS_SEPARATOR + a.pos
-    else:
-        for a in analyses:
-            if a.suffixes:
-                yield from suffix_runs(a.suffixes)
+class _SuffixRuns(dict):
+    """Memo: suffix tag tuple -> its suffix_runs as a tuple, which no
+    caller can change. Tuple keys hash and compare in C."""
+
+    def __missing__(self, tags: tuple[str, ...]) -> tuple[str, ...]:
+        runs = self[tags] = tuple(suffix_runs(tags))
+        return runs
 
 
 class TermPipeline:
     """Turns documents into term multisets, one Counter per model class.
 
     A pipeline holds one run's classes, rule table, locale and title
-    setting. It analyzes each distinct plain-text token once and keeps
-    its terms per class in a memo that lives as long as the pipeline;
-    failures are not memoized. Pre-analyzed documents, and plain text
-    under RAW alone, skip the analyzer and the memo.
+    setting. One pass over a document's analyses yields the terms of
+    all its classes. Two memos live as long as the pipeline: the suffix
+    runs of each distinct tag tuple, and the terms per class of each
+    distinct plain-text token, analyzed once; failures are not memoized.
+    Pre-analyzed documents, and plain text under RAW alone, skip the
+    analyzer and the token memo.
     """
 
     def __init__(
@@ -278,11 +268,15 @@ class TermPipeline:
         self._turkish = locale is Locale.TURKISH
         self._no_terms: tuple[tuple[str, ...], ...] = ((),) * len(self.classes)
         self._memo: dict[str, tuple[tuple[str, ...], ...]] = {}
+        self._runs = _SuffixRuns()
+        # _term_lists fills one list per model class, in declaration order.
+        self._wanted = [c in self.classes for c in ModelClass]
+        self._columns = [list(ModelClass).index(c) for c in self.classes]
 
     def terms(self, doc: Document) -> list[Counter]:
         """The document's term multisets, one per class in class order."""
         if doc.analyses is not None:
-            return [extract_terms(doc.analyses, c, self.locale) for c in self.classes]
+            return [Counter(terms) for terms in self._term_lists(doc.analyses)]
         text = compose_text(doc.title, doc.text, self.include_title)
         if self.classes == (ModelClass.RAW,):
             return [Counter(normalized_tokens(text, self._turkish, letters_only=True))]
@@ -301,15 +295,34 @@ class TermPipeline:
                 analysis = morph.analyze_token(token, self.analyzer, self.locale)
             except AnalysisError as exc:
                 raise AnalysisError(f"token {position}: {exc}") from exc
-            turkish = self._turkish
             # RAW is the normalized token, as on the RAW-only route.
-            raw = (normalize_token(token, turkish),)
+            raw = (normalize_token(token, self._turkish),)
             row = tuple(
-                raw if c is ModelClass.RAW else tuple(_terms((analysis,), c, turkish))
-                for c in self.classes
+                raw if c is ModelClass.RAW else tuple(terms)
+                for c, terms in zip(self.classes, self._term_lists((analysis,)))
             )
         self._memo[token] = row
         return row
+
+    def _term_lists(self, analyses: Iterable[MorphAnalysis]) -> list[list[str]]:
+        """The term rules of extract_terms for every class in one pass:
+        one list per class, in class order, token order and repeats kept.
+        RAW and RAW_POS share one normalization of each surface."""
+        raw, root, raw_pos, suffix = lists = [], [], [], []
+        raws, roots, poses, suffixes = self._wanted
+        turkish, runs = self._turkish, self._runs
+        for a in analyses:
+            if raws or poses:
+                surface = normalize_token(a.raw, turkish)
+                if surface:
+                    raw.append(surface)
+                    if poses:
+                        raw_pos.append(surface + RAW_POS_SEPARATOR + a.pos)
+            if roots:
+                root.append(a.root)
+            if suffixes and a.suffixes:
+                suffix += runs[a.suffixes]
+        return [lists[i] for i in self._columns]
 
 
 def document_terms(
@@ -354,10 +367,10 @@ def lexicon_from_counts(
         if not all(type(c) is int and c >= 0 for c in side_counts.values()):
             raise ValueError(f"{side} counts must be integers >= 0")
     valid_count = valid_counts.get
-    counts = {t: (fc, valid_count(t, 0)) for t, fc in fake_counts.items()}
-    counts.update((t, (0, vc)) for t, vc in valid_counts.items() if t not in counts)
-    if (0, 0) in counts.values():
-        counts = {t: pair for t, pair in counts.items() if pair != (0, 0)}
+    counts = {t: (fc, valid_count(t, 0)) for t, fc in fake_counts.items() if fc}
+    counts.update(
+        (t, (0, vc)) for t, vc in valid_counts.items() if vc and t not in counts
+    )
     return Lexicon(
         model_class,
         counts=counts,

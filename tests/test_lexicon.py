@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -120,6 +120,25 @@ def test_extract_terms_suffix_runs():
     )
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_extract_terms_is_one_column_of_the_pipeline(seed):
+    # Up to five tags drawn from three: tag tuples repeat within and
+    # across documents, and tags repeat within a tuple.
+    rng = random.Random(seed)
+    ds = analyzed_corpus(rng, 6, 6, tags=["A3pl", "Abl", "Loc"], max_suffixes=5)
+    pipeline = TermPipeline(ALL_CLASSES)
+    for doc in ds.documents:
+        columns = pipeline.terms(doc)
+        for c, column in zip(ALL_CLASSES, columns):
+            assert list(extract_terms(doc.analyses, c).items()) == list(column.items())
+        oracle_runs = Counter(
+            "-".join(run)
+            for a in doc.analyses
+            for run in expand_suffix_subsequences(list(a.suffixes))
+        )
+        assert extract_terms(doc.analyses, ModelClass.SUFFIX) == oracle_runs
+
+
 def test_mini_example_counts_and_scores(mini_lexicon):
     lex = mini_lexicon
     assert lex.fake_total == 2
@@ -211,6 +230,25 @@ pipeline_analyses = st.builds(
     # Repeated tags give repeated suffix runs within one token.
     suffixes=st.lists(st.sampled_from(["A3pl", "Abl", "Loc"]), max_size=4).map(tuple),
 )
+# Pre-analyzed documents that repeat suffix tag tuples, empty ones too,
+# within a document and across documents of one pipeline.
+SHARED_SUFFIX_DOCUMENTS = [
+    Document(
+        id=doc_id,
+        text="",
+        label=Label.FAKE,
+        analyses=tuple(
+            MorphAnalysis(raw=raw, root="ev", pos="Noun", suffixes=tags)
+            for raw, tags in analyses
+        ),
+    )
+    for doc_id, analyses in (
+        ("a", [("Evlerden", ("A3pl", "Abl")), ("ev", ()), ("evlerden", ("A3pl", "Abl"))]),
+        ("b", [("evler", ("A3pl",)), ("evlerden", ("A3pl", "Abl")), ("ev", ())]),
+        ("c", [("ev", ()), ("ev", ())]),
+        ("d", [("larlar", ("A3pl", "A3pl")), ("larlar", ("A3pl", "A3pl"))]),
+    )
+]
 pipeline_documents = st.lists(
     st.builds(
         Document,
@@ -234,6 +272,20 @@ pipeline_documents = st.lists(
     include_title=st.booleans(),
     analyzer=st.sampled_from([None, PIPELINE_TABLE]),
 )
+@example(
+    docs=SHARED_SUFFIX_DOCUMENTS,
+    classes=list(ModelClass),
+    locale=Locale.TURKISH,
+    include_title=True,
+    analyzer=None,
+)
+@example(
+    docs=SHARED_SUFFIX_DOCUMENTS[::-1],
+    classes=[ModelClass.SUFFIX],
+    locale=Locale.GENERIC,
+    include_title=False,
+    analyzer=PIPELINE_TABLE,
+)
 @settings(max_examples=150, deadline=None)
 def test_term_pipeline_equals_per_document_analysis(
     docs, classes, locale, include_title, analyzer
@@ -249,6 +301,20 @@ def test_term_pipeline_equals_per_document_analysis(
         # Cold, then warm: the second call is served from the token memo.
         for _ in range(2):
             assert [list(t.items()) for t in pipeline.terms(doc)] == expected
+
+
+def test_documents_sharing_suffix_tags_get_independent_counters():
+    # a and b share the tag tuple (A3pl, Abl), whose runs are memoized.
+    a, b = SHARED_SUFFIX_DOCUMENTS[:2]
+    pipeline = TermPipeline([ModelClass.SUFFIX, ModelClass.ROOT])
+    first, _ = pipeline.terms(a)
+    first["A3pl"] += 10
+    first["A3pl-Abl"] = 0
+    del first["Abl"]
+    second, _ = pipeline.terms(b)
+    assert list(second.items()) == [("A3pl", 2), ("Abl", 1), ("A3pl-Abl", 1)]
+    again, _ = pipeline.terms(a)
+    assert list(again.items()) == [("A3pl", 2), ("Abl", 2), ("A3pl-Abl", 2)]
 
 
 def test_term_pipeline_raw_terms_do_not_depend_on_other_classes():
@@ -328,6 +394,11 @@ def test_smoothing_scores():
 
 
 def test_terms_counted_zero_on_both_sides_are_dropped(tmp_path):
+    # Zeros as fold counts made by subtraction leave them, on either side.
+    fake = {"a": 1, "z": 0, "y": 0, "b": 0}
+    valid = {"a": 1, "y": 0, "x": 0, "b": 2, "c": 1}
+    lex = lexicon_from_counts(ModelClass.RAW, fake, valid)
+    assert list(lex.counts.items()) == [("a", (1, 1)), ("b", (0, 2)), ("c", (0, 1))]
     lex = lexicon_from_counts(ModelClass.RAW, {"a": 1, "z": 0}, {"a": 1})
     assert "z" not in lex.entries
     assert lexicon_stats(lex).only_valid == 0
@@ -337,11 +408,16 @@ def test_terms_counted_zero_on_both_sides_are_dropped(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [-1, True, False, 1.0, "1", None])
-@pytest.mark.parametrize("side", ["fake", "valid"])
+@pytest.mark.parametrize("side", ["fake", "valid", "both"])
 def test_lexicon_from_counts_rejects_bad_counts(side, bad):
     fake, valid = {"a": 1}, {"a": 1}
-    (fake if side == "fake" else valid)["b"] = bad
-    with pytest.raises(ValueError, match=side):
+    if side != "valid":
+        fake["b"] = bad
+    if side != "fake":
+        valid["b"] = bad
+    # With both sides bad the fake side is named: it is checked first.
+    named = "valid" if side == "valid" else "fake"
+    with pytest.raises(ValueError, match=f"^{named} counts must be integers >= 0$"):
         lexicon_from_counts(ModelClass.RAW, fake, valid)
 
 
