@@ -391,9 +391,10 @@ def verify_stats_by_group(
         else:
             phrases.add(words)
     phrase_lengths = sorted({len(p) for p in phrases}, reverse=True)
-    dict_words = {
-        w for e in dictionary for w in (normalize_token(p, turkish) for p in e.split()) if w
-    }
+    # Only a token that starts some phrase needs the phrase probes.
+    first_words = {p[0] for p in phrases}
+    dict_words = {normalize_token(p, turkish) for e in dictionary for p in e.split()}
+    dict_words.discard("")
     if not dict_words:
         raise DomainError("dictionary is empty")
 
@@ -407,16 +408,17 @@ def verify_stats_by_group(
         i = 0
         n = len(tokens)
         while i < n:
-            hit = 0
-            for length in phrase_lengths:
-                if length <= n - i and tuple(tokens[i : i + length]) in phrases:
-                    hit = length
-                    break
-            if hit:
-                hits += 1
-                i += hit
-                continue
             tok = tokens[i]
+            if tok in first_words:
+                hit = 0
+                for length in phrase_lengths:
+                    if length <= n - i and tuple(tokens[i : i + length]) in phrases:
+                        hit = length
+                        break
+                if hit:
+                    hits += 1
+                    i += hit
+                    continue
             if tok in singles:
                 hits += 1
             elif tok not in dict_words and not tok.isdigit():

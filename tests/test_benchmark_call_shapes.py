@@ -79,6 +79,21 @@ def test_raw_wide_calls(inputs):
             assert isinstance(score.valid_score, float)
 
 
+def test_kernel_probe_calls(inputs):
+    # replay.py composes title and body itself and calls the kernels directly.
+    docs = fanlex.load_corpus("corpus.jsonl").documents
+    texts = [f"{d.title}. {d.text}" if d.title else d.text for d in docs]
+    turkish = CFG.locale is fanlex.Locale.TURKISH
+    tokens = [_kernels.tokenize(t) for t in texts]
+    assert all(isinstance(tok, str) and tok for toks in tokens for tok in toks)
+    for t, toks in zip(texts, tokens):
+        words = _kernels.normalized_tokens(t, turkish, letters_only=True)
+        assert isinstance(words, list)
+        assert words == [
+            _kernels.normalize_token(tok, turkish) for tok in toks if _kernels.has_letter(tok)
+        ]
+
+
 def test_verify_calls(inputs):
     ds = fanlex.load_corpus("corpus.jsonl")
     slang = fanlex.load_word_list("slang.txt", CFG.locale)

@@ -81,6 +81,92 @@ def test_normalized_tokens_matches_composition(kernels):
     assert "47" not in kernels.normalized_tokens(text, True, True)
 
 
+# Weighted towards the characters the whole-text path of
+# _pure.normalized_tokens treats specially: sigma, the four Turkish i's,
+# the combining dot above, a full stop and the three joiners.
+casing_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("ΣσςİIıi\u0307.'’-"),
+        st.sampled_from("ΑΒaZ09 _"),
+        st.characters(),
+    ),
+    max_size=40,
+)
+
+
+def _per_token(text, turkish, letters_only):
+    """normalized_tokens as its definition: token by token."""
+    return [
+        norm
+        for tok in _pure.tokenize(text)
+        if not letters_only or _pure.has_letter(tok)
+        if (norm := _pure.normalize_token(tok, turkish))
+    ]
+
+
+@given(text=casing_text, turkish=st.booleans(), letters_only=st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_pure_normalized_tokens_is_per_token_composition(text, turkish, letters_only):
+    assert _pure.normalized_tokens(text, turkish, letters_only=letters_only) == (
+        _per_token(text, turkish, letters_only)
+    )
+
+
+@pytest.mark.parametrize(
+    "text, turkish, expected",
+    [
+        # Sigma lowercases by context: alone the token ends in final sigma.
+        ("ΑΣ.Β", True, ["ας", "β"]),
+        ("ΑΣ.Β", False, ["ας", "β"]),
+        # Generic dotted I lowercases to i plus a combining dot, inside the token.
+        ("aİb", False, ["ai\u0307b"]),
+        ("aİb", True, ["aib"]),
+        ("İSTANBUL'DA 1947", True, ["istanbul'da", "1947"]),
+        ("İSTANBUL'DA 1947", False, ["i\u0307stanbul'da", "1947"]),
+    ],
+)
+def test_pure_normalized_tokens_casing_examples(text, turkish, expected):
+    assert _pure.normalized_tokens(text, turkish) == expected
+    assert _pure.normalized_tokens(text, turkish) == _per_token(text, turkish, False)
+    letters = [t for t in expected if not t.isdigit()]
+    assert _pure.normalized_tokens(text, turkish, letters_only=True) == letters
+
+
+def test_pure_normalize_token_returns_normalized_word_itself():
+    # No copy: callers keep the input object, as in the dictionary set.
+    word = "".join(["gez", "i"])
+    assert _pure.normalize_token(word, True) is word
+    assert _pure.normalize_token(word, False) is word
+
+
+def test_unicode_casing_facts_of_whole_text_path():
+    """The facts that let _pure.normalized_tokens lowercase whole texts.
+
+    A Python whose case tables break one of them fails here, instead of
+    silently changing tokens.
+    """
+    chars = "".join(map(chr, range(0xD800))) + "".join(map(chr, range(0xE000, 0x110000)))
+    turkish = chars.replace("I", "ı").replace("İ", "i")
+    generic = chars.replace("İ", "")
+    for mapped in (turkish, generic):
+        lowered = "".join(map(str.lower, mapped))
+        # One code point to one code point (none lowercases to nothing) ...
+        assert len(lowered) == len(mapped)
+        # ... that keeps isalnum and isalpha ...
+        for predicate in (str.isalnum, str.isalpha):
+            assert list(map(predicate, lowered)) == list(map(predicate, mapped))
+        # ... maps no other character onto a joiner or the underscore ...
+        for joiner in "'’-_":
+            assert joiner.lower() == joiner
+            assert lowered.count(joiner) == mapped.count(joiner)
+        # ... and needs no context once sigma is gone.
+        no_sigma = mapped.replace("Σ", "")
+        assert no_sigma.lower() == "".join(map(str.lower, no_sigma))
+    # The two exceptions, which take the per-token loop.
+    assert "İ".lower() == "i\u0307" and not "\u0307".isalnum()
+    assert "ΑΣ.Β".lower() == "ασ.β" and "ΑΣ".lower() == "ας"
+
+
 @pytest.mark.parametrize("kernels", BACKENDS)
 def test_suffix_runs_order_and_count(kernels):
     assert kernels.suffix_runs([]) == []

@@ -329,6 +329,25 @@ def test_term_pipeline_raw_terms_do_not_depend_on_other_classes():
     assert alone == [with_root] == [Counter({"kitaplar": 2})]
 
 
+@pytest.mark.parametrize("locale", [Locale.TURKISH, Locale.GENERIC])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ΑΣ.Β ΟΔΥΣΣΕΥΣ Σ.",
+        "aİb İSTANBUL'DA 1947, 4İ İİ-İ",
+        "ΚΑΛΟΣ İZMİR'E gitti; Isparta 47.",
+    ],
+)
+def test_term_pipeline_raw_routes_agree_on_casing_exceptions(text, locale):
+    # The RAW-only route normalizes whole texts, the analyzed route token
+    # by token; sigma and generic dotted I take the per-token loop.
+    doc = Document(id="a", title="BAŞLIK", text=text, label=Label.FAKE)
+    (alone,) = TermPipeline([ModelClass.RAW], locale=locale).terms(doc)
+    (_, with_root) = TermPipeline([ModelClass.ROOT, ModelClass.RAW], locale=locale).terms(doc)
+    assert alone == with_root
+    assert alone
+
+
 def test_build_lexicon_sees_rule_table_edits():
     table = AnalyzerRuleTable(suffix_rules=(("lar", "A3pl"),))
     fake = Dataset((Document(id="f", text="kitaplar", label=Label.FAKE),))
