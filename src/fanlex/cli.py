@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", action="append", required=True, metavar="FILE")
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--out", metavar="FILE", help="write JSONL scores here instead of stdout")
-    p.add_argument("--explain", type=int, metavar="N", help="report top N terms per document")
+    p.add_argument("--explain", type=_number(int), metavar="N", help="report top N terms per document")
     _add_common(p, analyzes=True)
     p.set_defaults(func=cmd_score)
 
@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cross-validate", help="stratified k-fold cross-validation")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_number(int), default=5)
     p.add_argument("--classes", action="append", metavar="LIST")
     _add_common(p, analyzes=True)
     p.set_defaults(func=cmd_cross_validate)

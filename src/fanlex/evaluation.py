@@ -16,8 +16,8 @@ from fanlex.errors import LeakageError
 from fanlex.lexicon import (
     ModelClass,
     TermPipeline,
-    add_document_terms,
     count_splits,
+    count_terms,
     lexicon_from_counts,
 )
 from fanlex.morph import AnalyzerRuleTable
@@ -113,10 +113,7 @@ def evaluate_models(
     """
     if config is None:
         config = RunConfig()
-    if not classes:
-        raise ValueError("no model class")
-    if len(set(classes)) != len(classes):
-        raise ValueError("model classes must be distinct")
+    _check_classes(classes)
     train_ids = train_fake.ids() | train_valid.ids()
     overlap = train_ids & test.ids()
     if overlap:
@@ -157,30 +154,30 @@ def cross_validate(
     """
     if config is None:
         config = RunConfig()
-    if not classes:
-        raise ValueError("no model class")
-    if len(set(classes)) != len(classes):
-        raise ValueError("model classes must be distinct")
+    _check_classes(classes)
     folds = stratified_folds(ds, k, seed)
     mode = config.count_mode
     pipeline = TermPipeline(
         classes, analyzer, locale=config.locale, include_title=config.include_title
     )
-    terms_of: dict[str, list[Counter]] = {}
-    totals = {label: [Counter() for _ in classes] for label in Label}
-    for label in (Label.FAKE, Label.VALID):
-        for doc in ds.filter(label).documents:
-            terms_of[doc.id] = terms_by_class = pipeline.terms(doc)
-            for counts, terms in zip(totals[label], terms_by_class):
-                add_document_terms(counts, terms, mode)
+    terms_of = {
+        label: {doc.id: pipeline.terms(doc) for doc in ds.filter(label).documents}
+        for label in Label
+    }
+    width = len(classes)
+    totals = {
+        label: count_terms(t.values(), width, mode) for label, t in terms_of.items()
+    }
     per_fold: list[FoldMetrics] = []
     for index, (_, test) in enumerate(folds):
-        test_terms = [terms_of[doc.id] for doc in test.documents]
+        test_terms = [terms_of[doc.label][doc.id] for doc in test.documents]
         actual = [doc.label for doc in test.documents]
-        held = {label: [Counter() for _ in classes] for label in Label}
-        for label, terms_by_class in zip(actual, test_terms):
-            for counts, terms in zip(held[label], terms_by_class):
-                add_document_terms(counts, terms, mode)
+        held = {
+            label: count_terms(
+                (t for t, a in zip(test_terms, actual) if a is label), width, mode
+            )
+            for label in Label
+        }
         fake = map(_minus, totals[Label.FAKE], held[Label.FAKE])
         valid = map(_minus, totals[Label.VALID], held[Label.VALID])
         results = _score_fold(classes, fake, valid, test_terms, actual, config)
@@ -190,6 +187,13 @@ def cross_validate(
         rows = [astuple(f.metrics) for f in per_fold if f.model_class is c]
         means[c] = Metrics(*(sum(column) / k for column in zip(*rows)))
     return CvReport(per_fold=tuple(per_fold), means=means)
+
+
+def _check_classes(classes: Sequence[ModelClass]) -> None:
+    if not classes:
+        raise ValueError("no model class")
+    if len(set(classes)) != len(classes):
+        raise ValueError("model classes must be distinct")
 
 
 def _minus(total: Counter, held: Counter) -> Counter:

@@ -325,27 +325,18 @@ class TermPipeline:
         return [lists[i] for i in self._columns]
 
 
-def document_terms(
-    doc: Document,
-    model_class: ModelClass,
-    *,
-    analyzer: AnalyzerRuleTable | None = None,
-    locale: Locale = Locale.TURKISH,
-    include_title: bool = True,
-) -> Counter:
-    """Term multiset of one document; see TermPipeline."""
-    pipeline = TermPipeline(
-        (model_class,), analyzer, locale=locale, include_title=include_title
-    )
-    return pipeline.terms(doc)[0]
-
-
-def add_document_terms(totals: Counter, terms: Counter, count_mode: CountMode) -> None:
-    """Add one document's terms to running totals under a count mode."""
-    if count_mode is CountMode.DOC_PRESENCE:
-        totals.update(set(terms))
-    else:
-        totals.update(terms)
+def count_terms(
+    rows: Iterable[Sequence[Counter]], width: int, count_mode: CountMode
+) -> list[Counter]:
+    """Sum many documents' term rows, each one Counter per class as
+    TermPipeline.terms returns it, into width Counters under a count
+    mode: DOC_PRESENCE adds each distinct term once per document."""
+    totals = [Counter() for _ in range(width)]
+    presence = count_mode is CountMode.DOC_PRESENCE
+    for row in rows:
+        for counts, terms in zip(totals, row):
+            counts.update(terms.keys() if presence else terms)
+    return totals
 
 
 def lexicon_from_counts(
@@ -392,12 +383,11 @@ def count_splits(
         raise EmptyTrainingSplitError("empty training split: fake")
     if not valid.documents:
         raise EmptyTrainingSplitError("empty training split: valid")
-    out = ([Counter() for _ in pipeline.classes], [Counter() for _ in pipeline.classes])
-    for totals, ds in zip(out, (fake, valid)):
-        for doc in ds.documents:
-            for counts, terms in zip(totals, pipeline.terms(doc)):
-                add_document_terms(counts, terms, count_mode)
-    return out
+    width = len(pipeline.classes)
+    return tuple(
+        count_terms(map(pipeline.terms, ds.documents), width, count_mode)
+        for ds in (fake, valid)
+    )
 
 
 def build_lexicon(
@@ -491,7 +481,8 @@ def load_lexicon(path: str) -> Lexicon:
     Raises LexiconVersionError for unknown versions,
     LexiconChecksumError when the entry lines do not hash to the
     stored checksum, and LexiconConsistencyError when totals disagree
-    with the entry counts or an entry carries no evidence.
+    with the entry counts, a total is not above 0 or an entry carries no
+    evidence.
     """
     # Only "\n" ends a line. str.splitlines would also split at U+0085
     # or U+2028 inside a term, which json.dumps leaves unescaped.
@@ -572,6 +563,9 @@ def load_lexicon(path: str) -> Lexicon:
         raise LexiconConsistencyError(
             f"{path}: valid_total {valid_total} does not match entry sum {valid_sum}"
         )
+    for side, total in (("fake", fake_total), ("valid", valid_total)):
+        if total <= 0:
+            raise LexiconConsistencyError(f"{path}: {side}_total {total} is not > 0")
     return Lexicon(
         model_class,
         counts=counts,

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from fanlex.corpus import Dataset, Document, Label
 from fanlex.errors import ModelMismatchError
-from fanlex.lexicon import Lexicon, ModelClass, TermPipeline, document_terms
+from fanlex.lexicon import Lexicon, ModelClass, TermPipeline
 from fanlex.morph import AnalyzerRuleTable, Locale
 
 
@@ -63,13 +63,9 @@ def score_document(
     lexicon misses the same way: distinct terms or occurrences. For
     many documents use score_batch, which shares one TermPipeline.
     """
-    terms = document_terms(
-        doc,
-        lex.model_class,
-        analyzer=analyzer,
-        locale=locale,
-        include_title=include_title,
-    )
+    terms = TermPipeline(
+        (lex.model_class,), analyzer, locale=locale, include_title=include_title
+    ).terms(doc)[0]
     return _score_terms(terms, lex, term_set_mode)
 
 
@@ -121,13 +117,9 @@ def explain(
     """
     if top_n < 0:
         raise ValueError("top_n must be >= 0")
-    terms = document_terms(
-        doc,
-        lex.model_class,
-        analyzer=analyzer,
-        locale=locale,
-        include_title=include_title,
-    )
+    terms = TermPipeline(
+        (lex.model_class,), analyzer, locale=locale, include_title=include_title
+    ).terms(doc)[0]
     return _explain_terms(terms, lex, top_n)
 
 

@@ -921,6 +921,36 @@ def test_bad_setting_flag_is_usage_error(capsys, flags, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "command,flag", [("cross-validate", "--folds"), ("score", "--explain")]
+)
+def test_folds_and_explain_refuse_digit_separator(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED[command], flag, "0_3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: invalid int value: '0_3'" in err
+
+
+@pytest.mark.parametrize("command", ["score", "inspect-term"])
+def test_zero_total_lexicon_is_format_error(capsys, cli_files, command):
+    # Entries that agree with a zero fake_total pass every other check.
+    lex = cli_files["dir"] / "zero.lex"
+    header = {"format": "fanlex-lexicon", "version": 1, "class": "RAW",
+              "count_mode": "TOKEN_FREQ", "fake_total": 0, "valid_total": 2}
+    entry = {"t": "yok", "fc": 0, "vc": 2}
+    lex.write_text(f"{json.dumps(header)}\n{json.dumps(entry)}\n", encoding="utf-8")
+    if command == "score":
+        argv = ["score", "--lexicon", lex, "--input", cli_files["test"]]
+    else:
+        argv = ["inspect-term", "--term", "yok", "--lexicon", lex]
+    code, out, err = run(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert err == f"error: {lex}: fake_total 0 is not > 0\n"
+
+
 def test_unknown_model_class_usage_error(cli_files):
     proc = subprocess.run(
         [

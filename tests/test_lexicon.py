@@ -28,7 +28,6 @@ from fanlex.lexicon import (
     _entry_lines,
     build_lexicon,
     count_splits,
-    document_terms,
     expand_suffix_subsequences,
     extract_terms,
     lexicon_from_counts,
@@ -198,7 +197,7 @@ def test_raw_fast_path_equals_full_pipeline():
         titled = Document(
             id=doc.id, title="Kısa Başlık", text=doc.text, label=doc.label
         )
-        fast = document_terms(titled, ModelClass.RAW)
+        fast = TermPipeline((ModelClass.RAW,)).terms(titled)[0]
         slow = extract_terms(analyze_document(titled), ModelClass.RAW)
         assert fast == slow
 
@@ -363,8 +362,9 @@ def test_build_lexicon_sees_rule_table_edits():
 
 def test_document_terms_include_title():
     doc = Document(id="a", title="Tek", text="çift çift", label=Label.FAKE)
-    assert document_terms(doc, ModelClass.RAW) == Counter({"tek": 1, "çift": 2})
-    assert document_terms(doc, ModelClass.RAW, include_title=False) == Counter(
+    raw = (ModelClass.RAW,)
+    assert TermPipeline(raw).terms(doc)[0] == Counter({"tek": 1, "çift": 2})
+    assert TermPipeline(raw, include_title=False).terms(doc)[0] == Counter(
         {"çift": 2}
     )
 
@@ -800,6 +800,17 @@ def test_load_rejects_entry_without_evidence(tmp_path):
     with pytest.raises(LexiconConsistencyError) as err:
         load_lexicon(str(path))
     assert "'b'" in str(err.value)
+
+
+@pytest.mark.parametrize("side", ["fake", "valid"])
+def test_load_rejects_total_not_above_zero(tmp_path, side):
+    # The entries agree with the zero total, so only the total check fires.
+    path = tmp_path / "lex.jsonl"
+    fc, vc = (0, 2) if side == "fake" else (2, 0)
+    _write_manual(path, {}, [{"t": "a", "fc": fc, "vc": vc}])
+    with pytest.raises(LexiconConsistencyError) as err:
+        load_lexicon(str(path))
+    assert str(err.value) == f"{path}: {side}_total 0 is not > 0"
 
 
 def test_load_rejects_duplicate_term(tmp_path):
