@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, astuple
 from enum import Enum
 
 from fanlex import __version__
@@ -194,7 +193,7 @@ def cmd_build_lexicon(args: argparse.Namespace, cfg: RunConfig) -> int:
         {
             "class": lex.model_class.value,
             "count_mode": lex.count_mode.value,
-            **asdict(stats),
+            **stats._asdict(),
             "fake_total": lex.fake_total,
             "valid_total": lex.valid_total,
             "out": args.out,
@@ -204,7 +203,7 @@ def cmd_build_lexicon(args: argparse.Namespace, cfg: RunConfig) -> int:
         args,
         _table(
             ["model", "unique terms", "common", "only fake", "only valid"],
-            [[lex.model_class.value, *map(str, astuple(stats))]],
+            [[lex.model_class.value, *map(str, stats)]],
         ),
     )
     return EXIT_OK
@@ -277,7 +276,10 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
         {
             "config": cfg.to_dict(),
             "classes": [c.value for c in classes],
-            "results": {c.value: asdict(r) for c, r in results.items()},
+            "results": {
+                c.value: {"confusion": r.confusion._asdict(), "metrics": r.metrics._asdict()}
+                for c, r in results.items()
+            },
         }
     )
     blocks = []
@@ -311,18 +313,15 @@ def cmd_cross_validate(args: argparse.Namespace, cfg: RunConfig) -> int:
             "folds": args.folds,
             "classes": [c.value for c in classes],
             "per_fold": [
-                {"fold": fm.fold, "class": fm.model_class.value, **asdict(fm.metrics)}
+                {"fold": fm.fold, "class": fm.model_class.value, **fm.metrics._asdict()}
                 for fm in report.per_fold
             ],
-            "means": {c.value: asdict(m) for c, m in report.means.items()},
+            "means": {c.value: m._asdict() for c, m in report.means.items()},
         }
     )
     labeled = [(str(fm.fold), fm.model_class, fm.metrics) for fm in report.per_fold]
     labeled += [("mean", c, m) for c, m in report.means.items()]
-    rows = [
-        [fold, c.value, *(f"{v:.3f}" for v in astuple(m))]
-        for fold, c, m in labeled
-    ]
+    rows = [[fold, c.value, *(f"{v:.3f}" for v in m)] for fold, c, m in labeled]
     _emit_report(
         args, _table(["fold", "class", "precision", "recall", "accuracy", "f1"], rows)
     )
@@ -377,16 +376,16 @@ def cmd_verify_corpus(args: argparse.Namespace, cfg: RunConfig) -> int:
     group_rows = sorted(groups.items())
     _emit_json(
         {
-            "overall": asdict(overall),
+            "overall": overall._asdict(),
             "groups": [
-                {"source": source, "label": label, **asdict(rep)}
+                {"source": source, "label": label, **rep._asdict()}
                 for (source, label), rep in group_rows
             ],
         }
     )
     labeled = [(f"{source} ({label})", rep) for (source, label), rep in group_rows]
     labeled.append(("overall", overall))
-    rows = [[name, *(f"{v:.3f}" for v in astuple(rep))] for name, rep in labeled]
+    rows = [[name, *(f"{v:.3f}" for v in rep)] for name, rep in labeled]
     _emit_report(
         args, _table(["group", "slang/sentence", "misspellings/sentence"], rows)
     )
@@ -405,7 +404,7 @@ def cmd_inspect_term(args: argparse.Namespace, cfg: RunConfig) -> int:
             entry = lex.entries.get(normalize(args.term, cfg.locale))
         record: dict = {"class": lex.model_class.value, "found": entry is not None}
         if entry is not None:
-            record.update(asdict(entry))
+            record.update(entry._asdict())
         results.append(record)
     _emit_json({"term": args.term, "results": results})
     scale = cfg.display_scale
@@ -430,72 +429,84 @@ def cmd_inspect_term(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command's help line and handler, in the order --help lists them.
+COMMANDS = {
+    "build-lexicon": ("build a lexicon from two training corpora", cmd_build_lexicon),
+    "score": ("score documents against lexicons", cmd_score),
+    "evaluate": ("train on two splits and evaluate on a test set", cmd_evaluate),
+    "cross-validate": ("stratified k-fold cross-validation", cmd_cross_validate),
+    "corpus-stats": ("document counts and token/sentence means", cmd_corpus_stats),
+    "verify-corpus": ("slang and misspelling rates per sentence", cmd_verify_corpus),
+    "inspect-term": ("look one term up across lexicons", cmd_inspect_term),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every command's name and help line, which is all that top-level
+    help and usage errors show; the arguments of the named command only,
+    or of every command when command names none."""
     parser = argparse.ArgumentParser(
         prog="fanlex",
         description="Build, score and evaluate fake/valid news term lexicons.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {name: sub.add_parser(name, help=text) for name, (text, _) in COMMANDS.items()}
+    if command in parsers:
+        parsers = {command: parsers[command]}
 
-    p = sub.add_parser("build-lexicon", help="build a lexicon from two training corpora")
-    p.add_argument("--fake", required=True, metavar="FILE")
-    p.add_argument("--valid", required=True, metavar="FILE")
-    p.add_argument("--class", dest="model_class", required=True, type=_model_class)
-    p.add_argument("--out", required=True, metavar="FILE")
-    _add_common(p, analyzes=True)
-    p.set_defaults(func=cmd_build_lexicon)
+    if p := parsers.get("build-lexicon"):
+        p.add_argument("--fake", required=True, metavar="FILE")
+        p.add_argument("--valid", required=True, metavar="FILE")
+        p.add_argument("--class", dest="model_class", required=True, type=_model_class)
+        p.add_argument("--out", required=True, metavar="FILE")
+        _add_common(p, analyzes=True)
 
-    p = sub.add_parser("score", help="score documents against lexicons")
-    p.add_argument("--lexicon", action="append", required=True, metavar="FILE")
-    p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--out", metavar="FILE", help="write JSONL scores here instead of stdout")
-    p.add_argument("--explain", type=_number(int), metavar="N", help="report top N terms per document")
-    _add_common(p, analyzes=True)
-    p.set_defaults(func=cmd_score)
+    if p := parsers.get("score"):
+        p.add_argument("--lexicon", action="append", required=True, metavar="FILE")
+        p.add_argument("--input", required=True, metavar="FILE")
+        p.add_argument("--out", metavar="FILE", help="write JSONL scores here instead of stdout")
+        p.add_argument("--explain", type=_number(int), metavar="N", help="report top N terms per document")
+        _add_common(p, analyzes=True)
 
-    p = sub.add_parser("evaluate", help="train on two splits and evaluate on a test set")
-    p.add_argument("--train-fake", required=True, metavar="FILE")
-    p.add_argument("--train-valid", required=True, metavar="FILE")
-    p.add_argument("--test", required=True, metavar="FILE")
-    p.add_argument("--classes", action="append", metavar="LIST")
-    _add_common(p, analyzes=True)
-    p.set_defaults(func=cmd_evaluate)
+    if p := parsers.get("evaluate"):
+        p.add_argument("--train-fake", required=True, metavar="FILE")
+        p.add_argument("--train-valid", required=True, metavar="FILE")
+        p.add_argument("--test", required=True, metavar="FILE")
+        p.add_argument("--classes", action="append", metavar="LIST")
+        _add_common(p, analyzes=True)
 
-    p = sub.add_parser("cross-validate", help="stratified k-fold cross-validation")
-    p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--folds", type=_number(int), default=5)
-    p.add_argument("--classes", action="append", metavar="LIST")
-    _add_common(p, analyzes=True)
-    p.set_defaults(func=cmd_cross_validate)
+    if p := parsers.get("cross-validate"):
+        p.add_argument("--input", required=True, metavar="FILE")
+        p.add_argument("--folds", type=_number(int), default=5)
+        p.add_argument("--classes", action="append", metavar="LIST")
+        _add_common(p, analyzes=True)
 
-    p = sub.add_parser("corpus-stats", help="document counts and token/sentence means")
-    p.add_argument("--input", required=True, metavar="FILE")
-    _add_common(p)
-    p.set_defaults(func=cmd_corpus_stats)
+    if p := parsers.get("corpus-stats"):
+        p.add_argument("--input", required=True, metavar="FILE")
+        _add_common(p)
 
-    p = sub.add_parser("verify-corpus", help="slang and misspelling rates per sentence")
-    p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--slang", required=True, metavar="FILE")
-    p.add_argument("--dictionary", required=True, metavar="FILE")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_corpus)
+    if p := parsers.get("verify-corpus"):
+        p.add_argument("--input", required=True, metavar="FILE")
+        p.add_argument("--slang", required=True, metavar="FILE")
+        p.add_argument("--dictionary", required=True, metavar="FILE")
+        _add_common(p)
 
-    p = sub.add_parser("inspect-term", help="look one term up across lexicons")
-    p.add_argument("--term", required=True)
-    p.add_argument("--pos", help="POS tag for surface+POS lexicon lookups")
-    p.add_argument("--lexicon", action="append", required=True, metavar="FILE")
-    _add_common(p)
-    p.set_defaults(func=cmd_inspect_term)
+    if p := parsers.get("inspect-term"):
+        p.add_argument("--term", required=True)
+        p.add_argument("--pos", help="POS tag for surface+POS lexicon lookups")
+        p.add_argument("--lexicon", action="append", required=True, metavar="FILE")
+        _add_common(p)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A first argument that names a command is the command that runs.
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args, _resolve_config(args))
+        return COMMANDS[args.command][1](args, _resolve_config(args))
     except (InputError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -67,10 +67,10 @@ def _parse(kind: type, text: str):
 
 def load_config_file(path: str) -> dict:
     """Parse a key = value config file, each key at most once, into
-    RunConfig keyword arguments."""
+    RunConfig keyword arguments. One leading byte order mark is ignored."""
     values: dict = {}
     first_line: dict[str, int] = {}
-    with open_text(path, InputError) as fh:
+    with open_text(path, InputError, "utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             body = line.split("#", 1)[0].strip()
             if not body:

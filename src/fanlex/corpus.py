@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from fanlex._kernels import normalize_token, normalized_tokens
 from fanlex.errors import (
@@ -118,16 +118,14 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     doc_count_by_label: dict[Label, int]
     mean_tokens_per_doc: float
     mean_sentences_per_doc: float
     token_total: int
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Per-sentence slang and misspelling rates over a dataset."""
 
     slang_per_sentence: float
@@ -339,12 +337,13 @@ def load_word_list(path: str, locale: Locale = Locale.TURKISH) -> list[str]:
 
     Lines starting with # and blank lines are skipped; entries are
     normalized word by word at load and de-duplicated, order kept.
-    Entries may contain several words (phrases).
+    Entries may contain several words (phrases). One leading byte
+    order mark is ignored.
     """
     turkish = locale is Locale.TURKISH
     entries: list[str] = []
     seen: set[str] = set()
-    with open_text(path, InputError) as fh:
+    with open_text(path, InputError, "utf-8-sig") as fh:
         for line in fh:
             body = line.strip()
             if not body or body.startswith("#"):

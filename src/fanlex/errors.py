@@ -75,9 +75,12 @@ class LexiconConsistencyError(FormatError):
 
 
 @contextmanager
-def open_text(path: str, error: type[FanlexError]) -> Iterator[IO[str]]:
-    """Open a UTF-8 text file; undecodable bytes raise `error` naming it."""
-    with open(path, encoding="utf-8") as fh:
+def open_text(
+    path: str, error: type[FanlexError], encoding: str = "utf-8"
+) -> Iterator[IO[str]]:
+    """Open a UTF-8 text file; undecodable bytes raise `error` naming it.
+    Encoding "utf-8-sig" drops one leading byte order mark."""
+    with open(path, encoding=encoding) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

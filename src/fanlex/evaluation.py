@@ -7,7 +7,6 @@ FAKE and predicted FAKE, tn counts VALID predicted VALID.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import astuple, dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from fanlex.config import RunConfig
@@ -24,8 +23,7 @@ from fanlex.morph import AnalyzerRuleTable
 from fanlex.scorer import _score_terms
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(NamedTuple):
     tp: int
     fn: int
     fp: int
@@ -36,16 +34,14 @@ class ConfusionMatrix:
         return self.tp + self.fn + self.fp + self.tn
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     precision: float
     recall: float
     accuracy: float
     f1: float
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     confusion: ConfusionMatrix
     metrics: Metrics
 
@@ -56,8 +52,7 @@ class FoldMetrics(NamedTuple):
     metrics: Metrics
 
 
-@dataclass(frozen=True)
-class CvReport:
+class CvReport(NamedTuple):
     per_fold: tuple[FoldMetrics, ...]
     means: dict[ModelClass, Metrics]
 
@@ -184,7 +179,7 @@ def cross_validate(
         per_fold.extend(FoldMetrics(index, c, results[c].metrics) for c in classes)
     means = {}
     for c in classes:
-        rows = [astuple(f.metrics) for f in per_fold if f.model_class is c]
+        rows = [f.metrics for f in per_fold if f.model_class is c]
         means[c] = Metrics(*(sum(column) / k for column in zip(*rows)))
     return CvReport(per_fold=tuple(per_fold), means=means)
 

@@ -10,15 +10,13 @@ supported: surface forms (RAW), roots (ROOT), surface plus POS
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from fanlex import morph
 from fanlex._kernels import has_letter, normalize_token, normalized_tokens, suffix_runs
@@ -69,8 +67,7 @@ class CountMode(Enum):
     DOC_PRESENCE = "DOC_PRESENCE"
 
 
-@dataclass(frozen=True)
-class TermEntry:
+class TermEntry(NamedTuple):
     term: str
     fake_count: int
     valid_count: int
@@ -193,8 +190,7 @@ class _EntryView(Mapping[str, TermEntry]):
         return len(self._counts)
 
 
-@dataclass(frozen=True)
-class LexiconStats:
+class LexiconStats(NamedTuple):
     unique_terms: int
     common_terms: int
     only_fake: int
@@ -448,6 +444,8 @@ def _entry_lines(lex: Lexicon) -> list[str]:
 
 
 def _checksum(lines: list[str]) -> str:
+    import hashlib  # maps OpenSSL's libcrypto; only lexicon files need it
+
     digest = hashlib.sha256()
     for line in lines:
         digest.update(line.encode("utf-8"))

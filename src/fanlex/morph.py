@@ -312,10 +312,11 @@ def load_suffix_rules(path: str) -> tuple[tuple[str, str], ...]:
     """Load (surface, tag) fallback rules from a TSV file.
 
     One rule per line, surface and tag separated by a tab. Blank lines
-    and lines starting with # are ignored.
+    and lines starting with # are ignored, and so is one leading byte
+    order mark.
     """
     rules: list[tuple[str, str]] = []
-    with open_text(path, InputError) as fh:
+    with open_text(path, InputError, "utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             body = line.strip()
             if not body or body.startswith("#"):

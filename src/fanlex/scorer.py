@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from fanlex.corpus import Dataset, Document, Label
 from fanlex.errors import ModelMismatchError
@@ -28,8 +27,7 @@ class TermSetMode(Enum):
     MULTISET = "MULTISET"
 
 
-@dataclass(frozen=True)
-class DocumentScore:
+class DocumentScore(NamedTuple):
     fake_score: float
     valid_score: float
     label: Label
@@ -37,8 +35,7 @@ class DocumentScore:
     unknown_terms: int
 
 
-@dataclass(frozen=True)
-class TermContribution:
+class TermContribution(NamedTuple):
     """One known term's scores and their difference (fake minus valid)."""
 
     term: str

@@ -1021,3 +1021,214 @@ def test_score_byte_determinism(cli_files):
     runs = [subprocess.run(score, capture_output=True) for _ in range(2)]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
+
+
+# main builds only the subparser of the command that runs; the rest get
+# their names and help lines only. Everything a user sees must equal the
+# parser with every subparser built.
+
+
+def _exit_output(capsys, parse, argv):
+    """Exit code, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_one_subparser_parses_as_all(command):
+    argv = [command, *REQUIRED[command]]
+    assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("case", ["help", "unknown flag", "no flags"])
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_one_subparser_prints_as_all(capsys, command, case):
+    argv = {
+        "help": [command, "--help"],
+        "unknown flag": [command, *REQUIRED[command], "--bogus"],
+        "no flags": [command],
+    }[case]
+    full = _exit_output(capsys, build_parser().parse_args, argv)
+    assert full[0] == (0 if case == "help" else 2)
+    assert _exit_output(capsys, main, argv) == full
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [(["--help"], 0), (["--version"], 0), (["bogus"], 2), ([], 2), (["-h", "evaluate"], 0),
+     (["evaluat", "--test", "t"], 2)],
+)
+def test_top_level_output_unchanged(capsys, argv, code):
+    full = _exit_output(capsys, build_parser().parse_args, argv)
+    assert full[0] == code
+    assert _exit_output(capsys, main, argv) == full
+
+
+# hashlib maps OpenSSL's libcrypto; only commands that read or write a
+# lexicon file load it.
+
+_HASHLIB_PROBE = """
+import sys
+before = "hashlib" in sys.modules
+import fanlex.cli
+for argv in {runs!r}:
+    assert fanlex.cli.main(argv) == 0, argv
+print(before, "hashlib" in sys.modules)
+"""
+
+
+def _loads_hashlib(runs) -> tuple[bool, bool]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _HASHLIB_PROBE.format(runs=runs)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()[-2:]
+    return before == "True", after == "True"
+
+
+def test_start_up_does_not_load_hashlib(cli_files, write_text):
+    slang = write_text("slang.txt", "lan\n")
+    words = write_text("dict.txt", "bir\n")
+    mixed, test = str(cli_files["mixed"]), str(cli_files["test"])
+    before, after = _loads_hashlib(
+        [
+            ["cross-validate", "--input", mixed, "--folds", "2"],
+            ["evaluate", "--train-fake", str(cli_files["fake"]),
+             "--train-valid", str(cli_files["valid"]), "--test", test],
+            ["corpus-stats", "--input", mixed],
+            ["verify-corpus", "--input", mixed, "--slang", slang, "--dictionary", words],
+        ]
+    )
+    # The interpreter's site hooks may load hashlib before fanlex does.
+    assert before or not after
+
+
+def test_lexicon_files_load_hashlib(cli_files):
+    lex = str(cli_files["dir"] / "h.lex")
+    build = ["build-lexicon", "--fake", str(cli_files["fake"]),
+             "--valid", str(cli_files["valid"]), "--class", "RAW", "--out", lex]
+    assert _loads_hashlib([build])[1]
+
+
+# Raw stdout bytes of the commands whose records are NamedTuples: json.loads
+# would not see a change of key order or number formatting.
+
+PIN_DOCS = [
+    {"id": "f1", "text": "Şok iddia! Vergi yok, herkes kaçtı.", "label": "FAKE", "source": "a"},
+    {"id": "f2", "text": "Şok haber: vergi kalktı. İnanılmaz!", "label": "FAKE", "source": "a"},
+    {"id": "f3", "title": "Yalan", "text": "Herkes kaçtı, şok iddia yayıldı.", "label": "FAKE",
+     "source": "b"},
+    {"id": "f4", "text": "İnanılmaz iddia: vergi yok.", "label": "FAKE"},
+    {"id": "v1", "text": "Bakanlık vergi oranını açıkladı.", "label": "VALID", "source": "a"},
+    {"id": "v2", "text": "Meclis yeni bütçeyi onayladı. Oran değişmedi.", "label": "VALID",
+     "source": "b"},
+    {"id": "v3", "title": "Bütçe", "text": "Bakanlık bütçe oranını açıkladı.", "label": "VALID",
+     "source": "b"},
+    {"id": "v4", "text": "Meclis vergi oranını onayladı.", "label": "VALID"},
+]
+PIN_TEST_ONLY = [
+    {"id": "t1", "text": "Bakanlık şok iddia açıkladı.", "label": "VALID"},
+    {"id": "t2", "text": "Meclis oranını onayladı, vergi yok.", "label": "FAKE"},
+    {"id": "t3", "text": "Herkes bütçeyi konuştu.", "label": "FAKE"},
+]
+PIN_RUNS = {
+    "inspect-term-found": ["inspect-term", "--term", "Vergi", "--lexicon", "@RAW",
+                           "--lexicon", "@ROOT"],
+    "inspect-term-missing": ["inspect-term", "--term", "uzay", "--lexicon", "@RAW"],
+    "corpus-stats": ["corpus-stats", "--input", "@all"],
+    "verify-corpus": ["verify-corpus", "--input", "@all", "--slang", "@slang",
+                      "--dictionary", "@dict"],
+    "evaluate": ["evaluate", "--train-fake", "@fake", "--train-valid", "@valid",
+                 "--test", "@test", "--classes", "RAW,ROOT"],
+    "cross-validate": ["cross-validate", "--input", "@all", "--folds", "2",
+                       "--classes", "RAW,SUFFIX"],
+}
+PIN_STDOUT = {
+    "inspect-term-found": (
+        '{"term":"Vergi","results":[{"class":"RAW","found":true,"term":"vergi",'
+        '"fake_count":2,"valid_count":1,"fake_score":0.11764705882352941,'
+        '"valid_score":0.06666666666666667},{"class":"ROOT","found":true,'
+        '"term":"vergi","fake_count":2,"valid_count":1,'
+        '"fake_score":0.11764705882352941,"valid_score":0.06666666666666667}]}\n'
+    ),
+    "inspect-term-missing": (
+        '{"term":"uzay","results":[{"class":"RAW","found":false}]}\n'
+    ),
+    "corpus-stats": (
+        '{"doc_count_by_label":{"FAKE":4,"VALID":4},"mean_tokens_per_doc":5.0,'
+        '"mean_sentences_per_doc":1.625,"token_total":40,'
+        '"groups":[{"source":"(none)","label":"FAKE","count":1},{"source":"(none)",'
+        '"label":"VALID","count":1},{"source":"a","label":"FAKE","count":2},'
+        '{"source":"a","label":"VALID","count":1},{"source":"b","label":"FAKE",'
+        '"count":1},{"source":"b","label":"VALID","count":2}]}\n'
+    ),
+    "verify-corpus": (
+        '{"overall":{"slang_per_sentence":0.23076923076923078,'
+        '"misspelling_per_sentence":1.8461538461538463},'
+        '"groups":[{"source":"(none)","label":"FAKE","slang_per_sentence":0.0,'
+        '"misspelling_per_sentence":2.0},{"source":"(none)","label":"VALID",'
+        '"slang_per_sentence":0.0,"misspelling_per_sentence":3.0},{"source":"a",'
+        '"label":"FAKE","slang_per_sentence":0.5,"misspelling_per_sentence":1.0},'
+        '{"source":"a","label":"VALID","slang_per_sentence":0.0,'
+        '"misspelling_per_sentence":2.0},{"source":"b","label":"FAKE",'
+        '"slang_per_sentence":0.5,"misspelling_per_sentence":1.5},{"source":"b",'
+        '"label":"VALID","slang_per_sentence":0.0,'
+        '"misspelling_per_sentence":2.5}]}\n'
+    ),
+    "evaluate": (
+        '{"config":{"locale":"TURKISH","count_mode":"TOKEN_FREQ",'
+        '"term_set_mode":"DISTINCT","smoothing":0.0,"seed":0,"include_title":true,'
+        '"display_scale":1.0},"classes":["RAW","ROOT"],'
+        '"results":{"RAW":{"confusion":{"tp":2,"fn":1,"fp":1,"tn":1},'
+        '"metrics":{"precision":0.6666666666666666,"recall":0.6666666666666666,'
+        '"accuracy":0.6,"f1":0.6666666666666666}},"ROOT":{"confusion":{"tp":1,'
+        '"fn":2,"fp":1,"tn":1},"metrics":{"precision":0.5,'
+        '"recall":0.3333333333333333,"accuracy":0.4,"f1":0.4}}}}\n'
+    ),
+    "cross-validate": (
+        '{"config":{"locale":"TURKISH","count_mode":"TOKEN_FREQ",'
+        '"term_set_mode":"DISTINCT","smoothing":0.0,"seed":0,"include_title":true,'
+        '"display_scale":1.0},"folds":2,"classes":["RAW","SUFFIX"],'
+        '"per_fold":[{"fold":0,"class":"RAW","precision":1.0,"recall":1.0,'
+        '"accuracy":1.0,"f1":1.0},{"fold":0,"class":"SUFFIX","precision":0.5,'
+        '"recall":1.0,"accuracy":0.5,"f1":0.6666666666666666},{"fold":1,'
+        '"class":"RAW","precision":1.0,"recall":1.0,"accuracy":1.0,"f1":1.0},'
+        '{"fold":1,"class":"SUFFIX","precision":0.5,"recall":1.0,"accuracy":0.5,'
+        '"f1":0.6666666666666666}],"means":{"RAW":{"precision":1.0,"recall":1.0,'
+        '"accuracy":1.0,"f1":1.0},"SUFFIX":{"precision":0.5,"recall":1.0,'
+        '"accuracy":0.5,"f1":0.6666666666666666}}}\n'
+    ),
+}
+
+
+@pytest.fixture
+def pin_files(capsys, tmp_path, write_jsonl, write_text):
+    fake = [d for d in PIN_DOCS if d["label"] == "FAKE"]
+    valid = [d for d in PIN_DOCS if d["label"] == "VALID"]
+    paths = {
+        "all": write_jsonl("all.jsonl", PIN_DOCS),
+        "fake": write_jsonl("fake.jsonl", fake[:3]),
+        "valid": write_jsonl("valid.jsonl", valid[:3]),
+        "test": write_jsonl("test.jsonl", fake[3:] + valid[3:] + PIN_TEST_ONLY),
+        "slang": write_text("slang.txt", "şok\nşok iddia\n"),
+        "dict": write_text("dict.txt", "vergi\nyok\nherkes\nbakanlık\n"),
+    }
+    for model_class in ("RAW", "ROOT"):
+        paths[model_class] = str(tmp_path / f"{model_class}.lex")
+        argv = ["build-lexicon", "--fake", paths["fake"], "--valid", paths["valid"],
+                "--class", model_class, "--out", paths[model_class]]
+        assert run(capsys, argv)[0] == 0
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(PIN_RUNS))
+def test_stdout_bytes_are_pinned(capsys, pin_files, name):
+    argv = [pin_files[a[1:]] if a.startswith("@") else a for a in PIN_RUNS[name]]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == PIN_STDOUT[name]

@@ -65,6 +65,11 @@ def test_load_config_file(write_text):
     }
 
 
+def test_load_config_file_ignores_byte_order_mark(write_text):
+    path = write_text("bom.conf", "\ufeffsmoothing = 0.5\n")
+    assert load_config_file(path) == {"smoothing": 0.5}
+
+
 @pytest.mark.parametrize(
     "line,needle",
     [

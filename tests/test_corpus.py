@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -333,6 +335,24 @@ def test_load_word_list(write_text):
         "words.txt", "# sözlük\nKÜBA\nküba\n\nçok  fena\nİyi\n"
     )
     assert load_word_list(path) == ["küba", "çok fena", "iyi"]
+
+
+def test_load_word_list_ignores_byte_order_mark(write_text):
+    # Read with the mark, the comment line would become the entry "comment".
+    path = write_text("words.txt", "\ufeff# comment\nkitap\n")
+    assert load_word_list(path) == ["kitap"]
+
+
+def test_load_word_list_reads_a_pipe(tmp_path):
+    fifo = tmp_path / "words.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=fifo.write_bytes, args=("\ufeffkitap\n".encode(),), daemon=True
+    )
+    writer.start()
+    assert load_word_list(str(fifo)) == ["kitap"]
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_verify_stats_slang_and_phrases():

@@ -327,6 +327,11 @@ def test_load_suffix_rules(write_text):
     assert load_suffix_rules(path) == (("lar", "A3pl"), ("den", "Abl"))
 
 
+def test_load_suffix_rules_ignores_byte_order_mark(write_text):
+    path = write_text("rules.tsv", "\ufefflar\tA3pl\n")
+    assert load_suffix_rules(path) == (("lar", "A3pl"),)
+
+
 def test_load_suffix_rules_rejects(write_text):
     path = write_text("rules.tsv", "lar A3pl\n")
     with pytest.raises(InputError) as err:
