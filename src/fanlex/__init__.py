@@ -2,12 +2,10 @@
 
 Builds class-conditional term lexicons from labeled corpora, scores
 documents by summed term scores, and evaluates the resulting labels
-with stratified cross-validation. Text kernels run compiled when the
-accelerator extension is installed and fall back to pure Python
-otherwise.
+with stratified cross-validation. Standard library only: the text
+kernels are plain Python, with no build step.
 """
 
-from fanlex._kernels import BACKEND as _KERNEL_BACKEND
 from fanlex.config import RunConfig
 from fanlex.corpus import (
     CorpusStats,
@@ -74,8 +72,11 @@ __version__ = "0.1.0"
 
 
 def kernel_backend() -> str:
-    """Name of the active text-kernel backend: 'compiled' or 'pure'."""
-    return _KERNEL_BACKEND
+    """Name of the text-kernel backend, always 'pure': there is one.
+
+    Kept for the benchmark's preflight, which asserts it.
+    """
+    return "pure"
 
 
 __all__ = [

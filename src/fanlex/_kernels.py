@@ -1,7 +1,7 @@
-"""Pure-Python text kernels.
+"""Text kernels: tokenizing, normalization and suffix runs.
 
-The compiled backend (fanlex._kernels._ckernels) implements the same
-rule set and must stay output-identical:
+The rule set, which tests/oracle.py restates character by character
+for the parity tests in tests/test_kernels.py:
 
 * a token is a maximal run of alphanumeric characters (str.isalnum),
   where a single apostrophe (' or U+2019) or hyphen-minus joins two

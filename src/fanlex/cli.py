@@ -210,9 +210,11 @@ def cmd_build_lexicon(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
-    analyzer = _resolve_analyzer(args, cfg)
     if args.explain is not None and args.explain < 0:
         raise InputError("--explain must be >= 0")
+    if args.report and not args.explain:
+        raise InputError("--report needs --explain N with N > 0: score has no other report")
+    analyzer = _resolve_analyzer(args, cfg)
     lexicons = [load_lexicon(path) for path in args.lexicon]
     ds = load_corpus(args.input)
     scale = cfg.display_scale

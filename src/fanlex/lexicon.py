@@ -86,8 +86,9 @@ class Lexicon:
     of counts takes their counts and scores as they are.
 
     Raises TypeError unless exactly one of counts and entries is given,
-    ValueError for a smoothing that is not finite and >= 0, and
-    EmptyTrainingSplitError for a total that is not above zero.
+    ValueError for a smoothing that is not finite and >= 0 or that
+    makes a score denominator overflow, and EmptyTrainingSplitError for
+    a total that is not above zero.
     """
 
     def __init__(
@@ -124,6 +125,11 @@ class Lexicon:
             self._scores = {
                 t: (e.fake_score, e.valid_score) for t, e in entries.items()
             }
+        if not math.isfinite(max(fake_total, valid_total) + smoothing * len(counts)):
+            raise ValueError(
+                f"smoothing {smoothing!r} is too large: the score denominator "
+                "is not finite"
+            )
         self.counts = counts
 
     @property
@@ -564,14 +570,17 @@ def load_lexicon(path: str) -> Lexicon:
     for side, total in (("fake", fake_total), ("valid", valid_total)):
         if total <= 0:
             raise LexiconConsistencyError(f"{path}: {side}_total {total} is not > 0")
-    return Lexicon(
-        model_class,
-        counts=counts,
-        fake_total=fake_total,
-        valid_total=valid_total,
-        count_mode=count_mode,
-        smoothing=float(smoothing),
-    )
+    try:
+        return Lexicon(
+            model_class,
+            counts=counts,
+            fake_total=fake_total,
+            valid_total=valid_total,
+            count_mode=count_mode,
+            smoothing=float(smoothing),
+        )
+    except ValueError as exc:
+        raise LexiconParseError(f"{path}: {exc}") from exc
 
 
 def merge_lexicons(a: Lexicon, b: Lexicon) -> Lexicon:

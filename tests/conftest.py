@@ -1,48 +1,12 @@
-import importlib.util
 import json
-import shutil
-import subprocess
 import sys
-import sysconfig
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-import fanlex._kernels
 from fanlex.morph import AnalyzerRuleTable, MorphAnalysis
-
-CKERNELS = "fanlex._kernels._ckernels"
-
-
-def pytest_sessionstart(session):
-    """Compile the shipped _ckernels.c once per session, so the parity
-    tests in test_kernels.py run without an in-place build.
-
-    An importable extension is used as it is. The module is built into a
-    pytest temp directory, never into the package, and registered under
-    its package name; the kernel dispatch in fanlex._kernels keeps the
-    backend it picked at import. Without a C compiler, Python headers or
-    the .c file the compiled tests skip; a failed compile stops the run.
-    """
-    if importlib.util.find_spec(CKERNELS) is not None:
-        return
-    source = Path(fanlex._kernels.__file__).with_name("_ckernels.c")
-    include = sysconfig.get_paths()["include"]
-    compiler = shutil.which("cc") or shutil.which("gcc")
-    if not (source.is_file() and compiler and Path(include, "Python.h").is_file()):
-        return
-    out_dir = session.config._tmp_path_factory.mktemp("ckernels")
-    target = out_dir / ("_ckernels" + sysconfig.get_config_var("EXT_SUFFIX"))
-    command = [compiler, "-shared", "-fPIC", "-O2", f"-I{include}", str(source), "-o", str(target)]
-    built = subprocess.run(command, capture_output=True, text=True)
-    if built.returncode != 0:
-        pytest.exit(f"{source.name} does not compile:\n{built.stderr}", returncode=1)
-    spec = importlib.util.spec_from_file_location(CKERNELS, target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[CKERNELS] = module
 
 
 def pytest_runtest_logreport(report):

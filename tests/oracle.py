@@ -1,13 +1,85 @@
 """Naive reference implementations used as test oracles.
 
-These transcribe the score definitions literally, with nested loops
-and list.count, and share no code with the package: term extraction
-and counting are re-derived inline. Documents fed to them must carry
-pre-computed analyses whose raw forms are already normalized, so no
-normalization logic is duplicated here.
+They share no code with the package. The score oracles transcribe the
+score definitions literally, with nested loops and list.count, and
+re-derive term extraction and counting inline; documents fed to them
+must carry pre-computed analyses whose raw forms are already
+normalized. The text-kernel oracles restate the rules of
+fanlex._kernels character by character, with str.isalnum and
+str.isalpha where the package uses regular expressions and lowercases
+whole texts.
 """
 
 SEP = ""
+JOINERS = "'’-"
+
+
+def tokenize(text):
+    """Maximal alphanumeric runs; a joiner with an alphanumeric
+    character on both sides joins two runs."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        if not text[i].isalnum():
+            i += 1
+            continue
+        start = i
+        i += 1
+        while i < n and (
+            text[i].isalnum()
+            or text[i] in JOINERS
+            and text[i - 1].isalnum()
+            and i + 1 < n
+            and text[i + 1].isalnum()
+        ):
+            i += 1
+        tokens.append(text[start:i])
+    return tokens
+
+
+def _strip_edges(s):
+    a, b = 0, len(s)
+    while a < b and not s[a].isalnum():
+        a += 1
+    while b > a and not s[b - 1].isalnum():
+        b -= 1
+    return s[a:b]
+
+
+def normalize_token(token, turkish):
+    """Strip the edges, map the Turkish I's if asked, lowercase, strip again."""
+    core = _strip_edges(token)
+    if turkish:
+        core = core.replace("I", "ı").replace("İ", "i")
+    return _strip_edges(core.lower())
+
+
+def has_letter(token):
+    for ch in token:
+        if ch.isalpha():
+            return True
+    return False
+
+
+def normalized_tokens(text, turkish, letters_only=False):
+    out = []
+    for tok in tokenize(text):
+        if letters_only and not has_letter(tok):
+            continue
+        norm = normalize_token(tok, turkish)
+        if norm:
+            out.append(norm)
+    return out
+
+
+def suffix_runs(tags):
+    """Every contiguous run, joined by "-": shortest first, then by start."""
+    k = len(tags)
+    runs = []
+    for length in range(1, k + 1):
+        for start in range(k - length + 1):
+            runs.append("-".join(tags[start : start + length]))
+    return runs
 
 
 def term_list(doc, model_class):

@@ -214,6 +214,20 @@ def test_score_rejects_negative_explain(capsys, cli_files):
     assert "--explain" in err
 
 
+@pytest.mark.parametrize("explain", [[], ["--explain", "0"]])
+def test_score_report_without_explain_is_refused(capsys, cli_files, tmp_path, explain):
+    lex, _ = build(capsys, cli_files, "RAW")
+    report = tmp_path / "report.txt"
+    out = tmp_path / "scores.jsonl"
+    # The input does not exist: the refusal comes before it is read.
+    argv = ["score", "--lexicon", lex, "--input", "missing.jsonl", "--out", out]
+    code, stdout, err = run(capsys, [*argv, "--report", report, *explain])
+    assert code == 2
+    assert "--report needs --explain" in err
+    assert stdout == ""
+    assert not report.exists() and not out.exists()
+
+
 def _plain_copy(src, dst):
     """The corpus at src without its analyses, so scoring must analyze it."""
     rows = [json.loads(line) for line in src.read_text(encoding="utf-8").splitlines()]
@@ -398,7 +412,13 @@ def test_build_lexicon_bad_rule_table_is_input_error(
 
 
 @pytest.mark.parametrize(
-    "flags", [["--smoothing", "nan"], ["--smoothing", "inf"], ["--display-scale", "inf"]]
+    "flags",
+    [
+        ["--smoothing", "nan"],
+        ["--smoothing", "inf"],
+        ["--smoothing", "1e308"],
+        ["--display-scale", "inf"],
+    ],
 )
 def test_build_lexicon_rejects_non_finite_flag(capsys, cli_files, flags):
     out = cli_files["dir"] / "lex-nan.jsonl"
@@ -448,7 +468,7 @@ def test_build_lexicon_rejects_non_finite_config(capsys, cli_files, write_text):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "1e308"])
 def test_score_non_finite_lexicon_smoothing_is_format_error(capsys, cli_files, value):
     lex, _ = build(capsys, cli_files, "RAW")
     text = lex.read_text(encoding="utf-8")

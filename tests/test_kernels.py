@@ -1,26 +1,15 @@
-"""Kernel behavior plus pure/compiled parity."""
-
-import hashlib
-from pathlib import Path
+"""Kernel behavior, and parity with the per-character oracle."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanlex._kernels import _pure
+import oracle
+from fanlex import _kernels
 
-try:
-    from fanlex._kernels import _ckernels
-except ImportError:
-    _ckernels = None
-
-BACKENDS = [pytest.param(_pure, id="pure")]
-if _ckernels is not None:
-    BACKENDS.append(pytest.param(_ckernels, id="compiled"))
-
-needs_compiled = pytest.mark.skipif(
-    _ckernels is None, reason="compiled kernels not built"
-)
+# The behavior tests run on the package's pure-Python kernels and on the
+# oracle the parity tests compare them with.
+IMPLEMENTATIONS = [pytest.param(_kernels, id="pure"), pytest.param(oracle, id="oracle")]
 
 # Mix of scripts, Turkish casing, connectors and junk.
 text_strategy = st.text(
@@ -32,7 +21,7 @@ text_strategy = st.text(
 )
 
 
-@pytest.mark.parametrize("kernels", BACKENDS)
+@pytest.mark.parametrize("kernels", IMPLEMENTATIONS)
 def test_tokenize_examples(kernels):
     assert kernels.tokenize("") == []
     assert kernels.tokenize("Ta Küba! Kim gidecek demeyin!") == [
@@ -53,7 +42,7 @@ def test_tokenize_examples(kernels):
     assert kernels.tokenize("...!?") == []
 
 
-@pytest.mark.parametrize("kernels", BACKENDS)
+@pytest.mark.parametrize("kernels", IMPLEMENTATIONS)
 def test_normalize_examples(kernels):
     assert kernels.normalize_token("Bile", True) == "bile"
     assert kernels.normalize_token("İNANILMAZ", True) == "inanılmaz"
@@ -65,7 +54,7 @@ def test_normalize_examples(kernels):
     assert kernels.normalize_token("ISPARTA", False) == "isparta"
 
 
-@pytest.mark.parametrize("kernels", BACKENDS)
+@pytest.mark.parametrize("kernels", IMPLEMENTATIONS)
 def test_normalized_tokens_matches_composition(kernels):
     text = "İNANILMAZ AMA DOĞRU. Ta Küba! 47 yıl."
     expected = [
@@ -82,7 +71,7 @@ def test_normalized_tokens_matches_composition(kernels):
 
 
 # Weighted towards the characters the whole-text path of
-# _pure.normalized_tokens treats specially: sigma, the four Turkish i's,
+# _kernels.normalized_tokens treats specially: sigma, the four Turkish i's,
 # the combining dot above, a full stop and the three joiners.
 casing_text = st.text(
     alphabet=st.one_of(
@@ -98,16 +87,16 @@ def _per_token(text, turkish, letters_only):
     """normalized_tokens as its definition: token by token."""
     return [
         norm
-        for tok in _pure.tokenize(text)
-        if not letters_only or _pure.has_letter(tok)
-        if (norm := _pure.normalize_token(tok, turkish))
+        for tok in _kernels.tokenize(text)
+        if not letters_only or _kernels.has_letter(tok)
+        if (norm := _kernels.normalize_token(tok, turkish))
     ]
 
 
 @given(text=casing_text, turkish=st.booleans(), letters_only=st.booleans())
 @settings(max_examples=500, deadline=None)
 def test_pure_normalized_tokens_is_per_token_composition(text, turkish, letters_only):
-    assert _pure.normalized_tokens(text, turkish, letters_only=letters_only) == (
+    assert _kernels.normalized_tokens(text, turkish, letters_only=letters_only) == (
         _per_token(text, turkish, letters_only)
     )
 
@@ -126,21 +115,21 @@ def test_pure_normalized_tokens_is_per_token_composition(text, turkish, letters_
     ],
 )
 def test_pure_normalized_tokens_casing_examples(text, turkish, expected):
-    assert _pure.normalized_tokens(text, turkish) == expected
-    assert _pure.normalized_tokens(text, turkish) == _per_token(text, turkish, False)
+    assert _kernels.normalized_tokens(text, turkish) == expected
+    assert _kernels.normalized_tokens(text, turkish) == _per_token(text, turkish, False)
     letters = [t for t in expected if not t.isdigit()]
-    assert _pure.normalized_tokens(text, turkish, letters_only=True) == letters
+    assert _kernels.normalized_tokens(text, turkish, letters_only=True) == letters
 
 
 def test_pure_normalize_token_returns_normalized_word_itself():
     # No copy: callers keep the input object, as in the dictionary set.
     word = "".join(["gez", "i"])
-    assert _pure.normalize_token(word, True) is word
-    assert _pure.normalize_token(word, False) is word
+    assert _kernels.normalize_token(word, True) is word
+    assert _kernels.normalize_token(word, False) is word
 
 
 def test_unicode_casing_facts_of_whole_text_path():
-    """The facts that let _pure.normalized_tokens lowercase whole texts.
+    """The facts that let _kernels.normalized_tokens lowercase whole texts.
 
     A Python whose case tables break one of them fails here, instead of
     silently changing tokens.
@@ -167,7 +156,7 @@ def test_unicode_casing_facts_of_whole_text_path():
     assert "ΑΣ.Β".lower() == "ασ.β" and "ΑΣ".lower() == "ας"
 
 
-@pytest.mark.parametrize("kernels", BACKENDS)
+@pytest.mark.parametrize("kernels", IMPLEMENTATIONS)
 def test_suffix_runs_order_and_count(kernels):
     assert kernels.suffix_runs([]) == []
     assert kernels.suffix_runs(["A3pl"]) == ["A3pl"]
@@ -184,7 +173,7 @@ def test_suffix_runs_order_and_count(kernels):
         assert len(kernels.suffix_runs(tags)) == k * (k + 1) // 2
 
 
-@pytest.mark.parametrize("kernels", BACKENDS)
+@pytest.mark.parametrize("kernels", IMPLEMENTATIONS)
 @given(token=text_strategy)
 @settings(max_examples=200, deadline=None)
 def test_normalize_idempotent(kernels, token):
@@ -193,46 +182,41 @@ def test_normalize_idempotent(kernels, token):
         assert kernels.normalize_token(once, turkish) == once
 
 
-@needs_compiled
 @given(text=text_strategy)
 @settings(max_examples=300, deadline=None)
 def test_tokenize_parity(text):
-    assert _pure.tokenize(text) == _ckernels.tokenize(text)
+    assert _kernels.tokenize(text) == oracle.tokenize(text)
 
 
-@needs_compiled
 @given(token=text_strategy, turkish=st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_normalize_parity(token, turkish):
-    assert _pure.normalize_token(token, turkish) == _ckernels.normalize_token(
+    assert _kernels.normalize_token(token, turkish) == oracle.normalize_token(
         token, turkish
     )
 
 
-@needs_compiled
 @given(text=text_strategy, turkish=st.booleans(), letters_only=st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_normalized_tokens_parity(text, turkish, letters_only):
-    assert _pure.normalized_tokens(text, turkish, letters_only) == (
-        _ckernels.normalized_tokens(text, turkish, letters_only)
+    assert _kernels.normalized_tokens(text, turkish, letters_only) == (
+        oracle.normalized_tokens(text, turkish, letters_only)
     )
 
 
-@needs_compiled
 @given(token=text_strategy)
 @settings(max_examples=200, deadline=None)
 def test_has_letter_parity(token):
-    assert _pure.has_letter(token) == _ckernels.has_letter(token)
+    assert _kernels.has_letter(token) == oracle.has_letter(token)
 
 
-@needs_compiled
 @given(tags=st.lists(st.text(st.sampled_from("ABCdef123"), min_size=1, max_size=5), max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_suffix_runs_parity(tags):
-    assert _pure.suffix_runs(tags) == _ckernels.suffix_runs(tags)
+    assert _kernels.suffix_runs(tags) == oracle.suffix_runs(tags)
 
 
-@pytest.mark.parametrize("kernels", BACKENDS)
+@pytest.mark.parametrize("kernels", IMPLEMENTATIONS)
 @given(text=text_strategy)
 @settings(max_examples=150, deadline=None)
 def test_tokens_have_content(kernels, text):
@@ -240,19 +224,3 @@ def test_tokens_have_content(kernels, text):
         assert tok
         assert kernels.normalize_token(tok, True)
 
-
-def test_ckernels_pyx_matches_recorded_hash():
-    """_ckernels.c is generated from _ckernels.pyx, and only the .c can
-    be compiled without Cython, so a .pyx edit must come with a new .c.
-    """
-    kernels_dir = Path(_pure.__file__).parent
-    pyx = kernels_dir / "_ckernels.pyx"
-    recorded = (kernels_dir / "_ckernels.pyx.sha256").read_text(encoding="utf-8")
-    recorded = recorded.split()[0]
-    actual = hashlib.sha256(pyx.read_bytes()).hexdigest()
-    assert actual == recorded, (
-        "_ckernels.pyx no longer matches the hash recorded when _ckernels.c "
-        "was generated: regenerate the .c (cython -3 "
-        "src/fanlex/_kernels/_ckernels.pyx) and update "
-        "src/fanlex/_kernels/_ckernels.pyx.sha256 (sha256sum _ckernels.pyx)"
-    )

@@ -410,6 +410,11 @@ def test_smoothing_scores():
     assert sum(e.valid_score for e in lex.entries.values()) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         lexicon_from_counts(ModelClass.RAW, {"a": 1}, {"a": 1}, smoothing=-0.1)
+    # 2 + 1e308 * 3 overflows to inf, which would score every term 0.0.
+    with pytest.raises(ValueError, match="finite"):
+        lexicon_from_counts(
+            ModelClass.RAW, {"a": 1, "c": 1}, {"a": 2, "b": 1}, smoothing=1e308
+        )
 
 
 def test_terms_counted_zero_on_both_sides_are_dropped(tmp_path):
