@@ -42,7 +42,11 @@ def _lower(text, turkish):
 
 
 def tokenize(text):
-    """Split text into tokens, keeping intra-word apostrophes and hyphens."""
+    """Split text into word tokens.
+
+    Splits on whitespace and punctuation, keeps intra-word apostrophes
+    and hyphens attached, keeps digit runs, drops empty tokens.
+    """
     return _TOKEN.findall(text)
 
 

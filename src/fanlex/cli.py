@@ -1,9 +1,13 @@
 """Command-line interface.
 
 Machine-readable output (JSON or JSONL) goes to stdout; human-readable
-tables go to stderr, or to a file via --report. Exit codes: 0 success,
-2 usage or input/IO errors, 3 domain precondition failures, 4 lexicon
-file format or version problems.
+tables go to stderr, or to a file via --report. A command's handler
+only computes: it returns its Outputs, and main writes all files, then
+stdout, then the report. So a run that exits non-zero replaces no file
+and prints nothing on stdout; the one limit is that if a rename fails
+after an earlier one succeeded, that earlier target stays replaced.
+Exit codes: 0 success, 2 usage or input/IO errors, 3 domain
+precondition failures, 4 lexicon file format or version problems.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import os
 import sys
 from collections import Counter
 from enum import Enum
+from typing import Iterable
 
 from fanlex import __version__
 from fanlex.config import ENV_CONFIG, FIELD_TYPES, RunConfig, _parse, load_config_file, make_config
@@ -31,10 +36,10 @@ from fanlex.evaluation import cross_validate, evaluate_models
 from fanlex.lexicon import (
     ModelClass,
     RAW_POS_SEPARATOR,
+    _lexicon_lines,
     build_lexicon,
     lexicon_stats,
     load_lexicon,
-    save_lexicon,
 )
 from fanlex.morph import (
     AnalyzerRuleTable,
@@ -51,6 +56,9 @@ EXIT_DOMAIN = 3
 EXIT_FORMAT = 4
 
 _ALL_CLASSES = [c.value for c in ModelClass]
+
+# A handler's stdout text, report (None for none) and files: path -> text chunks.
+Outputs = tuple[str, "str | None", dict[str, Iterable[str]]]
 
 
 def _model_class(value: str) -> ModelClass:
@@ -134,19 +142,6 @@ def _json_line(obj: object) -> str:
     return text + "\n"
 
 
-def _emit_json(obj: object) -> None:
-    sys.stdout.write(_json_line(obj))
-
-
-def _emit_report(args: argparse.Namespace, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.report:
-        write_atomic(args.report, [text])
-    else:
-        sys.stderr.write(text)
-
-
 def _table(headers: list[str], rows: list[list[str]]) -> str:
     widths = [len(h) for h in headers]
     for row in rows:
@@ -171,7 +166,7 @@ def _group_key(doc) -> tuple[str, str]:
     return (doc.source or "(none)", doc.label.value)
 
 
-def cmd_build_lexicon(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_build_lexicon(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     analyzer = _resolve_analyzer(args, cfg)
     fake = load_corpus(args.fake)
     valid = load_corpus(args.valid)
@@ -187,9 +182,8 @@ def cmd_build_lexicon(args: argparse.Namespace, cfg: RunConfig) -> int:
         include_title=cfg.include_title,
         smoothing=cfg.smoothing,
     )
-    save_lexicon(lex, args.out)
     stats = lexicon_stats(lex)
-    _emit_json(
+    stdout = _json_line(
         {
             "class": lex.model_class.value,
             "count_mode": lex.count_mode.value,
@@ -199,17 +193,14 @@ def cmd_build_lexicon(args: argparse.Namespace, cfg: RunConfig) -> int:
             "out": args.out,
         }
     )
-    _emit_report(
-        args,
-        _table(
-            ["model", "unique terms", "common", "only fake", "only valid"],
-            [[lex.model_class.value, *map(str, stats)]],
-        ),
+    report = _table(
+        ["model", "unique terms", "common", "only fake", "only valid"],
+        [[lex.model_class.value, *map(str, stats)]],
     )
-    return EXIT_OK
+    return stdout, report, {args.out: _lexicon_lines(lex)}
 
 
-def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     if args.explain is not None and args.explain < 0:
         raise InputError("--explain must be >= 0")
     if args.report and not args.explain:
@@ -254,16 +245,13 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
                 f"doc {doc.id} [{lex.model_class.value}] top terms (x{scale:g}):\n"
                 + _table(["term", "fake", "valid", "delta"], rows)
             )
+    report = "\n\n".join(blocks) if args.explain else None
     if args.out:
-        write_atomic(args.out, lines)
-    else:
-        sys.stdout.writelines(lines)
-    if args.explain:
-        _emit_report(args, "\n\n".join(blocks))
-    return EXIT_OK
+        return "", report, {args.out: lines}
+    return "".join(lines), report, {}
 
 
-def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     analyzer = _resolve_analyzer(args, cfg)
     classes = _parse_classes(args.classes)
     train_fake = load_corpus(args.train_fake)
@@ -274,7 +262,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     if not test.documents:
         raise DomainError("test corpus is empty")
     results = evaluate_models(train_fake, train_valid, test, classes, cfg, analyzer)
-    _emit_json(
+    stdout = _json_line(
         {
             "config": cfg.to_dict(),
             "classes": [c.value for c in classes],
@@ -300,16 +288,15 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
             + f"\nprecision {m.precision:.3f}  recall {m.recall:.3f}"
             + f"  accuracy {m.accuracy:.3f}  f1 {m.f1:.3f}"
         )
-    _emit_report(args, "\n\n".join(blocks))
-    return EXIT_OK
+    return stdout, "\n\n".join(blocks), {}
 
 
-def cmd_cross_validate(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_cross_validate(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     analyzer = _resolve_analyzer(args, cfg)
     classes = _parse_classes(args.classes)
     ds = load_corpus(args.input)
     report = cross_validate(ds, args.folds, classes, cfg.seed, cfg, analyzer)
-    _emit_json(
+    stdout = _json_line(
         {
             "config": cfg.to_dict(),
             "folds": args.folds,
@@ -324,17 +311,14 @@ def cmd_cross_validate(args: argparse.Namespace, cfg: RunConfig) -> int:
     labeled = [(str(fm.fold), fm.model_class, fm.metrics) for fm in report.per_fold]
     labeled += [("mean", c, m) for c, m in report.means.items()]
     rows = [[fold, c.value, *(f"{v:.3f}" for v in m)] for fold, c, m in labeled]
-    _emit_report(
-        args, _table(["fold", "class", "precision", "recall", "accuracy", "f1"], rows)
-    )
-    return EXIT_OK
+    return stdout, _table(["fold", "class", "precision", "recall", "accuracy", "f1"], rows), {}
 
 
-def cmd_corpus_stats(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_corpus_stats(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     ds = load_corpus(args.input)
     stats = corpus_stats(ds, include_title=cfg.include_title)
     ordered = sorted(Counter(_group_key(doc) for doc in ds.documents).items())
-    _emit_json(
+    stdout = _json_line(
         {
             "doc_count_by_label": {
                 label.value: stats.doc_count_by_label[label]
@@ -359,11 +343,10 @@ def cmd_corpus_stats(args: argparse.Namespace, cfg: RunConfig) -> int:
         f"mean tokens/doc {stats.mean_tokens_per_doc:.3f}, "
         f"mean sentences/doc {stats.mean_sentences_per_doc:.3f}"
     )
-    _emit_report(args, _table(["source", "label", "documents"], rows) + "\n" + summary)
-    return EXIT_OK
+    return stdout, _table(["source", "label", "documents"], rows) + "\n" + summary, {}
 
 
-def cmd_verify_corpus(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_verify_corpus(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     ds = load_corpus(args.input)
     slang = load_word_list(args.slang, cfg.locale)
     dictionary = load_word_list(args.dictionary, cfg.locale)
@@ -376,7 +359,7 @@ def cmd_verify_corpus(args: argparse.Namespace, cfg: RunConfig) -> int:
         include_title=cfg.include_title,
     )
     group_rows = sorted(groups.items())
-    _emit_json(
+    stdout = _json_line(
         {
             "overall": overall._asdict(),
             "groups": [
@@ -388,15 +371,14 @@ def cmd_verify_corpus(args: argparse.Namespace, cfg: RunConfig) -> int:
     labeled = [(f"{source} ({label})", rep) for (source, label), rep in group_rows]
     labeled.append(("overall", overall))
     rows = [[name, *(f"{v:.3f}" for v in rep)] for name, rep in labeled]
-    _emit_report(
-        args, _table(["group", "slang/sentence", "misspellings/sentence"], rows)
-    )
-    return EXIT_OK
+    return stdout, _table(["group", "slang/sentence", "misspellings/sentence"], rows), {}
 
 
-def cmd_inspect_term(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_inspect_term(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     lexicons = [load_lexicon(path) for path in args.lexicon]
+    scale = cfg.display_scale
     results = []
+    rows = []
     for lex in lexicons:
         entry = lex.entries.get(args.term)
         if entry is None and args.pos is not None:
@@ -405,30 +387,22 @@ def cmd_inspect_term(args: argparse.Namespace, cfg: RunConfig) -> int:
         if entry is None:
             entry = lex.entries.get(normalize(args.term, cfg.locale))
         record: dict = {"class": lex.model_class.value, "found": entry is not None}
-        if entry is not None:
+        if entry is None:
+            rows.append([record["class"], "no", "-", "-"])
+        else:
             record.update(entry._asdict())
-        results.append(record)
-    _emit_json({"term": args.term, "results": results})
-    scale = cfg.display_scale
-    rows = []
-    for record in results:
-        if record["found"]:
             rows.append(
                 [
                     record["class"],
                     "yes",
-                    f"{record['fake_score'] * scale:.4f}",
-                    f"{record['valid_score'] * scale:.4f}",
+                    f"{entry.fake_score * scale:.4f}",
+                    f"{entry.valid_score * scale:.4f}",
                 ]
             )
-        else:
-            rows.append([record["class"], "no", "-", "-"])
-    _emit_report(
-        args,
-        f"term {args.term!r} (scores x{scale:g})\n"
-        + _table(["class", "found", "fake", "valid"], rows),
-    )
-    return EXIT_OK
+        results.append(record)
+    stdout = _json_line({"term": args.term, "results": results})
+    report = f"term {args.term!r} (scores x{scale:g})\n"
+    return stdout, report + _table(["class", "found", "fake", "valid"], rows), {}
 
 
 # Each command's help line and handler, in the order --help lists them.
@@ -508,7 +482,15 @@ def main(argv: list[str] | None = None) -> int:
     # A first argument that names a command is the command that runs.
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return COMMANDS[args.command][1](args, _resolve_config(args))
+        out = getattr(args, "out", None)
+        if args.report and out and os.path.realpath(args.report) == os.path.realpath(out):
+            raise InputError("--report and --out name the same file")
+        stdout, report, files = COMMANDS[args.command][1](args, _resolve_config(args))
+        if report is not None and not report.endswith("\n"):
+            report += "\n"
+        if args.report:
+            files[args.report] = [report]
+        write_atomic(files)
     except (InputError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
@@ -518,6 +500,10 @@ def main(argv: list[str] | None = None) -> int:
     except FormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FORMAT
+    sys.stdout.write(stdout)
+    if report is not None and not args.report:
+        sys.stderr.write(report)
+    return EXIT_OK
 
 
 def entry() -> None:

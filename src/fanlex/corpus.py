@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from fanlex._kernels import normalize_token, normalized_tokens
 from fanlex.errors import (
@@ -27,6 +27,7 @@ from fanlex.errors import (
     parse_json,
 )
 from fanlex.morph import (
+    TERMINALS,
     Locale,
     MorphAnalysis,
     analysis_from_json,
@@ -72,7 +73,7 @@ DEFAULT_ABBREVIATIONS = frozenset(
     }
 )
 
-_BOUNDARY = re.compile(r"[.!?…]+(?=\s|$)")
+_BOUNDARY = re.compile(rf"[{re.escape(TERMINALS)}]+(?=\s|$)")
 
 
 @dataclass(frozen=True)
@@ -256,34 +257,37 @@ def document_to_json(doc: Document) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
-def write_atomic(path: str, chunks: Iterable[str]) -> None:
-    """Write text chunks to path through a temporary file beside it.
+def write_atomic(files: Mapping[str, Iterable[str]]) -> None:
+    """Write each path's text chunks through a temporary file beside it.
 
-    The target is replaced only after every chunk is written, so a
-    failure leaves an existing file with its old bytes and removes the
-    temporary file. There is no fsync: this guards against failures of
-    the process, not of the machine. An OS error on the temporary file
-    is raised naming the target path.
+    No target is replaced before every file is written, so a failure while
+    writing leaves existing files with their old bytes and removes the
+    temporary files; a failed rename keeps the renames before it. There is
+    no fsync: this guards against failures of the process, not of the
+    machine. An OS error on a temporary file is raised naming its target.
     """
-    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    targets = {f"{path}.{os.urandom(4).hex()}.tmp": path for path in files}
+    pending: list[str] = []  # temporary files not yet renamed
     try:
-        fh = open(tmp, "x", encoding="utf-8")
-        try:
-            with fh:
+        for tmp, chunks in zip(targets, files.values()):
+            with open(tmp, "x", encoding="utf-8") as fh:
+                pending.append(tmp)
                 fh.writelines(chunks)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        while pending:
+            os.replace(pending[0], targets[pending[0]])
+            pending.pop(0)
     except OSError as exc:
-        if exc.filename != tmp:
+        if exc.filename not in targets:
             raise
-        raise OSError(exc.errno, exc.strerror, path) from exc
+        raise OSError(exc.errno, exc.strerror, targets[exc.filename]) from exc
+    finally:
+        for tmp in pending:
+            os.unlink(tmp)
 
 
 def save_corpus(ds: Dataset, path: str) -> None:
     """Write a dataset back out as canonical JSONL."""
-    write_atomic(path, (document_to_json(doc) + "\n" for doc in ds.documents))
+    write_atomic({path: (document_to_json(doc) + "\n" for doc in ds.documents)})
 
 
 def split_sentences(

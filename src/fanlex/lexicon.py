@@ -464,6 +464,11 @@ def save_lexicon(lex: Lexicon, path: str) -> None:
 
     Only counts are stored; scores are recomputed at load.
     """
+    write_atomic({path: _lexicon_lines(lex)})
+
+
+def _lexicon_lines(lex: Lexicon) -> Iterator[str]:
+    """The lines save_lexicon writes, made only as they are read."""
     lines = _entry_lines(lex)
     header = {
         "format": FORMAT_NAME,
@@ -475,8 +480,9 @@ def save_lexicon(lex: Lexicon, path: str) -> None:
         "smoothing": lex.smoothing,
         "checksum": _checksum(lines),
     }
-    header_line = json.dumps(header, ensure_ascii=False, separators=(",", ":"))
-    write_atomic(path, (line + "\n" for line in [header_line, *lines]))
+    yield json.dumps(header, ensure_ascii=False, separators=(",", ":")) + "\n"
+    for line in lines:
+        yield line + "\n"
 
 
 def load_lexicon(path: str) -> Lexicon:

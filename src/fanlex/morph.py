@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from fanlex._kernels import has_letter, normalize_token
-from fanlex._kernels import tokenize as _kernel_tokenize
+from fanlex._kernels import has_letter, normalize_token, tokenize
 from fanlex.errors import AnalysisError, InputError, open_text, parse_json
 
 if TYPE_CHECKING:
@@ -144,15 +143,6 @@ class AnalyzerRuleTable:
             if not surface:
                 raise ValueError("suffix rule surface must be non-empty")
             self._by_last_char.setdefault(surface[-1], []).append((surface, tag))
-
-
-def tokenize(text: str) -> list[str]:
-    """Split text into word tokens.
-
-    Splits on whitespace and punctuation, keeps intra-word apostrophes
-    and hyphens attached, keeps digit runs, drops empty tokens.
-    """
-    return _kernel_tokenize(text)
 
 
 def normalize(token: str, locale: Locale = Locale.TURKISH) -> str:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fanlex.corpus
-from fanlex.cli import build_parser, main
+from fanlex.cli import COMMANDS, _resolve_config, build_parser, main
 from fanlex.config import RunConfig, load_config_file
 from fanlex.corpus import Label, load_corpus, save_corpus
 from fanlex.lexicon import RAW_POS_SEPARATOR, CountMode, TermPipeline, load_lexicon
@@ -352,6 +352,79 @@ def test_write_error_names_target(capsys, cli_files, tmp_path, target):
     assert code == 2
     assert f"No such file or directory: '{path}'\n" in err
     assert ".tmp" not in err
+
+
+# The commands that take --out; every_command leaves it off.
+OUT_COMMANDS = ("build-lexicon", "score")
+
+
+@pytest.fixture
+def every_command(capsys, cli_files, write_text):
+    """One argv per subcommand on the cli_files inputs; score explains."""
+    lex = str(build(capsys, cli_files, "RAW")[0])
+    slang = write_text("slang.txt", "lan\n")
+    words = write_text("dict.txt", "bir\n")
+    fake, valid, test, mixed = (str(cli_files[k]) for k in ("fake", "valid", "test", "mixed"))
+    return {
+        "build-lexicon": ["build-lexicon", "--fake", fake, "--valid", valid, "--class", "RAW"],
+        "score": ["score", "--lexicon", lex, "--input", test, "--explain", "2"],
+        "evaluate": ["evaluate", "--train-fake", fake, "--train-valid", valid, "--test", test],
+        "cross-validate": ["cross-validate", "--input", mixed, "--folds", "2"],
+        "corpus-stats": ["corpus-stats", "--input", mixed],
+        "verify-corpus": ["verify-corpus", "--input", mixed, "--slang", slang,
+                          "--dictionary", words],
+        "inspect-term": ["inspect-term", "--term", "x", "--lexicon", lex],
+    }
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_failed_report_prints_and_replaces_nothing(capsys, cli_files, every_command, command):
+    out = cli_files["dir"] / "out.txt"
+    out.write_bytes(b"old bytes\n")
+    outs = {"build-lexicon": ["--out", cli_files["dir"] / "new.lex"], "score": ["--out", out]}
+    argv = [*every_command[command], *outs.get(command, [])]
+    before = sorted(p.name for p in cli_files["dir"].iterdir())
+    report = cli_files["dir"] / "missing" / "report.txt"
+    code, stdout, err = run(capsys, [*argv, "--report", report])
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{report}'\n"
+    assert sorted(p.name for p in cli_files["dir"].iterdir()) == before
+    assert out.read_bytes() == b"old bytes\n"
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_report_and_out_naming_one_file_is_refused(
+    capsys, cli_files, every_command, monkeypatch, command
+):
+    monkeypatch.chdir(cli_files["dir"])
+    Path("same.txt").write_bytes(b"old bytes\n")
+    # The inputs are gone: the refusal comes before any is read.
+    for name in ("fake", "valid", "test"):
+        cli_files[name].unlink()
+    argv = [*every_command[command], "--out", "same.txt", "--report", "./same.txt"]
+    code, stdout, err = run(capsys, argv)
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: --report and --out name the same file\n"
+    assert Path("same.txt").read_bytes() == b"old bytes\n"
+
+
+def test_handlers_return_outputs_and_write_nothing(capsys, cli_files, every_command):
+    assert list(every_command) == list(COMMANDS)
+    out = str(cli_files["dir"] / "out.txt")
+    before = sorted(cli_files["dir"].iterdir())
+    capsys.readouterr()
+    for command, argv in every_command.items():
+        takes_out = command in OUT_COMMANDS
+        args = build_parser().parse_args([*argv, "--out", out] if takes_out else argv)
+        stdout, report, files = COMMANDS[command][1](args, _resolve_config(args))
+        assert (stdout == "") is (command == "score")
+        assert report
+        assert list(files) == ([out] if takes_out else [])
+        assert all("".join(chunks).startswith("{") for chunks in files.values())
+        assert capsys.readouterr() == ("", "")
+        assert sorted(cli_files["dir"].iterdir()) == before
 
 
 def test_score_tampered_lexicon_is_format_error(capsys, cli_files):

@@ -494,12 +494,23 @@ def test_write_atomic_failure_keeps_old_bytes(tmp_path):
         raise RuntimeError("disk gone")
 
     with pytest.raises(RuntimeError):
-        write_atomic(str(target), chunks())
+        write_atomic({str(target): chunks()})
     assert target.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
-    write_atomic(str(target), ["ne", "w\n"])
+    write_atomic({str(target): ["ne", "w\n"]})
     assert target.read_bytes() == b"new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_atomic_replaces_nothing_when_a_later_target_fails(tmp_path):
+    first = tmp_path / "first.txt"
+    first.write_bytes(b"old\n")
+    second = tmp_path / "missing" / "second.txt"
+    with pytest.raises(FileNotFoundError) as info:
+        write_atomic({str(first): ["new\n"], str(second): ["new\n"]})
+    assert info.value.filename == str(second)
+    assert first.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["first.txt"]
 
 
 def test_stratified_folds_partition():
