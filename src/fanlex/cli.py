@@ -97,32 +97,16 @@ def _number(kind: type):
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser, analyzes: bool = False) -> None:
-    parser.add_argument("--config", metavar="FILE", help=f"config file (default ${ENV_CONFIG})")
-    for name, kind in FIELD_TYPES.items():
-        flag = "--" + name.replace("_", "-")
-        if kind is bool:
-            pair = parser.add_mutually_exclusive_group()
-            pair.add_argument(flag, dest=name, action="store_true", default=None)
-            negative = "--no-" + name.removeprefix("include_").replace("_", "-")
-            pair.add_argument(negative, dest=name, action="store_false")
-        elif issubclass(kind, Enum):
-            parser.add_argument(flag, choices=[m.name for m in kind])
-        else:
-            parser.add_argument(flag, type=_number(kind))
-    if analyzes:
-        parser.add_argument("--rule-table", metavar="FILE", help="JSONL analyzer rule table")
-        parser.add_argument("--suffix-rules", metavar="FILE", help="TSV fallback suffix rules")
-    parser.add_argument("--report", metavar="FILE", help="write the human-readable report here instead of stderr")
+def _config_path(args: argparse.Namespace) -> str | None:
+    return args.config or os.environ.get(ENV_CONFIG)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    path = args.config or os.environ.get(ENV_CONFIG)
+    path = _config_path(args)
     file_values = load_config_file(path) if path else None
-    overrides = {}
-    for name, kind in FIELD_TYPES.items():
-        value = getattr(args, name)
-        overrides[name] = kind[value] if value is not None and issubclass(kind, Enum) else value
+    flags = {name: getattr(args, name) for name in COMMANDS[args.command][2]}
+    # Enum flags hold the member's name; no other setting is a string.
+    overrides = {k: FIELD_TYPES[k][v] if isinstance(v, str) else v for k, v in flags.items()}
     return make_config(file_values, **overrides)
 
 
@@ -405,15 +389,24 @@ def cmd_inspect_term(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     return stdout, report + _table(["class", "found", "fake", "valid"], rows), {}
 
 
-# Each command's help line and handler, in the order --help lists them.
+# Each command's help line, handler and the settings the handler reads:
+# it takes flags for those only. --help lists both in this order.
 COMMANDS = {
-    "build-lexicon": ("build a lexicon from two training corpora", cmd_build_lexicon),
-    "score": ("score documents against lexicons", cmd_score),
-    "evaluate": ("train on two splits and evaluate on a test set", cmd_evaluate),
-    "cross-validate": ("stratified k-fold cross-validation", cmd_cross_validate),
-    "corpus-stats": ("document counts and token/sentence means", cmd_corpus_stats),
-    "verify-corpus": ("slang and misspelling rates per sentence", cmd_verify_corpus),
-    "inspect-term": ("look one term up across lexicons", cmd_inspect_term),
+    "build-lexicon": ("build a lexicon from two training corpora", cmd_build_lexicon,
+                      ("locale", "count_mode", "smoothing", "include_title")),
+    "score": ("score documents against lexicons", cmd_score,
+              ("locale", "term_set_mode", "include_title", "display_scale")),
+    "evaluate": ("train on two splits and evaluate on a test set", cmd_evaluate,
+                 ("locale", "count_mode", "term_set_mode", "smoothing", "include_title")),
+    "cross-validate": ("stratified k-fold cross-validation", cmd_cross_validate,
+                       ("locale", "count_mode", "term_set_mode", "smoothing", "seed",
+                        "include_title")),
+    "corpus-stats": ("document counts and token/sentence means", cmd_corpus_stats,
+                     ("include_title",)),
+    "verify-corpus": ("slang and misspelling rates per sentence", cmd_verify_corpus,
+                      ("locale", "include_title")),
+    "inspect-term": ("look one term up across lexicons", cmd_inspect_term,
+                     ("locale", "display_scale")),
 }
 
 
@@ -427,7 +420,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {name: sub.add_parser(name, help=text) for name, (text, _) in COMMANDS.items()}
+    parsers = {name: sub.add_parser(name, help=text) for name, (text, *_) in COMMANDS.items()}
     if command in parsers:
         parsers = {command: parsers[command]}
 
@@ -436,45 +429,78 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--valid", required=True, metavar="FILE")
         p.add_argument("--class", dest="model_class", required=True, type=_model_class)
         p.add_argument("--out", required=True, metavar="FILE")
-        _add_common(p, analyzes=True)
 
     if p := parsers.get("score"):
         p.add_argument("--lexicon", action="append", required=True, metavar="FILE")
         p.add_argument("--input", required=True, metavar="FILE")
         p.add_argument("--out", metavar="FILE", help="write JSONL scores here instead of stdout")
         p.add_argument("--explain", type=_number(int), metavar="N", help="report top N terms per document")
-        _add_common(p, analyzes=True)
 
     if p := parsers.get("evaluate"):
         p.add_argument("--train-fake", required=True, metavar="FILE")
         p.add_argument("--train-valid", required=True, metavar="FILE")
         p.add_argument("--test", required=True, metavar="FILE")
         p.add_argument("--classes", action="append", metavar="LIST")
-        _add_common(p, analyzes=True)
 
     if p := parsers.get("cross-validate"):
         p.add_argument("--input", required=True, metavar="FILE")
         p.add_argument("--folds", type=_number(int), default=5)
         p.add_argument("--classes", action="append", metavar="LIST")
-        _add_common(p, analyzes=True)
 
     if p := parsers.get("corpus-stats"):
         p.add_argument("--input", required=True, metavar="FILE")
-        _add_common(p)
 
     if p := parsers.get("verify-corpus"):
         p.add_argument("--input", required=True, metavar="FILE")
         p.add_argument("--slang", required=True, metavar="FILE")
         p.add_argument("--dictionary", required=True, metavar="FILE")
-        _add_common(p)
 
     if p := parsers.get("inspect-term"):
         p.add_argument("--term", required=True)
         p.add_argument("--pos", help="POS tag for surface+POS lexicon lookups")
         p.add_argument("--lexicon", action="append", required=True, metavar="FILE")
-        _add_common(p)
 
+    for name, p in parsers.items():
+        p.add_argument("--config", metavar="FILE", help=f"config file (default ${ENV_CONFIG})")
+        for setting in COMMANDS[name][2]:
+            kind = FIELD_TYPES[setting]
+            flag = "--" + setting.replace("_", "-")
+            if kind is bool:
+                pair = p.add_mutually_exclusive_group()
+                pair.add_argument(flag, dest=setting, action="store_true", default=None)
+                negative = "--no-" + setting.removeprefix("include_").replace("_", "-")
+                pair.add_argument(negative, dest=setting, action="store_false")
+            elif issubclass(kind, Enum):
+                p.add_argument(flag, choices=[m.name for m in kind])
+            else:
+                p.add_argument(flag, type=_number(kind))
+        if name in ("build-lexicon", "score", "evaluate", "cross-validate"):
+            p.add_argument("--rule-table", metavar="FILE", help="JSONL analyzer rule table")
+            p.add_argument("--suffix-rules", metavar="FILE", help="TSV fallback suffix rules")
+        p.add_argument("--report", metavar="FILE", help="write the human-readable report here instead of stderr")
     return parser
+
+
+# The arguments that name files a run reads, besides the config file.
+_READS = ("fake", "valid", "lexicon", "input", "train_fake", "train_valid", "test", "slang",
+          "dictionary", "rule_table", "suffix_rules")
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse --report or --out naming the same file as the other output
+    or as any file the run reads, before anything is read."""
+    out = getattr(args, "out", None)
+    named = [("--out", out)]
+    for dest in _READS:
+        value = getattr(args, dest, None)
+        flag = "--" + dest.replace("_", "-")
+        named += [(flag, path) for path in (value if isinstance(value, list) else [value])]
+    named.append(("--config" if args.config else "$" + ENV_CONFIG, _config_path(args)))
+    for flag, target in (("--report", args.report), ("--out", out)):
+        real = target and os.path.realpath(target)
+        for other, path in named:
+            if real and path and other != flag and real == os.path.realpath(path):
+                raise InputError(f"{flag} and {other} name the same file")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -482,9 +508,7 @@ def main(argv: list[str] | None = None) -> int:
     # A first argument that names a command is the command that runs.
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        out = getattr(args, "out", None)
-        if args.report and out and os.path.realpath(args.report) == os.path.realpath(out):
-            raise InputError("--report and --out name the same file")
+        _check_outputs(args)
         stdout, report, files = COMMANDS[args.command][1](args, _resolve_config(args))
         if report is not None and not report.endswith("\n"):
             report += "\n"

@@ -303,7 +303,8 @@ def load_suffix_rules(path: str) -> tuple[tuple[str, str], ...]:
 
     One rule per line, surface and tag separated by a tab. Blank lines
     and lines starting with # are ignored, and so is one leading byte
-    order mark.
+    order mark. A surface must be lowercase: rules are matched against
+    normalized surfaces only, so any other surface could never match.
     """
     rules: list[tuple[str, str]] = []
     with open_text(path, InputError, "utf-8-sig") as fh:
@@ -316,5 +317,7 @@ def load_suffix_rules(path: str) -> tuple[tuple[str, str], ...]:
                 raise InputError(
                     f"{path}:{lineno}: expected 'surface<TAB>tag', got {body!r}"
                 )
+            if parts[0].lower() != parts[0]:
+                raise InputError(f"{path}:{lineno}: suffix {parts[0]!r} is not lowercase")
             rules.append((parts[0], parts[1]))
     return tuple(rules)

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import fanlex.cli
 import fanlex.corpus
 from fanlex.cli import COMMANDS, _resolve_config, build_parser, main
-from fanlex.config import RunConfig, load_config_file
+from fanlex.config import FIELD_TYPES, RunConfig, load_config_file
 from fanlex.corpus import Label, load_corpus, save_corpus
 from fanlex.lexicon import RAW_POS_SEPARATOR, CountMode, TermPipeline, load_lexicon
 from fanlex.morph import Locale, compose_text
@@ -410,6 +411,37 @@ def test_report_and_out_naming_one_file_is_refused(
     assert Path("same.txt").read_bytes() == b"old bytes\n"
 
 
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_outputs_never_overwrite_inputs(
+    capsys, cli_files, every_command, write_text, monkeypatch, command
+):
+    conf = write_text("run.conf", "seed = 0\n")
+    argv = [*every_command[command], "--config", conf]
+    if command in ANALYZING:
+        table = write_text("table.jsonl", "")
+        rules = write_text("rules.tsv", "lar\tA3pl\n")
+        argv += ["--rule-table", table, "--suffix-rules", rules]
+    inputs = [(flag, value) for flag, value in zip(argv, argv[1:]) if os.path.isfile(value)]
+    assert len(inputs) >= 2
+    takes_out = command in OUT_COMMANDS
+    fresh = str(cli_files["dir"] / "fresh.txt")
+    fresh_out = ["--out", fresh] if takes_out else []
+    for out in ["--report", "--out"] if takes_out else ["--report"]:
+        for flag, path in inputs:
+            before = Path(path).read_bytes()
+            extra = [out, path] if out == "--out" else [*fresh_out, out, path]
+            code, stdout, err = run(capsys, [*argv, *extra])
+            assert (code, stdout) == (2, "")
+            assert err == f"error: {out} and {flag} name the same file\n"
+            assert Path(path).read_bytes() == before
+    # The config file named by the environment is an input too.
+    monkeypatch.setenv("FANLEX_CONFIG", conf)
+    code, stdout, err = run(capsys, [*every_command[command], *fresh_out, "--report", conf])
+    assert (code, stdout) == (2, "")
+    assert err == "error: --report and $FANLEX_CONFIG name the same file\n"
+    assert not Path(fresh).exists()
+
+
 def test_handlers_return_outputs_and_write_nothing(capsys, cli_files, every_command):
     assert list(every_command) == list(COMMANDS)
     out = str(cli_files["dir"] / "out.txt")
@@ -490,7 +522,6 @@ def test_build_lexicon_bad_rule_table_is_input_error(
         ["--smoothing", "nan"],
         ["--smoothing", "inf"],
         ["--smoothing", "1e308"],
-        ["--display-scale", "inf"],
     ],
 )
 def test_build_lexicon_rejects_non_finite_flag(capsys, cli_files, flags):
@@ -510,6 +541,17 @@ def test_build_lexicon_rejects_non_finite_flag(capsys, cli_files, flags):
             *flags,
         ],
     )
+    assert code == 2
+    assert "finite" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_score_rejects_non_finite_display_scale(capsys, cli_files):
+    lex, _ = build(capsys, cli_files, "RAW")
+    out = cli_files["dir"] / "scores.jsonl"
+    argv = ["score", "--lexicon", lex, "--input", cli_files["test"], "--out", out]
+    code, stdout, err = run(capsys, [*argv, "--display-scale", "inf"])
     assert code == 2
     assert "finite" in err
     assert stdout == ""
@@ -950,19 +992,104 @@ def test_settings_table_names_every_field():
     assert [row[0] for row in SETTINGS] == [f.name for f in fields(RunConfig)]
 
 
+def _wrap_configs(monkeypatch, wrap):
+    """Hand each handler wrap(config) for the config main resolves."""
+    resolve = fanlex.cli._resolve_config
+    monkeypatch.setattr(fanlex.cli, "_resolve_config", lambda args: wrap(resolve(args)))
+
+
 @pytest.mark.parametrize("name,value,text,flags", SETTINGS, ids=[r[0] for r in SETTINGS])
-def test_setting_round_trips(capsys, cli_files, write_text, name, value, text, flags):
+def test_setting_round_trips(
+    capsys, every_command, write_text, monkeypatch, name, value, text, flags
+):
     expected = RunConfig(**{name: value}).to_dict()
     conf = write_text("one.conf", f"{name} = {text}\n")
-    evaluate = ["evaluate", "--train-fake", cli_files["fake"],
-                "--train-valid", cli_files["valid"], "--test", cli_files["test"]]
-    for extra in (flags, ["--config", conf]):
-        code, stdout, _ = run(capsys, [*evaluate, *extra])
+    resolved = []
+    _wrap_configs(monkeypatch, lambda cfg: resolved.append(cfg) or cfg)
+    # The flag goes to a command that reads the setting; evaluate reads
+    # neither seed nor display_scale, and no command that echoes its
+    # config reads display_scale.
+    flag_command = {"seed": "cross-validate", "display_scale": "inspect-term"}.get(name, "evaluate")
+    for argv in ([*every_command[flag_command], *flags],
+                 [*every_command["evaluate"], "--config", conf]):
+        code, stdout, _ = run(capsys, argv)
         assert code == 0
-        assert json.loads(stdout)["config"] == expected
+        assert resolved.pop().to_dict() == expected
+        if argv[0] != "inspect-term":
+            assert json.loads(stdout)["config"] == expected
     # The reported key and value, read back as a config line.
     again = write_text("again.conf", f"{name} = {expected[name]}\n")
     assert load_config_file(again) == {name: value}
+
+
+class _ReadRecorder:
+    """Stands in for a RunConfig and records which settings are read;
+    to_dict, the config echo, reads nothing through it."""
+
+    def __init__(self, config, reads):
+        self._config = config
+        self._reads = reads
+
+    def __getattr__(self, name):
+        if name in FIELD_TYPES:
+            self._reads.add(name)
+        return getattr(self._config, name)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_commands_take_flags_for_the_settings_they_read(
+    capsys, cli_files, every_command, monkeypatch, command
+):
+    reads = set()
+    _wrap_configs(monkeypatch, lambda cfg: _ReadRecorder(cfg, reads))
+    argv = every_command[command]
+    if command == "build-lexicon":
+        argv = [*argv, "--out", cli_files["dir"] / "guard.lex"]
+    elif command == "inspect-term":
+        # A lookup that misses reads locale for its normalized fallback.
+        argv = [*argv, "--term", "Bulunmayan"]
+    code, _, err = run(capsys, argv)
+    assert code == 0, err
+    assert reads == set(COMMANDS[command][2])
+    # Each command's flags are its settings', in RunConfig field order.
+    assert list(COMMANDS[command][2]) == [f for f in FIELD_TYPES if f in reads]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "--smoothing", "0.5"],
+        ["score", "--count-mode", "DOC_PRESENCE"],
+        ["build-lexicon", "--seed", "1"],
+        ["corpus-stats", "--locale", "GENERIC"],
+        ["inspect-term", "--term-set-mode", "MULTISET"],
+        ["evaluate", "--display-scale", "2"],
+    ],
+    ids=" ".join,
+)
+def test_flag_for_an_unread_setting_is_usage_error(capsys, cli_files, every_command, argv):
+    command, *flags = argv
+    outs = ["--out", str(cli_files["dir"] / "out.txt")] if command in OUT_COMMANDS else []
+    before = sorted(cli_files["dir"].iterdir())
+    code, stdout, err = _exit_output(capsys, main, [*every_command[command], *outs, *flags])
+    assert code == 2
+    assert stdout == ""
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
+    assert sorted(cli_files["dir"].iterdir()) == before
+
+
+def test_config_file_sets_every_key_for_every_command(
+    capsys, cli_files, every_command, write_text
+):
+    # A key a command does not read is ignored, where its flag is refused.
+    conf = write_text("all.conf", "".join(f"{name} = {text}\n" for name, _, text, _ in SETTINGS))
+    expected = RunConfig(**{name: value for name, value, _, _ in SETTINGS}).to_dict()
+    for command, argv in every_command.items():
+        outs = ["--out", cli_files["dir"] / f"{command}.out"] if command in OUT_COMMANDS else []
+        code, stdout, err = run(capsys, [*argv, *outs, "--config", conf])
+        assert code == 0, (command, err)
+        if command in ("evaluate", "cross-validate"):
+            assert json.loads(stdout)["config"] == expected
 
 
 REQUIRED = {
@@ -1007,7 +1134,7 @@ def test_other_commands_refuse_analyzer_files(capsys, command, flag):
 )
 def test_bad_setting_flag_is_usage_error(capsys, flags, message):
     with pytest.raises(SystemExit) as exc:
-        main(["evaluate", *REQUIRED["evaluate"], *flags])
+        main(["cross-validate", *REQUIRED["cross-validate"], *flags])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -339,5 +339,22 @@ def test_load_suffix_rules_rejects(write_text):
     assert ":1:" in str(err.value)
 
 
+@pytest.mark.parametrize("surface", ["LAR", "Lar", "DA", "İn"])
+def test_load_suffix_rules_refuses_upper_case(write_text, surface):
+    # Rules match normalized surfaces, so this rule could never match.
+    path = write_text("rules.tsv", f"ler\tA3pl\n{surface}\tX\n")
+    with pytest.raises(InputError) as err:
+        load_suffix_rules(path)
+    assert str(err.value) == f"{path}:2: suffix {surface!r} is not lowercase"
+
+
+def test_load_suffix_rules_keeps_edge_apostrophe(write_text):
+    rules = load_suffix_rules(write_text("rules.tsv", "'da\tLoc\nlar\tA3pl\n"))
+    assert rules == (("'da", "Loc"), ("lar", "A3pl"))
+    table = AnalyzerRuleTable(suffix_rules=rules)
+    assert analyze_token("İstanbul'da", table).root == "istanbul"
+    assert analyze_token("kitaplar", table).root == "kitap"
+
+
 def test_tokenize_wrapper():
     assert tokenize("Küba'da 47 gün!") == ["Küba'da", "47", "gün"]
