@@ -97,11 +97,20 @@ def normalized_tokens(text, turkish, letters_only=False):
     return out
 
 
-def suffix_runs(tags):
-    """Serialize all contiguous runs of a suffix tag sequence."""
-    k = len(tags)
-    out = []
+def expand_suffix_subsequences(suffixes: list[str]) -> list[list[str]]:
+    """All contiguous, non-empty subsequences of a suffix tag list.
+
+    For k tags there are k*(k+1)/2 of them. Shorter runs come first;
+    runs of equal length are ordered by start index.
+    """
+    k = len(suffixes)
+    out: list[list[str]] = []
     for length in range(1, k + 1):
         for start in range(k - length + 1):
-            out.append("-".join(tags[start : start + length]))
+            out.append(list(suffixes[start : start + length]))
     return out
+
+
+def suffix_runs(tags):
+    """Serialize all contiguous runs of a suffix tag sequence."""
+    return ["-".join(run) for run in expand_suffix_subsequences(tags)]

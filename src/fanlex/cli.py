@@ -1,13 +1,15 @@
 """Command-line interface.
 
-Machine-readable output (JSON or JSONL) goes to stdout; human-readable
-tables go to stderr, or to a file via --report. A command's handler
-only computes: it returns its Outputs, and main writes all files, then
-stdout, then the report. So a run that exits non-zero replaces no file
-and prints nothing on stdout; the one limit is that if a rename fails
-after an earlier one succeeded, that earlier target stays replaced.
+Machine-readable output (JSON or JSONL) goes to stdout as UTF-8 bytes,
+whatever the locale; human-readable tables go to stderr, or to a file
+via --report. A command's handler only computes: it returns its
+Outputs, and main encodes stdout, writes all files, then stdout, then
+the report. So a run that exits non-zero replaces no file and prints
+nothing on stdout; the one limit is that if a rename fails after an
+earlier one succeeded, that earlier target stays replaced.
 Exit codes: 0 success, 2 usage or input/IO errors, 3 domain
-precondition failures, 4 lexicon file format or version problems.
+precondition failures, 4 lexicon file format or version problems; each
+error type in fanlex.errors carries its own.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fanlex.corpus import (
     verify_stats_by_group,
     write_atomic,
 )
-from fanlex.errors import DomainError, FormatError, InputError
+from fanlex.errors import DomainError, FanlexError, InputError
 from fanlex.evaluation import cross_validate, evaluate_models
 from fanlex.lexicon import (
     ModelClass,
@@ -49,11 +51,6 @@ from fanlex.morph import (
     normalize,
 )
 from fanlex.scorer import _explain_terms, _score_rows
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_DOMAIN = 3
-EXIT_FORMAT = 4
 
 _ALL_CLASSES = [c.value for c in ModelClass]
 
@@ -510,24 +507,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_outputs(args)
         stdout, report, files = COMMANDS[args.command][1](args, _resolve_config(args))
+        # UTF-8 whatever the locale; text it cannot encode fails here,
+        # before any file is replaced.
+        stdout_bytes = stdout.encode("utf-8")
         if report is not None and not report.endswith("\n"):
             report += "\n"
         if args.report:
             files[args.report] = [report]
         write_atomic(files)
-    except (InputError, OSError, ValueError) as exc:
+    except (FanlexError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DOMAIN
-    except FormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_FORMAT
-    sys.stdout.write(stdout)
+        return getattr(exc, "exit_code", 2)
+    sys.stdout.buffer.write(stdout_bytes)
     if report is not None and not args.report:
         sys.stderr.write(report)
-    return EXIT_OK
+    return 0
 
 
 def entry() -> None:

@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the toolkit.
 
-The CLI maps these onto exit codes: InputError and I/O problems exit
-with 2, DomainError with 3, FormatError with 4. open_text and
-parse_json raise a loader's own type for undecodable or unparsable input.
+Each error family carries the CLI's exit code for it: InputError 2,
+DomainError 3, FormatError 4; the CLI exits 2 for I/O problems and any
+error without one. open_text and parse_json raise a loader's own type
+for undecodable or unparsable input.
 """
 
 import json
@@ -16,6 +17,8 @@ class FanlexError(Exception):
 
 class InputError(FanlexError):
     """Malformed input data: corpora, word lists or rule tables."""
+
+    exit_code = 2
 
 
 class CorpusParseError(InputError):
@@ -32,6 +35,8 @@ class AnalysisError(InputError):
 
 class DomainError(FanlexError):
     """A precondition on otherwise well-formed data was violated."""
+
+    exit_code = 3
 
 
 class EmptyTrainingSplitError(DomainError):
@@ -56,6 +61,8 @@ class ModelMismatchError(DomainError):
 
 class FormatError(FanlexError):
     """A persisted lexicon file is unreadable or inconsistent."""
+
+    exit_code = 4
 
 
 class LexiconParseError(FormatError):

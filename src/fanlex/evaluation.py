@@ -7,6 +7,8 @@ FAKE and predicted FAKE, tn counts VALID predicted VALID.
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from fanlex.config import RunConfig
@@ -180,7 +182,8 @@ def cross_validate(
     means = {}
     for c in classes:
         rows = [f.metrics for f in per_fold if f.model_class is c]
-        means[c] = Metrics(*(sum(column) / k for column in zip(*rows)))
+        # Fold order, left to right: sum() compensates rounding since 3.12.
+        means[c] = Metrics(*(reduce(add, column) / k for column in zip(*rows)))
     return CvReport(per_fold=tuple(per_fold), means=means)
 
 

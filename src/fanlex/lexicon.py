@@ -19,6 +19,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from fanlex import morph
+from fanlex._kernels import expand_suffix_subsequences  # re-exported: C04 imports it from here
 from fanlex._kernels import has_letter, normalize_token, normalized_tokens, suffix_runs
 from fanlex.corpus import Dataset, Document, write_atomic
 from fanlex.errors import (
@@ -33,11 +34,11 @@ from fanlex.errors import (
     parse_json,
 )
 from fanlex.morph import (
+    DEFAULT_RULE_TABLE,
     AnalyzerRuleTable,
     Locale,
     MorphAnalysis,
     compose_text,
-    default_rule_table,
     tokenize,
 )
 
@@ -203,20 +204,6 @@ class LexiconStats(NamedTuple):
     only_valid: int
 
 
-def expand_suffix_subsequences(suffixes: list[str]) -> list[list[str]]:
-    """All contiguous, non-empty subsequences of a suffix tag list.
-
-    For k tags there are k*(k+1)/2 of them. Shorter runs come first;
-    runs of equal length are ordered by start index.
-    """
-    k = len(suffixes)
-    out: list[list[str]] = []
-    for length in range(1, k + 1):
-        for start in range(k - length + 1):
-            out.append(list(suffixes[start : start + length]))
-    return out
-
-
 def extract_terms(
     analyses: Iterable[MorphAnalysis],
     model_class: ModelClass,
@@ -264,7 +251,7 @@ class TermPipeline:
         include_title: bool = True,
     ) -> None:
         self.classes = tuple(classes)
-        self.analyzer = default_rule_table() if analyzer is None else analyzer
+        self.analyzer = DEFAULT_RULE_TABLE if analyzer is None else analyzer
         self.locale = locale
         self.include_title = include_title
         self._turkish = locale is Locale.TURKISH
@@ -533,7 +520,9 @@ def load_lexicon(path: str) -> Lexicon:
     scan = json.JSONDecoder().scan_once
     counts: dict[str, tuple[int, int]] = {}
     fake_sum = valid_sum = 0
-    for offset, line in enumerate(entry_lines, 2):
+    for lineno, line in enumerate(raw_lines[1:], 2):
+        if not line.strip():
+            continue
         try:
             try:
                 obj, end = scan(line, 0)
@@ -545,7 +534,7 @@ def load_lexicon(path: str) -> Lexicon:
             fc = obj["fc"]
             vc = obj["vc"]
         except (ValueError, RecursionError, KeyError, TypeError) as exc:
-            raise LexiconParseError(f"{path}:{offset}: bad entry line") from exc
+            raise LexiconParseError(f"{path}:{lineno}: bad entry line") from exc
         if (
             not isinstance(term, str)
             or not term
@@ -554,13 +543,13 @@ def load_lexicon(path: str) -> Lexicon:
             or fc < 0
             or vc < 0
         ):
-            raise LexiconParseError(f"{path}:{offset}: bad entry values")
+            raise LexiconParseError(f"{path}:{lineno}: bad entry values")
         if fc + vc < 1:
             raise LexiconConsistencyError(
-                f"{path}:{offset}: entry {term!r} has no evidence"
+                f"{path}:{lineno}: entry {term!r} has no evidence"
             )
         if term in counts:
-            raise LexiconParseError(f"{path}:{offset}: duplicate term {term!r}")
+            raise LexiconParseError(f"{path}:{lineno}: duplicate term {term!r}")
         counts[term] = (fc, vc)
         fake_sum += fc
         valid_sum += vc

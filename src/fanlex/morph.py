@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from fanlex._kernels import has_letter, normalize_token, tokenize
 from fanlex.errors import AnalysisError, InputError, open_text, parse_json
@@ -118,14 +118,15 @@ def analysis_from_json(item: object, raw: str | None = None) -> MorphAnalysis:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalyzerRuleTable:
     """Surface lookup table plus ordered fallback suffix rules.
 
-    entries is keyed by normalized surface form; suffix_rules hold
-    (surface, tag) pairs and are applied longest surface first. The
-    table is plain data and caches no analyses: lexicon.TermPipeline
-    keeps the per-run token memo.
+    entries is keyed by normalized surface form and may be edited;
+    suffix_rules hold (surface, tag) pairs and are applied longest
+    surface first. The fields cannot be reassigned, so the suffix index
+    built here stays in step with suffix_rules. The table caches no
+    analyses: lexicon.TermPipeline keeps the per-run token memo.
     """
 
     entries: dict[str, tuple[MorphAnalysis, ...]] = field(default_factory=dict)
@@ -135,14 +136,19 @@ class AnalyzerRuleTable:
         rules = sorted(
             enumerate(self.suffix_rules), key=lambda item: (-len(item[1][0]), item[0])
         )
-        self.suffix_rules = tuple(rule for _, rule in rules)
+        object.__setattr__(self, "suffix_rules", tuple(rule for _, rule in rules))
         # Bucket by final character so tokens that match nothing are
         # rejected with one dict probe instead of a scan of all rules.
-        self._by_last_char: dict[str, list[tuple[str, str]]] = {}
+        by_last_char: dict[str, list[tuple[str, str]]] = {}
         for surface, tag in self.suffix_rules:
             if not surface:
                 raise ValueError("suffix rule surface must be non-empty")
-            self._by_last_char.setdefault(surface[-1], []).append((surface, tag))
+            by_last_char.setdefault(surface[-1], []).append((surface, tag))
+        object.__setattr__(self, "_by_last_char", by_last_char)
+
+
+# Rule table with no exact entries and the demo suffix rules.
+DEFAULT_RULE_TABLE = AnalyzerRuleTable()
 
 
 def normalize(token: str, locale: Locale = Locale.TURKISH) -> str:
@@ -165,20 +171,16 @@ def compose_text(title: str | None, text: str, include_title: bool = True) -> st
 
 
 def strip_suffixes(
-    surface: str, rules: Sequence[tuple[str, str]] | AnalyzerRuleTable
+    surface: str, table: AnalyzerRuleTable
 ) -> tuple[str, tuple[tuple[str, str], ...]]:
-    """Strip known suffixes off the right end of a surface form.
+    """Strip the table's suffix rules off the right end of a surface form.
 
     Repeatedly removes the longest matching rule surface, never leaving
     an empty remainder. Returns the root and the matched (surface, tag)
     pairs in word order, so root plus the matched surfaces concatenates
     back to the input.
     """
-    if isinstance(rules, AnalyzerRuleTable):
-        by_last = rules._by_last_char
-    else:
-        table = AnalyzerRuleTable(suffix_rules=tuple(rules))
-        by_last = table._by_last_char
+    by_last = table._by_last_char
     rest = surface
     matched_rev: list[tuple[str, str]] = []
     while rest:
@@ -211,17 +213,6 @@ def analyze_token(
     )
 
 
-_DEFAULT_TABLE: AnalyzerRuleTable | None = None
-
-
-def default_rule_table() -> AnalyzerRuleTable:
-    """Rule table with no exact entries and the demo suffix rules."""
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = AnalyzerRuleTable()
-    return _DEFAULT_TABLE
-
-
 def analyze_document(
     doc: "Document",
     table: AnalyzerRuleTable | None = None,
@@ -240,7 +231,7 @@ def analyze_document(
     if doc.analyses is not None:
         return list(doc.analyses)
     if table is None:
-        table = default_rule_table()
+        table = DEFAULT_RULE_TABLE
     text = compose_text(doc.title, doc.text, include_title)
     out: list[MorphAnalysis] = []
     for position, token in enumerate(tokenize(text)):

@@ -394,6 +394,53 @@ def test_failed_report_prints_and_replaces_nothing(capsys, cli_files, every_comm
     assert out.read_bytes() == b"old bytes\n"
 
 
+def _corpus_with_id(cli_files, tmp_path, doc_id):
+    """The first test document again, under doc_id."""
+    doc = json.loads(cli_files["test"].read_text(encoding="utf-8").splitlines()[0])
+    path = tmp_path / "renamed.jsonl"
+    path.write_text(json.dumps({**doc, "id": doc_id}) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("case", ["stdout", "--report", "--out"])
+def test_unencodable_stdout_prints_and_replaces_nothing(capsys, cli_files, tmp_path, case):
+    """Stdout is encoded before any file is written. A lone surrogate in a
+    document id, or an --out path with a byte that is not UTF-8, which the
+    stdout echoes, cannot be encoded: exit 2, nothing printed or replaced."""
+    lex, _ = build(capsys, cli_files, "RAW")
+    test = _corpus_with_id(cli_files, tmp_path, "t\ud800")
+    out = tmp_path / "new\udcff.lex"
+    out.write_bytes(b"old bytes\n")
+    argv = {
+        "stdout": ["score", "--lexicon", lex, "--input", test],
+        "--report": ["score", "--lexicon", lex, "--input", test, "--explain", "1",
+                     "--report", tmp_path / "r.txt"],
+        "--out": ["build-lexicon", "--fake", cli_files["fake"], "--valid", cli_files["valid"],
+                  "--class", "RAW", "--out", out],
+    }[case]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, stdout, err = run(capsys, argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: 'utf-8' codec can't encode character '\\ud")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert out.read_bytes() == b"old bytes\n"
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_is_utf8_whatever_the_locale(capsys, cli_files, tmp_path, encoding):
+    lex, _ = build(capsys, cli_files, "RAW")
+    test = _corpus_with_id(cli_files, tmp_path, "ışık-ş1")
+    argv = [sys.executable, "-m", "fanlex", "score", "--lexicon", str(lex), "--input", str(test)]
+    runs = [
+        subprocess.run(argv, capture_output=True, env={**os.environ, "PYTHONIOENCODING": name})
+        for name in ("utf-8", encoding)
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout.decode("utf-8"))["id"] == "ışık-ş1"
+
+
 @pytest.mark.parametrize("command", OUT_COMMANDS)
 def test_report_and_out_naming_one_file_is_refused(
     capsys, cli_files, every_command, monkeypatch, command

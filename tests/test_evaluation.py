@@ -1,3 +1,6 @@
+import functools
+import math
+import operator
 import random
 import re
 from collections import Counter
@@ -167,6 +170,24 @@ def test_cross_validate_means_are_fold_averages():
         assert mean.f1 == pytest.approx(sum(r.f1 for r in rows) / k)
 
 
+def test_cross_validate_means_sum_left_to_right():
+    """Means add the folds in fold order, so every Python prints the same
+    digits; built-in sum() compensates float rounding since 3.12."""
+    rng = random.Random(23)
+    ds = analyzed_corpus(rng, 12, 12, vocab=6)
+    k = 4
+    report = cross_validate(ds, k, ALL_CLASSES, seed=2)
+    rounded = 0
+    for model_class in ALL_CLASSES:
+        rows = [f.metrics for f in report.per_fold if f.model_class is model_class]
+        columns = list(zip(*rows))
+        rounded += sum(math.fsum(c) != functools.reduce(operator.add, c) for c in columns)
+        expected = Metrics(*(functools.reduce(operator.add, c) / k for c in columns))
+        assert report.means[model_class] == expected
+    # Some column sums differently when rounding is compensated.
+    assert rounded
+
+
 def test_cross_validate_fold_indices():
     rng = random.Random(29)
     ds = analyzed_corpus(rng, 8, 8, vocab=5)
@@ -222,11 +243,13 @@ def reference_cross_validate(ds, k, classes, seed, config, analyzer):
     means = {}
     for c in classes:
         rows = [f.metrics for f in per_fold if f.model_class is c]
+        # Left to right, as every Python's sum() did before 3.12.
+        add = functools.partial(functools.reduce, operator.add)
         means[c] = Metrics(
-            precision=sum(r.precision for r in rows) / k,
-            recall=sum(r.recall for r in rows) / k,
-            accuracy=sum(r.accuracy for r in rows) / k,
-            f1=sum(r.f1 for r in rows) / k,
+            precision=add(r.precision for r in rows) / k,
+            recall=add(r.recall for r in rows) / k,
+            accuracy=add(r.accuracy for r in rows) / k,
+            f1=add(r.f1 for r in rows) / k,
         )
     return CvReport(per_fold=tuple(per_fold), means=means)
 

@@ -535,10 +535,13 @@ def test_entry_lines_equal_json_dumps(pairs):
     ]
 
 
-def _per_line_counts(path, entry_lines):
-    """Entry lines parsed one json.loads at a time, with load_lexicon's checks."""
+def _per_line_counts(path, lines):
+    """Entry lines parsed one json.loads at a time, with load_lexicon's checks;
+    blank lines are skipped and errors name the file line."""
     counts = {}
-    for offset, line in enumerate(entry_lines, 2):
+    for offset, line in enumerate(lines, 2):
+        if not line.strip():
+            continue
         try:
             obj = json.loads(line)
             term, fc, vc = obj["t"], obj["fc"], obj["vc"]
@@ -596,6 +599,7 @@ odd_lines = st.one_of(
     ),
     st.just(['{"t":"d","fc":[[1,', "2]],", '"vc":1}']),
     st.just(["[[", "]]"]),
+    st.just(["", " \t"]),
 )
 
 
@@ -615,7 +619,7 @@ def test_load_agrees_with_per_line_parse(tmp_path, plain, odd):
     entry_lines = [line for line in lines if line.strip()]
     path = str(tmp_path / "lex.jsonl")
     try:
-        expected = _per_line_counts(path, entry_lines)
+        expected = _per_line_counts(path, lines)
     except FanlexError as exc:
         expected = (type(exc), str(exc))
         fake_total = valid_total = 1
@@ -826,6 +830,26 @@ def test_load_rejects_duplicate_term(tmp_path):
     with pytest.raises(LexiconParseError) as err:
         load_lexicon(str(path))
     assert "duplicate" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "entry,error,message",
+    [
+        ({"t": "x", "fc": -1, "vc": 1}, LexiconParseError, "bad entry values"),
+        ({"t": "a", "fc": 1, "vc": 1}, LexiconParseError, "duplicate term 'a'"),
+        ({"t": "x", "fc": 0, "vc": 0}, LexiconConsistencyError, "entry 'x' has no evidence"),
+    ],
+)
+def test_load_errors_name_the_file_line(tmp_path, entry, error, message):
+    """Blank lines count: the entry after them is line 5 of the file."""
+    path = tmp_path / "lex.jsonl"
+    _write_manual(path, {"fake_total": 1, "valid_total": 1}, [{"t": "a", "fc": 1, "vc": 1}, entry])
+    header, first, second = path.read_text(encoding="utf-8").splitlines()
+    # The blank lines leave the checksum as it was.
+    path.write_text("\n".join([header, "", first, " ", second]) + "\n", encoding="utf-8")
+    with pytest.raises(error) as err:
+        load_lexicon(str(path))
+    assert str(err.value) == f"{path}:5: {message}"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -13,6 +14,7 @@ from fanlex.errors import AnalysisError, InputError
 from fanlex.evaluation import cross_validate
 from fanlex.lexicon import ModelClass, TermPipeline
 from fanlex.morph import (
+    DEFAULT_RULE_TABLE,
     DEFAULT_SUFFIX_RULES,
     UNKNOWN_POS,
     AnalyzerRuleTable,
@@ -21,7 +23,6 @@ from fanlex.morph import (
     analyze_document,
     analyze_token,
     compose_text,
-    default_rule_table,
     load_rule_table,
     load_suffix_rules,
     normalize,
@@ -55,7 +56,7 @@ def test_compose_text():
 
 
 def test_strip_suffixes_longest_first():
-    root, matched = strip_suffixes("insanlardan", DEFAULT_SUFFIX_RULES)
+    root, matched = strip_suffixes("insanlardan", DEFAULT_RULE_TABLE)
     assert root == "insan"
     assert matched == (("lar", "A3pl"), ("dan", "Abl"))
     # Reconstruction in word order.
@@ -63,10 +64,10 @@ def test_strip_suffixes_longest_first():
 
 
 def test_strip_suffixes_never_empties():
-    root, matched = strip_suffixes("lar", DEFAULT_SUFFIX_RULES)
+    root, matched = strip_suffixes("lar", DEFAULT_RULE_TABLE)
     assert root == "lar"
     assert matched == ()
-    root, matched = strip_suffixes("dalar", DEFAULT_SUFFIX_RULES)
+    root, matched = strip_suffixes("dalar", DEFAULT_RULE_TABLE)
     assert root == "da"
     assert matched == (("lar", "A3pl"),)
 
@@ -79,7 +80,7 @@ def test_strip_suffixes_accepts_table(demo_table):
 
 
 def test_strip_suffixes_no_rules():
-    assert strip_suffixes("kelime", ()) == ("kelime", ())
+    assert strip_suffixes("kelime", AnalyzerRuleTable(suffix_rules=())) == ("kelime", ())
 
 
 @given(
@@ -89,7 +90,7 @@ def test_strip_suffixes_no_rules():
 @settings(max_examples=150, deadline=None)
 def test_strip_suffixes_reconstructs(root, picks):
     surface = root + "".join(s for s, _ in picks)
-    rest, matched = strip_suffixes(surface, DEFAULT_SUFFIX_RULES)
+    rest, matched = strip_suffixes(surface, DEFAULT_RULE_TABLE)
     assert rest
     assert rest + "".join(s for s, _ in matched) == surface
 
@@ -99,6 +100,21 @@ def test_rule_table_ordering():
     assert table.suffix_rules == (("ba", "T2"), ("a", "T1"), ("c", "T3"))
     with pytest.raises(ValueError):
         AnalyzerRuleTable(suffix_rules=(("", "T1"),))
+
+
+def test_rule_table_fields_cannot_be_reassigned():
+    """The suffix index is built once, so the rules it indexes cannot change."""
+    table = AnalyzerRuleTable()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.suffix_rules = (("ar", "X"),)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        AnalyzerRuleTable().suffix_rules = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.entries = {}
+    assert analyze_token("kitaplar", table).suffixes == ("A3pl",)
+    # The entries dict itself stays editable.
+    table.entries["kitaplar"] = (MorphAnalysis("kitaplar", "kitap", "Noun", ("X",)),)
+    assert analyze_token("kitaplar", table).suffixes == ("X",)
 
 
 def test_analyze_token_table_hit(demo_table):
@@ -239,8 +255,8 @@ def test_cross_validate_analyzes_each_token_once(monkeypatch, demo_table, locale
 
 
 def test_default_rule_table_is_shared():
-    assert default_rule_table() is default_rule_table()
-    assert default_rule_table().entries == {}
+    assert TermPipeline([ModelClass.ROOT]).analyzer is DEFAULT_RULE_TABLE
+    assert DEFAULT_RULE_TABLE.entries == {}
 
 
 def test_load_rule_table(write_jsonl):
