@@ -507,20 +507,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_outputs(args)
         stdout, report, files = COMMANDS[args.command][1](args, _resolve_config(args))
-        # UTF-8 whatever the locale; text it cannot encode fails here,
-        # before any file is replaced.
+        # Stdout and a report on stderr are UTF-8 whatever the locale;
+        # text it cannot encode fails here, before any file is replaced.
         stdout_bytes = stdout.encode("utf-8")
         if report is not None and not report.endswith("\n"):
             report += "\n"
         if args.report:
             files[args.report] = [report]
+            report = None
+        report_bytes = b"" if report is None else report.encode("utf-8")
         write_atomic(files)
     except (FanlexError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return getattr(exc, "exit_code", 2)
     sys.stdout.buffer.write(stdout_bytes)
-    if report is not None and not args.report:
-        sys.stderr.write(report)
+    sys.stderr.buffer.write(report_bytes)
     return 0
 
 

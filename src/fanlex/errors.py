@@ -98,11 +98,19 @@ def parse_json(text: str, error: type[FanlexError], where: str) -> object:
     """json.loads; text it cannot parse raises `error` naming `where`.
 
     That includes integers past the interpreter's digit limit
-    (ValueError) and nesting past the recursion limit.
+    (ValueError), nesting past the recursion limit, and a string holding
+    a lone surrogate, which no output could encode as UTF-8.
     """
     try:
-        return json.loads(text)
+        obj = json.loads(text)
+        # Strictly decoded UTF-8 holds no surrogate, so one can only come
+        # from a \uD800-style escape; a valid pair decodes to one character.
+        if "\\" in text and ("\\ud" in text or "\\uD" in text):
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        return obj
     except json.JSONDecodeError as exc:
         raise error(f"{where}: invalid JSON ({exc.msg})") from exc
+    except UnicodeEncodeError as exc:
+        raise error(f"{where}: string holds a lone surrogate") from exc
     except (ValueError, RecursionError) as exc:
         raise error(f"{where}: invalid JSON ({exc})") from exc

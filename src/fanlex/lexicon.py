@@ -15,15 +15,12 @@ import math
 import sys
 from collections import Counter
 from enum import Enum
-from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from fanlex import morph
 from fanlex._kernels import expand_suffix_subsequences  # re-exported: C04 imports it from here
-from fanlex._kernels import has_letter, normalize_token, normalized_tokens, suffix_runs
+from fanlex._kernels import normalize_token, normalized_tokens, suffix_runs
 from fanlex.corpus import Dataset, Document, write_atomic
 from fanlex.errors import (
-    AnalysisError,
     EmptyTrainingSplitError,
     LexiconChecksumError,
     LexiconConsistencyError,
@@ -38,8 +35,8 @@ from fanlex.morph import (
     AnalyzerRuleTable,
     Locale,
     MorphAnalysis,
+    analyze_text,
     compose_text,
-    tokenize,
 )
 
 FORMAT_NAME = "fanlex-lexicon"
@@ -234,12 +231,12 @@ class TermPipeline:
     """Turns documents into term multisets, one Counter per model class.
 
     A pipeline holds one run's classes, rule table, locale and title
-    setting. One pass over a document's analyses yields the terms of
-    all its classes. Two memos live as long as the pipeline: the suffix
-    runs of each distinct tag tuple, and the terms per class of each
-    distinct plain-text token, analyzed once; failures are not memoized.
-    Pre-analyzed documents, and plain text under RAW alone, skip the
-    analyzer and the token memo.
+    setting. One pass over a document's analyses, given or analyzed
+    from its text, yields the terms of all its classes. Three memos
+    live as long as the pipeline: token -> analysis, so each distinct
+    plain-text token is analyzed once (failures are not memoized); the
+    suffix runs of each distinct tag tuple; and one shared string per
+    distinct RAW_POS term. Plain text under RAW alone skips the analyzer.
     """
 
     def __init__(
@@ -255,43 +252,22 @@ class TermPipeline:
         self.locale = locale
         self.include_title = include_title
         self._turkish = locale is Locale.TURKISH
-        self._no_terms: tuple[tuple[str, ...], ...] = ((),) * len(self.classes)
-        self._memo: dict[str, tuple[tuple[str, ...], ...]] = {}
+        self._memo: dict[str, MorphAnalysis] = {}
         self._runs = _SuffixRuns()
+        self._raw_pos: dict[str, str] = {}
         # _term_lists fills one list per model class, in declaration order.
         self._wanted = [c in self.classes for c in ModelClass]
         self._columns = [list(ModelClass).index(c) for c in self.classes]
 
     def terms(self, doc: Document) -> list[Counter]:
         """The document's term multisets, one per class in class order."""
-        if doc.analyses is not None:
-            return [Counter(terms) for terms in self._term_lists(doc.analyses)]
-        text = compose_text(doc.title, doc.text, self.include_title)
-        if self.classes == (ModelClass.RAW,):
-            return [Counter(normalized_tokens(text, self._turkish, letters_only=True))]
-        rows = []
-        for position, token in enumerate(tokenize(text)):
-            row = self._memo.get(token)
-            rows.append(self._memoize(token, position) if row is None else row)
-        # The leading term-less row keeps one column per class for empty text.
-        return [Counter(chain.from_iterable(c)) for c in zip(self._no_terms, *rows)]
-
-    def _memoize(self, token: str, position: int) -> tuple[tuple[str, ...], ...]:
-        """Analyze one token and memoize its terms per class, repeats kept."""
-        row = self._no_terms
-        if has_letter(token):
-            try:
-                analysis = morph.analyze_token(token, self.analyzer, self.locale)
-            except AnalysisError as exc:
-                raise AnalysisError(f"token {position}: {exc}") from exc
-            # RAW is the normalized token, as on the RAW-only route.
-            raw = (normalize_token(token, self._turkish),)
-            row = tuple(
-                raw if c is ModelClass.RAW else tuple(terms)
-                for c, terms in zip(self.classes, self._term_lists((analysis,)))
-            )
-        self._memo[token] = row
-        return row
+        analyses = doc.analyses
+        if analyses is None:
+            text = compose_text(doc.title, doc.text, self.include_title)
+            if self.classes == (ModelClass.RAW,):
+                return [Counter(normalized_tokens(text, self._turkish, letters_only=True))]
+            analyses = analyze_text(text, self.analyzer, self.locale, self._memo)
+        return [Counter(terms) for terms in self._term_lists(analyses)]
 
     def _term_lists(self, analyses: Iterable[MorphAnalysis]) -> list[list[str]]:
         """The term rules of extract_terms for every class in one pass:
@@ -299,14 +275,15 @@ class TermPipeline:
         RAW and RAW_POS share one normalization of each surface."""
         raw, root, raw_pos, suffix = lists = [], [], [], []
         raws, roots, poses, suffixes = self._wanted
-        turkish, runs = self._turkish, self._runs
+        turkish, runs, shared = self._turkish, self._runs, self._raw_pos.setdefault
         for a in analyses:
             if raws or poses:
                 surface = normalize_token(a.raw, turkish)
                 if surface:
                     raw.append(surface)
                     if poses:
-                        raw_pos.append(surface + RAW_POS_SEPARATOR + a.pos)
+                        term = surface + RAW_POS_SEPARATOR + a.pos
+                        raw_pos.append(shared(term, term))
             if roots:
                 root.append(a.root)
             if suffixes and a.suffixes:

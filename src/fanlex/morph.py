@@ -8,7 +8,7 @@ not know. Documents that carry pre-computed analyses bypass both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
@@ -122,7 +122,8 @@ def analysis_from_json(item: object, raw: str | None = None) -> MorphAnalysis:
 class AnalyzerRuleTable:
     """Surface lookup table plus ordered fallback suffix rules.
 
-    entries is keyed by normalized surface form and may be edited;
+    entries is keyed by normalized surface form and may be edited; a
+    hit's raw form is that surface, whatever raw the entry lists.
     suffix_rules hold (surface, tag) pairs and are applied longest
     surface first. The fields cannot be reassigned, so the suffix index
     built here stays in step with suffix_rules. The table caches no
@@ -206,11 +207,34 @@ def analyze_token(
         raise AnalysisError(f"token {token!r} is empty after normalization")
     hit = table.entries.get(norm)
     if hit:
-        return hit[0]
+        return hit[0] if hit[0].raw == norm else replace(hit[0], raw=norm)
     root, matched = strip_suffixes(norm, table)
     return MorphAnalysis(
         raw=norm, root=root, pos=UNKNOWN_POS, suffixes=tuple(tag for _, tag in matched)
     )
+
+
+def analyze_text(
+    text: str, table: AnalyzerRuleTable, locale: Locale, memo: dict[str, MorphAnalysis]
+) -> list[MorphAnalysis]:
+    """Analyses of a text's tokens, in token order, skipping tokens
+    without a letter (numerals): they carry no morphology.
+
+    memo maps tokens to their analyses under one table and locale, so
+    each distinct token is analyzed once per memo; a failure names the
+    token's position and is not memoized."""
+    out: list[MorphAnalysis] = []
+    for position, token in enumerate(tokenize(text)):
+        analysis = memo.get(token)
+        if analysis is None:
+            if not has_letter(token):
+                continue
+            try:
+                analysis = memo[token] = analyze_token(token, table, locale)
+            except AnalysisError as exc:
+                raise AnalysisError(f"token {position}: {exc}") from exc
+        out.append(analysis)
+    return out
 
 
 def analyze_document(
@@ -222,26 +246,16 @@ def analyze_document(
 ) -> list[MorphAnalysis]:
     """Analyses for a document's tokens, in token order.
 
-    Pre-computed analyses on the document are returned unchanged.
-    Tokens without a single letter (numerals) are skipped: they carry
-    no morphology. Every token is analyzed afresh; to turn many
-    documents into terms, lexicon.TermPipeline analyzes each distinct
-    token once. A failure names the failing token's position.
+    Pre-computed analyses on the document are returned unchanged. Text
+    goes through analyze_text with a fresh memo: each distinct token is
+    analyzed once per call, by lexicon.TermPipeline once per run.
     """
     if doc.analyses is not None:
         return list(doc.analyses)
     if table is None:
         table = DEFAULT_RULE_TABLE
     text = compose_text(doc.title, doc.text, include_title)
-    out: list[MorphAnalysis] = []
-    for position, token in enumerate(tokenize(text)):
-        if not has_letter(token):
-            continue
-        try:
-            out.append(analyze_token(token, table, locale))
-        except AnalysisError as exc:
-            raise AnalysisError(f"token {position}: {exc}") from exc
-    return out
+    return analyze_text(text, table, locale, {})
 
 
 def load_rule_table(

@@ -404,9 +404,10 @@ def _corpus_with_id(cli_files, tmp_path, doc_id):
 
 @pytest.mark.parametrize("case", ["stdout", "--report", "--out"])
 def test_unencodable_stdout_prints_and_replaces_nothing(capsys, cli_files, tmp_path, case):
-    """Stdout is encoded before any file is written. A lone surrogate in a
-    document id, or an --out path with a byte that is not UTF-8, which the
-    stdout echoes, cannot be encoded: exit 2, nothing printed or replaced."""
+    """Stdout is encoded before any file is written. An --out path with a
+    byte that is not UTF-8, which the stdout echoes, cannot be encoded,
+    and a lone surrogate in a document id is refused when the corpus
+    loads: exit 2, nothing printed or replaced."""
     lex, _ = build(capsys, cli_files, "RAW")
     test = _corpus_with_id(cli_files, tmp_path, "t\ud800")
     out = tmp_path / "new\udcff.lex"
@@ -422,16 +423,54 @@ def test_unencodable_stdout_prints_and_replaces_nothing(capsys, cli_files, tmp_p
     code, stdout, err = run(capsys, argv)
     assert code == 2
     assert stdout == ""
-    assert err.startswith("error: 'utf-8' codec can't encode character '\\ud")
+    if case == "--out":
+        assert err.startswith("error: 'utf-8' codec can't encode character '\\ud")
+    else:
+        assert err == f"error: {test}:1: string holds a lone surrogate\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert out.read_bytes() == b"old bytes\n"
+
+
+@pytest.mark.parametrize("field", ["id", "root", "surface"])
+def test_lone_surrogate_in_json_input_names_the_line(capsys, cli_files, tmp_path, field):
+    """UTF-8 text holds no surrogate, but a JSON escape can spell one,
+    which no output could encode: the loader refuses it, naming the line."""
+    lex, _ = build(capsys, cli_files, "RAW")
+    bad = tmp_path / "bad.jsonl"
+    analysis = {"raw": "kitaplar", "root": "kitap\ud800", "pos": "Noun"}
+    line = {
+        "id": {"id": "t\ud800", "text": "kitaplar", "label": "VALID"},
+        "root": {"id": "f1", "text": "kitaplar", "label": "FAKE", "analyses": [analysis]},
+        "surface": {"surface": "kitap\ud800", "analyses": [{"root": "kitap", "pos": "Noun"}]},
+    }[field]
+    bad.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    build_root = ["build-lexicon", "--valid", cli_files["valid"], "--class", "ROOT",
+                  "--out", tmp_path / "x.lex"]
+    argv = {
+        "id": ["score", "--lexicon", lex, "--input", bad],
+        "root": [*build_root, "--fake", bad],
+        "surface": [*build_root, "--fake", cli_files["fake"], "--rule-table", bad],
+    }[field]
+    code, stdout, err = run(capsys, argv)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {bad}:1: string holds a lone surrogate\n"
+
+
+def test_surrogate_pair_in_json_input_loads(capsys, cli_files, tmp_path):
+    lex, _ = build(capsys, cli_files, "RAW")
+    test = _corpus_with_id(cli_files, tmp_path, "t\U0001F600")
+    assert "\\ud83d\\ude00" in test.read_text(encoding="utf-8")
+    code, stdout, _ = run(capsys, ["score", "--lexicon", lex, "--input", test])
+    assert code == 0
+    assert json.loads(stdout)["id"] == "t\U0001F600"
 
 
 @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
 def test_stdout_is_utf8_whatever_the_locale(capsys, cli_files, tmp_path, encoding):
     lex, _ = build(capsys, cli_files, "RAW")
     test = _corpus_with_id(cli_files, tmp_path, "ışık-ş1")
-    argv = [sys.executable, "-m", "fanlex", "score", "--lexicon", str(lex), "--input", str(test)]
+    argv = [sys.executable, "-m", "fanlex", "score", "--lexicon", str(lex), "--input", str(test),
+            "--explain", "1"]
     runs = [
         subprocess.run(argv, capture_output=True, env={**os.environ, "PYTHONIOENCODING": name})
         for name in ("utf-8", encoding)
@@ -439,6 +478,9 @@ def test_stdout_is_utf8_whatever_the_locale(capsys, cli_files, tmp_path, encodin
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
     assert json.loads(runs[0].stdout.decode("utf-8"))["id"] == "ışık-ş1"
+    # The --explain report on stderr is UTF-8 too.
+    assert runs[0].stderr == runs[1].stderr
+    assert "ışık-ş1".encode("utf-8") in runs[0].stderr
 
 
 @pytest.mark.parametrize("command", OUT_COMMANDS)

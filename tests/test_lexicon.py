@@ -328,6 +328,19 @@ def test_term_pipeline_raw_terms_do_not_depend_on_other_classes():
     assert alone == [with_root] == [Counter({"kitaplar": 2})]
 
 
+def test_term_pipeline_raw_pos_uses_the_token_surface():
+    # A table hit's raw form is the normalized token, so RAW_POS joins
+    # the surface, not the entry's raw form, whichever classes ride along.
+    table = AnalyzerRuleTable(
+        entries={"kitaplar": (MorphAnalysis(raw="kitap", root="kitap", pos="Noun"),)}
+    )
+    doc = Document(id="a", text="Kitaplar kitaplar", label=Label.FAKE)
+    assert [a.raw for a in analyze_document(doc, table)] == ["kitaplar", "kitaplar"]
+    alone = TermPipeline([ModelClass.RAW_POS], table).terms(doc)
+    (_, with_root) = TermPipeline([ModelClass.ROOT, ModelClass.RAW_POS], table).terms(doc)
+    assert alone == [with_root] == [Counter({f"kitaplar{RAW_POS_SEPARATOR}Noun": 2})]
+
+
 @pytest.mark.parametrize("locale", [Locale.TURKISH, Locale.GENERIC])
 @pytest.mark.parametrize(
     "text",
