@@ -67,20 +67,18 @@ def _model_class(value: str) -> ModelClass:
         ) from None
 
 
-def _parse_classes(values: list[str] | None) -> list[ModelClass]:
-    if not values:
+def _model_classes(text: str) -> list[ModelClass]:
+    return [_model_class(name) for name in map(str.strip, text.split(",")) if name]
+
+
+def _parse_classes(values: list[ModelClass] | None) -> list[ModelClass]:
+    if values is None:
         return list(ModelClass)
-    out: list[ModelClass] = []
-    for chunk in values:
-        for name in chunk.split(","):
-            name = name.strip()
-            if name:
-                out.append(_model_class(name))
-    if not out:
+    if not values:
         raise InputError("--classes names no model class")
-    if len(set(out)) != len(out):
+    if len(set(values)) != len(values):
         raise InputError("duplicate entries in --classes")
-    return out
+    return values
 
 
 def _number(kind: type):
@@ -437,12 +435,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--train-fake", required=True, metavar="FILE")
         p.add_argument("--train-valid", required=True, metavar="FILE")
         p.add_argument("--test", required=True, metavar="FILE")
-        p.add_argument("--classes", action="append", metavar="LIST")
+        p.add_argument("--classes", action="extend", type=_model_classes, metavar="LIST")
 
     if p := parsers.get("cross-validate"):
         p.add_argument("--input", required=True, metavar="FILE")
         p.add_argument("--folds", type=_number(int), default=5)
-        p.add_argument("--classes", action="append", metavar="LIST")
+        p.add_argument("--classes", action="extend", type=_model_classes, metavar="LIST")
 
     if p := parsers.get("corpus-stats"):
         p.add_argument("--input", required=True, metavar="FILE")

@@ -228,7 +228,7 @@ def load_corpus(path: str) -> Dataset:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            obj = parse_json(line, CorpusParseError, f"{path}:{lineno}")
+            obj = parse_json(line, CorpusParseError, path, lineno)
             doc = _parse_document(obj, f"{path}:{lineno}", interned)
             if doc.id in seen:
                 raise DuplicateDocumentError(

@@ -94,23 +94,33 @@ def open_text(
             raise error(f"{path}: not valid UTF-8 text ({exc.reason})") from exc
 
 
-def parse_json(text: str, error: type[FanlexError], where: str) -> object:
-    """json.loads; text it cannot parse raises `error` naming `where`.
+_scan = json.JSONDecoder().scan_once
+
+
+def parse_json(text: str, error: type[FanlexError], path: str, lineno: int) -> object:
+    """json.loads; text it cannot parse raises `error` naming `path:lineno`.
 
     That includes integers past the interpreter's digit limit
     (ValueError), nesting past the recursion limit, and a string holding
-    a lone surrogate, which no output could encode as UTF-8.
+    a lone surrogate, which no output could encode as UTF-8. A value the
+    scanner takes whole, followed by JSON whitespace only, skips
+    json.loads, which would scan it again to the same result.
     """
     try:
-        obj = json.loads(text)
+        try:
+            obj, end = _scan(text, 0)
+        except StopIteration:
+            end = -1
+        if end != len(text) and (end < 0 or text[end:].strip(" \t\n\r")):
+            obj = json.loads(text)
         # Strictly decoded UTF-8 holds no surrogate, so one can only come
         # from a \uD800-style escape; a valid pair decodes to one character.
         if "\\" in text and ("\\ud" in text or "\\uD" in text):
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
         return obj
     except json.JSONDecodeError as exc:
-        raise error(f"{where}: invalid JSON ({exc.msg})") from exc
+        raise error(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
     except UnicodeEncodeError as exc:
-        raise error(f"{where}: string holds a lone surrogate") from exc
+        raise error(f"{path}:{lineno}: string holds a lone surrogate") from exc
     except (ValueError, RecursionError) as exc:
-        raise error(f"{where}: invalid JSON ({exc})") from exc
+        raise error(f"{path}:{lineno}: invalid JSON ({exc})") from exc

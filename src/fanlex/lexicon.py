@@ -464,7 +464,7 @@ def load_lexicon(path: str) -> Lexicon:
         raw_lines = fh.read().split("\n")
     if raw_lines == [""]:
         raise LexiconParseError(f"{path}: empty lexicon file")
-    header = parse_json(raw_lines[0], LexiconParseError, f"{path}:1")
+    header = parse_json(raw_lines[0], LexiconParseError, path, 1)
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise LexiconParseError(f"{path}: not a {FORMAT_NAME} file")
     # type() rather than isinstance(): JSON true and false load as bool,
@@ -490,27 +490,17 @@ def load_lexicon(path: str) -> Lexicon:
     if "checksum" in header and _checksum(entry_lines) != header["checksum"]:
         raise LexiconChecksumError(f"{path}: checksum mismatch")
 
-    # Each line is parsed on its own, so an error names its line: one
-    # scan, and json.loads for a line the scan cannot take whole. One
-    # parse over the joined lines would accept an object split across
-    # lines that fails line by line.
-    scan = json.JSONDecoder().scan_once
     counts: dict[str, tuple[int, int]] = {}
     fake_sum = valid_sum = 0
     for lineno, line in enumerate(raw_lines[1:], 2):
         if not line.strip():
             continue
+        obj = parse_json(line, LexiconParseError, path, lineno)
         try:
-            try:
-                obj, end = scan(line, 0)
-            except StopIteration:
-                end = -1
-            if end != len(line):
-                obj = json.loads(line)
             term = obj["t"]
             fc = obj["fc"]
             vc = obj["vc"]
-        except (ValueError, RecursionError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise LexiconParseError(f"{path}:{lineno}: bad entry line") from exc
         if (
             not isinstance(term, str)

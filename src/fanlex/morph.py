@@ -276,7 +276,7 @@ def load_rule_table(
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            obj = parse_json(line, InputError, f"{path}:{lineno}")
+            obj = parse_json(line, InputError, path, lineno)
             if not isinstance(obj, dict):
                 raise InputError(f"{path}:{lineno}: expected an object")
             surface = obj.get("surface")

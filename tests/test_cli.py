@@ -752,18 +752,35 @@ def test_evaluate_duplicate_classes(capsys, cli_files):
     assert "duplicate" in err
 
 
+def _classes_argv(cli_files, command):
+    """A run of a command that takes --classes, without that flag."""
+    if command == "evaluate":
+        return ["evaluate", "--train-fake", cli_files["fake"], "--train-valid",
+                cli_files["valid"], "--test", cli_files["test"]]
+    return ["cross-validate", "--input", cli_files["mixed"], "--folds", "2"]
+
+
 @pytest.mark.parametrize("command", ["evaluate", "cross-validate"])
 @pytest.mark.parametrize("spelling", ["", ","])
 def test_empty_classes_is_input_error(capsys, cli_files, command, spelling):
-    if command == "evaluate":
-        argv = ["evaluate", "--train-fake", cli_files["fake"]]
-        argv += ["--train-valid", cli_files["valid"], "--test", cli_files["test"]]
-    else:
-        argv = ["cross-validate", "--input", cli_files["mixed"], "--folds", "2"]
-    code, stdout, err = run(capsys, [*argv, "--classes", spelling])
+    code, stdout, err = run(capsys, [*_classes_argv(cli_files, command), "--classes", spelling])
     assert code == 2
     assert stdout == ""
     assert "--classes names no model class" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "cross-validate"])
+def test_unknown_classes_name_is_usage_error(cli_files, command):
+    argv = [*_classes_argv(cli_files, command), "--classes", "RAW,foo"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanlex", *map(str, argv)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unknown model class 'foo'" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_evaluate_leakage(capsys, cli_files):

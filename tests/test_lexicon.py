@@ -557,8 +557,13 @@ def _per_line_counts(path, lines):
             continue
         try:
             obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise LexiconParseError(f"{path}:{offset}: invalid JSON ({exc.msg})")
+        except (ValueError, RecursionError) as exc:
+            raise LexiconParseError(f"{path}:{offset}: invalid JSON ({exc})")
+        try:
             term, fc, vc = obj["t"], obj["fc"], obj["vc"]
-        except (ValueError, RecursionError, KeyError, TypeError):
+        except (KeyError, TypeError):
             raise LexiconParseError(f"{path}:{offset}: bad entry line")
         if (
             not isinstance(term, str)

@@ -124,31 +124,42 @@ def _lexicon_with_entry_line(line):
     return f"{json.dumps(header)}\n{line}\n"
 
 
+def _one_line(line):
+    return line + "\n"
+
+
+# Each JSON line a loader reads: the loader, its error type, the file
+# text around the line, and the line's number.
+JSON_LINES = [
+    pytest.param(load_corpus, CorpusParseError, _one_line, 1,
+                 id="load_corpus-CorpusParseError"),
+    pytest.param(load_rule_table, InputError, _one_line, 1,
+                 id="load_rule_table-InputError"),
+    pytest.param(load_lexicon, LexiconParseError, _one_line, 1,
+                 id="load_lexicon-LexiconParseError"),
+    pytest.param(load_lexicon, LexiconParseError, _lexicon_with_entry_line, 2,
+                 id="load_lexicon_entry-LexiconParseError"),
+]
+
 # Nesting past the recursion limit raises RecursionError, and integers
 # past the digit limit a plain ValueError, inside json.loads.
 PARSER_LIMITS = ["[" * 100_000, '{"t":"a","fc":' + "1" * 5000 + ',"vc":0}']
 
 
 @pytest.mark.parametrize("line", PARSER_LIMITS, ids=["nesting", "digits"])
-@pytest.mark.parametrize(
-    "loader,error",
-    [
-        (load_corpus, CorpusParseError),
-        (load_rule_table, InputError),
-        (load_lexicon, LexiconParseError),
-    ],
-    ids=lambda v: getattr(v, "__name__", None),
-)
-def test_json_loader_types_parser_limits(tmp_path, loader, error, line):
+@pytest.mark.parametrize("loader,error,text,lineno", JSON_LINES)
+def test_json_loader_types_parser_limits(tmp_path, loader, error, text, lineno, line):
     path = tmp_path / "input.jsonl"
-    path.write_text(line + "\n", encoding="utf-8")
-    with pytest.raises(error, match="input.jsonl:1: invalid JSON"):
+    path.write_text(text(line), encoding="utf-8")
+    with pytest.raises(error, match=f"input.jsonl:{lineno}: invalid JSON"):
         loader(str(path))
 
 
-@pytest.mark.parametrize("line", PARSER_LIMITS, ids=["nesting", "digits"])
-def test_lexicon_entry_types_parser_limits(tmp_path, line):
-    path = tmp_path / "lex.jsonl"
-    path.write_text(_lexicon_with_entry_line(line), encoding="utf-8")
-    with pytest.raises(LexiconParseError, match="lex.jsonl:2: bad entry line"):
-        load_lexicon(str(path))
+@pytest.mark.parametrize("loader,error,text,lineno", JSON_LINES)
+def test_json_loader_refuses_lone_surrogate(tmp_path, loader, error, text, lineno):
+    """A JSON escape can spell a lone surrogate, which no output could
+    encode: every JSON line refuses it with its loader's error."""
+    path = tmp_path / "input.jsonl"
+    path.write_text(text(r'{"t":"a\ud800","fc":1,"vc":0}'), encoding="utf-8")
+    with pytest.raises(error, match=f"input.jsonl:{lineno}: string holds a lone surrogate$"):
+        loader(str(path))
