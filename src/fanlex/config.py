@@ -7,7 +7,7 @@ Command-line flags override file values, which override the defaults.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -37,9 +37,11 @@ class RunConfig:
                 value, (int, float) if kind is float else kind
             ):
                 raise TypeError(f"{name} must be {kind.__name__}, not {type(value).__name__}")
-        if not (math.isfinite(self.smoothing) and self.smoothing >= 0):
+        # Bounds, not math.isfinite: they refuse an int too large for a
+        # float as not finite, where converting it would raise.
+        if not 0 <= self.smoothing <= sys.float_info.max:
             raise ValueError("smoothing must be finite and >= 0")
-        if not (math.isfinite(self.display_scale) and self.display_scale > 0):
+        if not 0 < self.display_scale <= sys.float_info.max:
             raise ValueError("display_scale must be finite and > 0")
 
     def to_dict(self) -> dict:

@@ -462,20 +462,14 @@ def verify_stats(
     )[0]
 
 
-def stratified_folds(
-    ds: Dataset, k: int, seed: int
-) -> list[tuple[Dataset, Dataset]]:
-    """Deterministic stratified k-fold split.
-
-    Documents of each label are shuffled with the seeded generator and
-    dealt round-robin, so per-fold label counts differ by at most one.
-    Returns (train, test) pairs; each pair is disjoint and covers the
-    dataset.
-    """
+def _fold_of(ds: Dataset, k: int, seed: int) -> list[int]:
+    """Each document's fold, by position: documents of each label are
+    shuffled with the seeded generator and dealt round-robin, so
+    per-fold label counts differ by at most one."""
     if k < 2:
         raise FoldSizeError(f"need at least 2 folds, got {k}")
     rng = random.Random(seed)
-    fold_of: dict[int, int] = {}
+    fold_of = [0] * len(ds)
     for label in (Label.FAKE, Label.VALID):
         positions = [i for i, doc in enumerate(ds.documents) if doc.label is label]
         if len(positions) < k:
@@ -486,11 +480,18 @@ def stratified_folds(
         rng.shuffle(positions)
         for dealt, position in enumerate(positions):
             fold_of[position] = dealt % k
+    return fold_of
+
+
+def stratified_folds(
+    ds: Dataset, k: int, seed: int
+) -> list[tuple[Dataset, Dataset]]:
+    """Deterministic stratified k-fold split as dealt by _fold_of, in
+    (train, test) pairs; each pair is disjoint and covers the dataset."""
+    fold_of = _fold_of(ds, k, seed)
     pairs: list[tuple[Dataset, Dataset]] = []
     for fold in range(k):
-        train = tuple(
-            doc for i, doc in enumerate(ds.documents) if fold_of[i] != fold
-        )
-        test = tuple(doc for i, doc in enumerate(ds.documents) if fold_of[i] == fold)
+        train = tuple(doc for doc, f in zip(ds.documents, fold_of) if f != fold)
+        test = tuple(doc for doc, f in zip(ds.documents, fold_of) if f == fold)
         pairs.append((Dataset(train, Split.TRAIN), Dataset(test, Split.TEST)))
     return pairs

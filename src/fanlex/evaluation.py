@@ -12,7 +12,7 @@ from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from fanlex.config import RunConfig
-from fanlex.corpus import Dataset, Label, stratified_folds
+from fanlex.corpus import Dataset, Label, _fold_of
 from fanlex.errors import LeakageError
 from fanlex.lexicon import (
     ModelClass,
@@ -152,33 +152,30 @@ def cross_validate(
     if config is None:
         config = RunConfig()
     _check_classes(classes)
-    folds = stratified_folds(ds, k, seed)
+    fold_of = _fold_of(ds, k, seed)
     mode = config.count_mode
     pipeline = TermPipeline(
         classes, analyzer, locale=config.locale, include_title=config.include_title
     )
-    terms_of = {
-        label: {doc.id: pipeline.terms(doc) for doc in ds.filter(label).documents}
-        for label in Label
-    }
+    # terms, actual and fold_of are aligned by position with ds.documents.
+    terms = [pipeline.terms(doc) for doc in ds.documents]
+    actual = [doc.label for doc in ds.documents]
     width = len(classes)
-    totals = {
-        label: count_terms(t.values(), width, mode) for label, t in terms_of.items()
-    }
+
+    def count(rows: Iterable[int], label: Label) -> list[Counter]:
+        return count_terms((terms[i] for i in rows if actual[i] is label), width, mode)
+
+    totals = {label: count(range(len(ds)), label) for label in Label}
     per_fold: list[FoldMetrics] = []
-    for index, (_, test) in enumerate(folds):
-        test_terms = [terms_of[doc.label][doc.id] for doc in test.documents]
-        actual = [doc.label for doc in test.documents]
-        held = {
-            label: count_terms(
-                (t for t, a in zip(test_terms, actual) if a is label), width, mode
-            )
-            for label in Label
-        }
-        fake = map(_minus, totals[Label.FAKE], held[Label.FAKE])
-        valid = map(_minus, totals[Label.VALID], held[Label.VALID])
-        results = _score_fold(classes, fake, valid, test_terms, actual, config)
-        per_fold.extend(FoldMetrics(index, c, results[c].metrics) for c in classes)
+    for fold in range(k):
+        held = [i for i, f in enumerate(fold_of) if f == fold]
+        fake = map(_minus, totals[Label.FAKE], count(held, Label.FAKE))
+        valid = map(_minus, totals[Label.VALID], count(held, Label.VALID))
+        test_terms = [terms[i] for i in held]
+        results = _score_fold(
+            classes, fake, valid, test_terms, [actual[i] for i in held], config
+        )
+        per_fold.extend(FoldMetrics(fold, c, results[c].metrics) for c in classes)
     means = {}
     for c in classes:
         rows = [f.metrics for f in per_fold if f.model_class is c]

@@ -11,10 +11,10 @@ supported: surface forms (RAW), roots (ROOT), surface plus POS
 from __future__ import annotations
 
 import json
-import math
 import sys
 from collections import Counter
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from fanlex._kernels import expand_suffix_subsequences  # re-exported: C04 imports it from here
@@ -84,9 +84,9 @@ class Lexicon:
     of counts takes their counts and scores as they are.
 
     Raises TypeError unless exactly one of counts and entries is given,
-    ValueError for a smoothing that is not finite and >= 0 or that
-    makes a score denominator overflow, and EmptyTrainingSplitError for
-    a total that is not above zero.
+    ValueError for a smoothing that is not finite and >= 0 or for a
+    smoothing or total that makes a score denominator overflow, and
+    EmptyTrainingSplitError for a total that is not above zero.
     """
 
     def __init__(
@@ -100,7 +100,9 @@ class Lexicon:
         counts: dict[str, tuple[int, int]] | None = None,
         entries: Mapping[str, TermEntry] | None = None,
     ) -> None:
-        if not (math.isfinite(smoothing) and smoothing >= 0):
+        # Bounds here and below, not math.isfinite: they refuse an int too
+        # large for a float as not finite, where converting it would raise.
+        if not 0 <= smoothing <= sys.float_info.max:
             raise ValueError("smoothing must be finite and >= 0")
         if fake_total <= 0:
             raise EmptyTrainingSplitError(
@@ -123,10 +125,12 @@ class Lexicon:
             self._scores = {
                 t: (e.fake_score, e.valid_score) for t, e in entries.items()
             }
-        if not math.isfinite(max(fake_total, valid_total) + smoothing * len(counts)):
+        largest = max(fake_total, valid_total)
+        top = sys.float_info.max
+        if not (largest <= top and largest + smoothing * len(counts) <= top):
             raise ValueError(
-                f"smoothing {smoothing!r} is too large: the score denominator "
-                "is not finite"
+                f"smoothing {smoothing!r} or a total is too large: the score "
+                "denominator is not finite"
             )
         self.counts = counts
 
@@ -413,7 +417,7 @@ def _entry_lines(lex: Lexicon) -> list[str]:
     ]
 
 
-def _checksum(lines: list[str]) -> str:
+def _checksum(lines: Iterable[str]) -> str:
     import hashlib  # maps OpenSSL's libcrypto; only lexicon files need it
 
     digest = hashlib.sha256()
@@ -486,15 +490,16 @@ def load_lexicon(path: str) -> Lexicon:
     if type(smoothing) not in (int, float) or not 0 <= smoothing <= sys.float_info.max:
         raise LexiconParseError(f"{path}: bad smoothing value {smoothing!r}")
 
-    entry_lines = [line for line in raw_lines[1:] if line.strip()]
-    if "checksum" in header and _checksum(entry_lines) != header["checksum"]:
+    # Blank lines are skipped, but line numbers still count them. A line
+    # with nothing to strip is kept as is, so kept holds no copies.
+    body = raw_lines[1:]
+    kept = list(map(str.strip, body))
+    if "checksum" in header and _checksum(compress(body, kept)) != header["checksum"]:
         raise LexiconChecksumError(f"{path}: checksum mismatch")
 
     counts: dict[str, tuple[int, int]] = {}
     fake_sum = valid_sum = 0
-    for lineno, line in enumerate(raw_lines[1:], 2):
-        if not line.strip():
-            continue
+    for lineno, line in compress(enumerate(body, 2), kept):
         obj = parse_json(line, LexiconParseError, path, lineno)
         try:
             term = obj["t"]

@@ -433,6 +433,22 @@ def test_cross_validate_terms_each_document_once(monkeypatch, demo_table):
     assert calls == Counter(doc.id for doc in ds.documents)
 
 
+def test_cross_validate_builds_no_dataset(monkeypatch):
+    # Folds are read by position: no per-fold or per-label Dataset, each
+    # of which would re-check every id.
+    ds = separable_corpus(random.Random(3), 10, 10)
+    built = []
+    real = Dataset.__post_init__
+
+    def counting(self):
+        built.append(len(self))
+        real(self)
+
+    monkeypatch.setattr(Dataset, "__post_init__", counting)
+    cross_validate(ds, 5, ALL_CLASSES, seed=0)
+    assert built == []
+
+
 @pytest.mark.parametrize("count_mode", list(CountMode))
 @pytest.mark.parametrize("term_set_mode", list(TermSetMode))
 def test_cross_validate_term_held_out_entirely(count_mode, term_set_mode):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from fanlex.config import RunConfig
 from fanlex.corpus import Dataset, Document, Label
 from fanlex.errors import (
     EmptyTrainingSplitError,
@@ -827,6 +830,45 @@ def test_load_rejects_entry_without_evidence(tmp_path):
     with pytest.raises(LexiconConsistencyError) as err:
         load_lexicon(str(path))
     assert "'b'" in str(err.value)
+
+
+# Too large for a float: float(HUGE) raises OverflowError.
+HUGE = 10**400
+_HUGE_IN_LIBRARY = {
+    "Lexicon-smoothing": lambda: Lexicon(
+        ModelClass.RAW, counts={"a": (1, 1)}, fake_total=1, valid_total=1,
+        count_mode=CountMode.TOKEN_FREQ, smoothing=HUGE,
+    ),
+    "Lexicon-totals": lambda: Lexicon(
+        ModelClass.RAW, counts={"a": (HUGE, 0), "b": (0, 1)}, fake_total=HUGE,
+        valid_total=1, count_mode=CountMode.TOKEN_FREQ,
+    ),
+    "RunConfig-smoothing": lambda: RunConfig(smoothing=HUGE),
+    "RunConfig-display_scale": lambda: RunConfig(display_scale=HUGE),
+}
+
+
+@pytest.mark.parametrize("case", [*_HUGE_IN_LIBRARY, "score", "inspect-term"])
+def test_number_too_large_for_a_float_is_not_finite(tmp_path, case):
+    if case in _HUGE_IN_LIBRARY:
+        with pytest.raises(ValueError, match="finite"):
+            _HUGE_IN_LIBRARY[case]()
+        return
+    path = tmp_path / "lex.jsonl"
+    _write_manual(path, {}, [{"t": "a", "fc": HUGE, "vc": 0}, {"t": "b", "fc": 0, "vc": 1}])
+    if case == "score":
+        corpus = tmp_path / "in.jsonl"
+        corpus.write_text('{"id":"d","text":"a b","label":"FAKE"}\n', encoding="utf-8")
+        argv = ["score", "--lexicon", path, "--input", corpus]
+    else:
+        argv = ["inspect-term", "--term", "a", "--lexicon", path]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanlex", *map(str, argv)], capture_output=True, text=True
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert f"{path}: smoothing 0.0 or a total is too large" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("side", ["fake", "valid"])
