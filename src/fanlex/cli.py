@@ -5,8 +5,9 @@ whatever the locale; human-readable tables go to stderr, or to a file
 via --report. A command's handler only computes: it returns its
 Outputs, and main encodes stdout, writes all files, then stdout, then
 the report. So a run that exits non-zero replaces no file and prints
-nothing on stdout; the one limit is that if a rename fails after an
-earlier one succeeded, that earlier target stays replaced.
+nothing on stdout. The two limits: if a rename fails after an earlier
+one succeeded, that earlier target stays replaced; and a stdout that
+cannot be written exits 2 after every file is replaced.
 Exit codes: 0 success, 2 usage or input/IO errors, 3 domain
 precondition failures, 4 lexicon file format or version problems; each
 error type in fanlex.errors carries its own.
@@ -515,10 +516,11 @@ def main(argv: list[str] | None = None) -> int:
             report = None
         report_bytes = b"" if report is None else report.encode("utf-8")
         write_atomic(files)
+        sys.stdout.buffer.write(stdout_bytes)
+        sys.stdout.buffer.flush()
     except (FanlexError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return getattr(exc, "exit_code", 2)
-    sys.stdout.buffer.write(stdout_bytes)
     sys.stderr.buffer.write(report_bytes)
     return 0
 

@@ -202,14 +202,14 @@ def _score_fold(
     classes: Sequence[ModelClass],
     fake_counts: Iterable[Counter],
     valid_counts: Iterable[Counter],
-    test_terms: Sequence[Sequence[Counter]],
+    test_terms: Sequence[Sequence[list[str]]],
     actual: Sequence[Label],
     config: RunConfig,
 ) -> dict[ModelClass, EvalResult]:
     """Build each class's lexicon from its counts and score the test terms.
 
-    Counts and each test document's terms hold one Counter per class,
-    in class order. Counts are drawn one class at a time.
+    Counts hold one Counter per class and each test document's terms one
+    list per class, in class order. Counts are drawn one class at a time.
     """
     results: dict[ModelClass, EvalResult] = {}
     counts = zip(classes, fake_counts, valid_counts)
@@ -218,7 +218,7 @@ def _score_fold(
             model_class, fake, valid, config.count_mode, config.smoothing
         )
         predicted = [
-            _score_terms(terms[i], lex, config.term_set_mode).label
+            _score_terms(Counter(terms[i]), lex, config.term_set_mode).label
             for terms in test_terms
         ]
         cm = confusion(predicted, actual)

@@ -232,7 +232,7 @@ class _SuffixRuns(dict):
 
 
 class TermPipeline:
-    """Turns documents into term multisets, one Counter per model class.
+    """Turns documents into term lists, one per model class.
 
     A pipeline holds one run's classes, rule table, locale and title
     setting. One pass over a document's analyses, given or analyzed
@@ -263,15 +263,15 @@ class TermPipeline:
         self._wanted = [c in self.classes for c in ModelClass]
         self._columns = [list(ModelClass).index(c) for c in self.classes]
 
-    def terms(self, doc: Document) -> list[Counter]:
-        """The document's term multisets, one per class in class order."""
+    def terms(self, doc: Document) -> list[list[str]]:
+        """One new term list per class, in class order: token order, repeats kept."""
         analyses = doc.analyses
         if analyses is None:
             text = compose_text(doc.title, doc.text, self.include_title)
             if self.classes == (ModelClass.RAW,):
-                return [Counter(normalized_tokens(text, self._turkish, letters_only=True))]
+                return [normalized_tokens(text, self._turkish, letters_only=True)]
             analyses = analyze_text(text, self.analyzer, self.locale, self._memo)
-        return [Counter(terms) for terms in self._term_lists(analyses)]
+        return self._term_lists(analyses)
 
     def _term_lists(self, analyses: Iterable[MorphAnalysis]) -> list[list[str]]:
         """The term rules of extract_terms for every class in one pass:
@@ -296,16 +296,16 @@ class TermPipeline:
 
 
 def count_terms(
-    rows: Iterable[Sequence[Counter]], width: int, count_mode: CountMode
+    rows: Iterable[Sequence[list[str]]], width: int, count_mode: CountMode
 ) -> list[Counter]:
-    """Sum many documents' term rows, each one Counter per class as
-    TermPipeline.terms returns it, into width Counters under a count
-    mode: DOC_PRESENCE adds each distinct term once per document."""
+    """Sum many documents' term rows, one list per class as TermPipeline.terms
+    returns them, into width Counters; DOC_PRESENCE adds each distinct term
+    once per document. Lists and keys views count in C, a Mapping in Python."""
     totals = [Counter() for _ in range(width)]
     presence = count_mode is CountMode.DOC_PRESENCE
     for row in rows:
         for counts, terms in zip(totals, row):
-            counts.update(terms.keys() if presence else terms)
+            counts.update(dict.fromkeys(terms).keys() if presence else terms)
     return totals
 
 
@@ -526,14 +526,15 @@ def load_lexicon(path: str) -> Lexicon:
         fake_sum += fc
         valid_sum += vc
 
-    if fake_sum != fake_total:
-        raise LexiconConsistencyError(
-            f"{path}: fake_total {fake_total} does not match entry sum {fake_sum}"
-        )
-    if valid_sum != valid_total:
-        raise LexiconConsistencyError(
-            f"{path}: valid_total {valid_total} does not match entry sum {valid_sum}"
-        )
+    for side, total, found in (("fake", fake_total, fake_sum), ("valid", valid_total, valid_sum)):
+        if found != total:
+            try:
+                shown = f" {found}"
+            except ValueError:  # more digits than int -> str allows
+                shown = ""
+            raise LexiconConsistencyError(
+                f"{path}: {side}_total {total} does not match entry sum{shown}"
+            )
     for side, total in (("fake", fake_total), ("valid", valid_total)):
         if total <= 0:
             raise LexiconConsistencyError(f"{path}: {side}_total {total} is not > 0")

@@ -63,7 +63,7 @@ def score_document(
     terms = TermPipeline(
         (lex.model_class,), analyzer, locale=locale, include_title=include_title
     ).terms(doc)[0]
-    return _score_terms(terms, lex, term_set_mode)
+    return _score_terms(Counter(terms), lex, term_set_mode)
 
 
 def _score_terms(
@@ -117,7 +117,7 @@ def explain(
     terms = TermPipeline(
         (lex.model_class,), analyzer, locale=locale, include_title=include_title
     ).terms(doc)[0]
-    return _explain_terms(terms, lex, top_n)
+    return _explain_terms(Counter(terms), lex, top_n)
 
 
 def _explain_terms(terms: Counter, lex: Lexicon, top_n: int) -> list[TermContribution]:
@@ -190,5 +190,5 @@ def _score_rows(
         classes, analyzer, locale=locale, include_title=include_title
     )
     for doc in docs.documents:
-        for lex, terms in zip(lexicons, pipeline.terms(doc)):
+        for lex, terms in zip(lexicons, map(Counter, pipeline.terms(doc))):
             yield doc, lex, terms, _score_terms(terms, lex, term_set_mode)

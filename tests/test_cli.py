@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -392,6 +393,39 @@ def test_failed_report_prints_and_replaces_nothing(capsys, cli_files, every_comm
     assert err == f"error: [Errno 2] No such file or directory: '{report}'\n"
     assert sorted(p.name for p in cli_files["dir"].iterdir()) == before
     assert out.read_bytes() == b"old bytes\n"
+
+
+def _run_to(stdout, argv):
+    """Run the CLI in a child process writing stdout to the given file."""
+    argv = [sys.executable, "-m", "fanlex", *map(str, argv)]
+    return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_closed_stdout_pipe_is_io_error(cli_files, every_command, command):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    outs = {"build-lexicon": ["--out", cli_files["dir"] / "new.lex"]}
+    argv = [*every_command[command], *outs.get(command, [])]
+    try:
+        proc = _run_to(write_end, argv)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+def test_full_disk_on_stdout_is_io_error_after_files_are_replaced(cli_files):
+    """Stdout is written after the files, so an --out file stays replaced."""
+    out = cli_files["dir"] / "new.lex"
+    out.write_bytes(b"old bytes\n")
+    argv = ["build-lexicon", "--fake", cli_files["fake"], "--valid", cli_files["valid"],
+            "--class", "RAW", "--out", out]
+    with open("/dev/full", "wb") as full:
+        proc = _run_to(full, argv)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: [Errno 28] No space left on device\n"
+    assert load_lexicon(str(out)).model_class.value == "RAW"
 
 
 def _corpus_with_id(cli_files, tmp_path, doc_id):
@@ -1275,6 +1309,31 @@ def test_zero_total_lexicon_is_format_error(capsys, cli_files, command):
     assert code == 4
     assert out == ""
     assert err == f"error: {lex}: fake_total 0 is not > 0\n"
+
+
+@pytest.mark.parametrize("side", ["fake", "valid"])
+@pytest.mark.parametrize("command", ["score", "inspect-term"])
+def test_entry_sum_too_long_to_print_is_format_error(capsys, cli_files, command, side):
+    # Two 4,300-digit counts add up to 4,301 digits, past the default
+    # limit of int -> str, under a valid checksum and header totals of 1.
+    big = int("9" * 4300)
+    other = "valid" if side == "fake" else "fake"
+    entries = [{"t": t, f"{side[0]}c": big, f"{other[0]}c": 1} for t in ("a", "b")]
+    lines = [json.dumps(e, separators=(",", ":")) for e in entries]
+    checksum = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    header = {"format": "fanlex-lexicon", "version": 1, "class": "RAW",
+              "count_mode": "TOKEN_FREQ", f"{side}_total": 1, f"{other}_total": 2,
+              "checksum": checksum}
+    lex = cli_files["dir"] / "long.lex"
+    lex.write_text("\n".join([json.dumps(header), *lines]) + "\n", encoding="utf-8")
+    if command == "score":
+        argv = ["score", "--lexicon", lex, "--input", cli_files["test"]]
+    else:
+        argv = ["inspect-term", "--term", "a", "--lexicon", lex]
+    code, out, err = run(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert err == f"error: {lex}: {side}_total 1 does not match entry sum\n"
 
 
 def test_unknown_model_class_usage_error(cli_files):
