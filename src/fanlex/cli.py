@@ -47,6 +47,7 @@ from fanlex.lexicon import (
 from fanlex.morph import (
     AnalyzerRuleTable,
     DEFAULT_SUFFIX_RULES,
+    MorphAnalysis,
     load_rule_table,
     load_suffix_rules,
     normalize,
@@ -148,8 +149,10 @@ def _group_key(doc) -> tuple[str, str]:
 
 def cmd_build_lexicon(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     analyzer = _resolve_analyzer(args, cfg)
-    fake = load_corpus(args.fake)
-    valid = load_corpus(args.valid)
+    interned: dict[tuple, MorphAnalysis] = {}
+    fake = load_corpus(args.fake, interned=interned)
+    valid = load_corpus(args.valid, interned=interned)
+    del interned  # the documents hold their analyses; the keys would outlive their use
     _check_label_purity(fake, Label.FAKE, "--fake")
     _check_label_purity(valid, Label.VALID, "--valid")
     lex = build_lexicon(
@@ -234,11 +237,13 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
 def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     analyzer = _resolve_analyzer(args, cfg)
     classes = _parse_classes(args.classes)
-    train_fake = load_corpus(args.train_fake)
-    train_valid = load_corpus(args.train_valid)
+    interned: dict[tuple, MorphAnalysis] = {}
+    train_fake = load_corpus(args.train_fake, interned=interned)
+    train_valid = load_corpus(args.train_valid, interned=interned)
     _check_label_purity(train_fake, Label.FAKE, "--train-fake")
     _check_label_purity(train_valid, Label.VALID, "--train-valid")
-    test = load_corpus(args.test)
+    test = load_corpus(args.test, interned=interned)
+    del interned  # the documents hold their analyses; the keys would outlive their use
     if not test.documents:
         raise DomainError("test corpus is empty")
     results = evaluate_models(train_fake, train_valid, test, classes, cfg, analyzer)

@@ -76,12 +76,12 @@ DEFAULT_ABBREVIATIONS = frozenset(
 _BOUNDARY = re.compile(rf"[{re.escape(TERMINALS)}]+(?=\s|$)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """One news item with a gold label.
 
-    Documents loaded from one file share one frozen MorphAnalysis per
-    distinct analysis.
+    Documents loaded by one command share one frozen MorphAnalysis per
+    distinct analysis; two plain load_corpus calls share none.
     """
 
     id: str
@@ -134,8 +134,6 @@ class VerificationReport(NamedTuple):
 
 
 _DOCUMENT_KEYS = {"id", "title", "text", "label", "source", "analyses"}
-_ANALYSIS_KEYS = {"raw", "root", "pos"}
-_ANALYSIS_KEYS_WITH_SUFFIXES = {"raw", "root", "pos", "suffixes"}
 
 
 def _parse_analyses(
@@ -154,20 +152,15 @@ def _parse_analyses(
     out = []
     for i, item in enumerate(listed):
         key = None
-        if type(item) is dict:
-            keys = item.keys()
-            if keys == _ANALYSIS_KEYS or (
-                keys == _ANALYSIS_KEYS_WITH_SUFFIXES and type(item["suffixes"]) is list
-            ):
+        try:
+            if len(item) == 3 or len(item) == 4 and type(item["suffixes"]) is list:
                 key = (item["raw"], item["root"], item["pos"], *item.get("suffixes", ()))
-                try:
-                    hit = interned.get(key)
-                except TypeError:  # an unhashable value, which validation refuses
-                    key = None
-                else:
-                    if hit is not None:
-                        out.append(hit)
-                        continue
+                hit = interned.get(key)
+                if hit is not None:
+                    out.append(hit)
+                    continue
+        except (KeyError, TypeError):  # another shape, or an unhashable value
+            key = None
         try:
             analysis = analysis_from_json(item)
         except ValueError as exc:
@@ -215,18 +208,20 @@ def _parse_document(
     )
 
 
-def load_corpus(path: str) -> Dataset:
+def load_corpus(path: str, *, interned: dict[tuple, MorphAnalysis] | None = None) -> Dataset:
     """Load a JSONL corpus; errors name the offending file and line.
 
     Equal analyses within the file are one shared, frozen MorphAnalysis.
-    Nothing is shared between two loads.
+    Nothing is shared between two loads, unless they pass one interned
+    dict, as a command does for the corpora it loads. A line of JSON
+    whitespace alone is skipped.
     """
     docs: list[Document] = []
     seen: dict[str, int] = {}
-    interned: dict[tuple, MorphAnalysis] = {}
+    interned = {} if interned is None else interned
     with open_text(path, CorpusParseError) as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
+            if not line.strip(" \t\n\r"):
                 continue
             obj = parse_json(line, CorpusParseError, path, lineno)
             doc = _parse_document(obj, f"{path}:{lineno}", interned)

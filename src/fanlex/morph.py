@@ -74,7 +74,7 @@ DEFAULT_SUFFIX_RULES: tuple[tuple[str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MorphAnalysis:
     """One analyzed token: normalized surface, root, POS and suffix tags."""
 
@@ -274,7 +274,7 @@ def load_rule_table(
     first_line: dict[str, int] = {}
     with open_text(path, InputError) as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
+            if not line.strip(" \t\n\r"):
                 continue
             obj = parse_json(line, InputError, path, lineno)
             if not isinstance(obj, dict):

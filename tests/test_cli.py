@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -851,6 +852,117 @@ def test_evaluate_empty_test(capsys, cli_files, tmp_path):
     )
     assert code == 3
     assert "empty" in err
+
+
+_EV = {"raw": "ev", "root": "ev", "pos": "Noun"}
+_EVDE = {"raw": "evde", "root": "ev", "pos": "Noun", "suffixes": ["Loc"]}
+_YOL = {"raw": "yol", "root": "yol", "pos": "Noun"}
+_GELDI = {"raw": "geldi", "root": "gel", "pos": "Verb", "suffixes": ["Past"]}
+
+
+def _analyzed_corpus(write_jsonl, name, rows):
+    """A corpus of (label, analyses) rows."""
+    return write_jsonl(
+        name,
+        [
+            {"id": f"{name}{n}", "text": "x", "label": label, "analyses": analyses}
+            for n, (label, analyses) in enumerate(rows)
+        ],
+    )
+
+
+@pytest.fixture
+def shared_analyses(write_jsonl, monkeypatch):
+    """Three corpora that repeat analyses across files, and the list of
+    items that corpus loading validates. The files hold 4 distinct
+    analyses, 9 per file."""
+    fake = _analyzed_corpus(write_jsonl, "f", [("FAKE", [_EV, _EVDE]), ("FAKE", [_EVDE, _EV])])
+    valid = _analyzed_corpus(write_jsonl, "v", [("VALID", [_EV, _YOL]), ("VALID", [_GELDI])])
+    test = _analyzed_corpus(
+        write_jsonl,
+        "t",
+        [("FAKE", [_EVDE, {**_YOL, "suffixes": []}]), ("VALID", [_GELDI, _EV])],
+    )
+    validated = []
+    real = fanlex.corpus.analysis_from_json
+
+    def counting(item, *args):
+        validated.append(item)
+        return real(item, *args)
+
+    monkeypatch.setattr(fanlex.corpus, "analysis_from_json", counting)
+    return {"fake": fake, "valid": valid, "test": test, "validated": validated}
+
+
+def test_evaluate_validates_each_distinct_analysis_once(capsys, shared_analyses):
+    """evaluate's three loads share one intern table."""
+    files = shared_analyses
+    code, _, _ = run(
+        capsys,
+        ["evaluate", "--train-fake", files["fake"], "--train-valid", files["valid"],
+         "--test", files["test"]],
+    )
+    assert code == 0
+    assert len(files["validated"]) == 4
+
+
+def test_build_lexicon_validates_each_distinct_analysis_once(
+    capsys, shared_analyses, tmp_path
+):
+    files = shared_analyses
+    code, _, _ = run(
+        capsys,
+        ["build-lexicon", "--fake", files["fake"], "--valid", files["valid"],
+         "--class", "SUFFIX", "--out", tmp_path / "x.lex"],
+    )
+    assert code == 0
+    assert len(files["validated"]) == 4
+
+
+def test_evaluate_drops_the_intern_table_before_scoring(capsys, shared_analyses, monkeypatch):
+    """Once the corpora are loaded, only the documents hold their
+    analyses: no dict, such as the intern table, lives on through
+    evaluate_models."""
+    files = shared_analyses
+    holders = []
+    real = fanlex.cli.evaluate_models
+
+    def checking(train_fake, *args):
+        for doc in train_fake.documents:
+            for analysis in doc.analyses:
+                holders.extend(type(r) for r in gc.get_referrers(analysis))
+        return real(train_fake, *args)
+
+    monkeypatch.setattr(fanlex.cli, "evaluate_models", checking)
+    code, _, _ = run(
+        capsys,
+        ["evaluate", "--train-fake", files["fake"], "--train-valid", files["valid"],
+         "--test", files["test"]],
+    )
+    assert code == 0
+    assert holders and set(holders) == {tuple}
+
+
+@pytest.mark.parametrize("flag", ["--fake", "--rule-table"])
+def test_line_of_non_json_whitespace_is_invalid_json(capsys, tmp_path, write_text, flag):
+    """Only JSON whitespace makes a blank line: a line holding U+00A0
+    alone is refused like the same character after an object, while a
+    line of spaces and tabs is still skipped."""
+    lines = {
+        "--fake": '{"id":"f","text":"ev","label":"FAKE"}\n',
+        "--valid": '{"id":"v","text":"ev","label":"VALID"}\n',
+        "--rule-table": '{"surface":"ev","analyses":[{"root":"ev","pos":"Noun"}]}\n',
+    }
+
+    def build_with(blank):
+        argv = ["build-lexicon", "--class", "RAW", "--out", tmp_path / "x.lex"]
+        for f, line in lines.items():
+            argv += [f, write_text(f[2:], line + (f" \t\n{blank}\n" if f == flag else ""))]
+        return run(capsys, argv)
+
+    bad = tmp_path / flag[2:]
+    assert build_with("\u00a0") == (2, "", f"error: {bad}:3: invalid JSON (Expecting value)\n")
+    assert build_with("\t ")[0] == 0
 
 
 def test_cross_validate(capsys, cli_files):

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -162,6 +163,8 @@ def _twins(a):
         {**a, "pos": False},
         {**a, "pos": 0.5},
         {**a, "raw": ""},
+        {**{k: a[k] for k in ("raw", "root", "pos")}, "suffix": tags},
+        {"raw": a["raw"], "root": a["root"], "tag": a["pos"], "suffixes": tags},
     ]
 
 
@@ -207,6 +210,43 @@ def test_load_corpus_matches_per_item_validation(write_text, rows):
     assert (got.documents if isinstance(got, Dataset) else got) == outcome(_reference_load)
 
 
+def _analyzed_lines(rows):
+    return "".join(
+        json.dumps({"id": f"d{n}", "text": "x", "label": "FAKE", "analyses": row}) + "\n"
+        for n, row in enumerate(rows)
+    )
+
+
+@given(
+    first=st.lists(analysis_rows(), max_size=3),
+    second=st.lists(analysis_rows(), max_size=3),
+)
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_shared_intern_table_matches_per_file_loads(write_text, first, second):
+    """Two files loaded into one intern table give the documents, or the
+    first error, of two plain loads, with one object per distinct
+    analysis across both files."""
+    paths = [write_text("first.jsonl", _analyzed_lines(first)),
+             write_text("second.jsonl", _analyzed_lines(second))]
+
+    def outcome(load):
+        try:
+            return [load(path).documents for path in paths]
+        except CorpusParseError as exc:
+            return type(exc), str(exc)
+
+    interned: dict = {}
+    shared = outcome(lambda path: load_corpus(path, interned=interned))
+    assert shared == outcome(load_corpus)
+    if isinstance(shared, list):
+        analyses = [a for docs in shared for doc in docs for a in doc.analyses]
+        assert len({id(a) for a in analyses}) == len(set(analyses))
+
+
 def test_equal_analyses_share_one_object_per_load(write_text):
     loc = {"raw": "evde", "root": "ev", "pos": "Noun", "suffixes": ["Loc"]}
     bare = {"raw": "ev", "root": "ev", "pos": "Noun"}
@@ -225,6 +265,20 @@ def test_equal_analyses_share_one_object_per_load(write_text):
     ours = {id(x) for doc in first.documents for x in doc.analyses}
     theirs = {id(x) for doc in second.documents for x in doc.analyses}
     assert not ours & theirs
+
+
+def test_records_are_slotted():
+    """Document and MorphAnalysis hold no __dict__ and take no new
+    attribute, but dataclasses.replace still copies them."""
+    analysis = analysis_from_json({"raw": "evde", "root": "ev", "pos": "Noun"})
+    doc = Document(id="a", text="evde", label=Label.FAKE, analyses=(analysis,))
+    for record in (doc, analysis):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises((AttributeError, TypeError)):
+            object.__setattr__(record, "extra", 1)
+    assert replace(doc, id="b") == Document(id="b", text="evde", label=Label.FAKE,
+                                            analyses=(analysis,))
+    assert replace(analysis, suffixes=("Loc",)).suffixes == ("Loc",)
 
 
 def test_document_json_key_order():
