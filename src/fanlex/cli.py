@@ -28,9 +28,9 @@ from fanlex.config import ENV_CONFIG, FIELD_TYPES, RunConfig, _parse, load_confi
 from fanlex.corpus import (
     Dataset,
     Label,
+    _read_word_list,
     corpus_stats,
     load_corpus,
-    load_word_list,
     verify_stats_by_group,
     write_atomic,
 )
@@ -333,8 +333,8 @@ def cmd_corpus_stats(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
 
 def cmd_verify_corpus(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     ds = load_corpus(args.input)
-    slang = load_word_list(args.slang, cfg.locale)
-    dictionary = load_word_list(args.dictionary, cfg.locale)
+    slang = _read_word_list(args.slang)
+    dictionary = _read_word_list(args.dictionary)
     overall, groups = verify_stats_by_group(
         ds,
         slang,

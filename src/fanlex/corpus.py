@@ -331,31 +331,32 @@ def corpus_stats(ds: Dataset, *, include_title: bool = True) -> CorpusStats:
     )
 
 
-def load_word_list(path: str, locale: Locale = Locale.TURKISH) -> list[str]:
-    """Load a one-entry-per-line UTF-8 word list.
+def _read_word_list(path: str) -> list[str]:
+    """A word list's entries as written: its stripped lines, without
+    blank lines and lines starting with #. One leading byte order mark
+    is ignored."""
+    with open_text(path, InputError, "utf-8-sig") as fh:
+        return [body for body in map(str.strip, fh) if body and not body.startswith("#")]
 
-    Lines starting with # and blank lines are skipped; entries are
-    normalized word by word at load and de-duplicated, order kept.
-    Entries may contain several words (phrases). One leading byte
-    order mark is ignored.
+
+def _entry_words(entry: str, turkish: bool) -> list[str]:
+    """An entry's words, each normalized; words that normalize to nothing are dropped."""
+    return [w for p in entry.split() if (w := normalize_token(p, turkish))]
+
+
+def load_word_list(path: str, locale: Locale = Locale.TURKISH) -> list[str]:
+    """Load a one-entry-per-line UTF-8 word list, normalized.
+
+    Lines starting with # and blank lines are skipped, and one leading
+    byte order mark is ignored. An entry may hold several words (a
+    phrase); each word is normalized under the locale, words that
+    normalize to nothing are dropped, and so are entries left empty.
+    Entries are de-duplicated, order kept. verify_stats takes the
+    entries as written as well as this list.
     """
     turkish = locale is Locale.TURKISH
-    entries: list[str] = []
-    seen: set[str] = set()
-    with open_text(path, InputError, "utf-8-sig") as fh:
-        for line in fh:
-            body = line.strip()
-            if not body or body.startswith("#"):
-                continue
-            words = [normalize_token(w, turkish) for w in body.split()]
-            words = [w for w in words if w]
-            if not words:
-                continue
-            entry = " ".join(words)
-            if entry not in seen:
-                seen.add(entry)
-                entries.append(entry)
-    return entries
+    entries = (" ".join(_entry_words(e, turkish)) for e in _read_word_list(path))
+    return [e for e in dict.fromkeys(entries) if e]
 
 
 def verify_stats_by_group(
@@ -369,30 +370,28 @@ def verify_stats_by_group(
 ) -> tuple[VerificationReport, dict[Hashable, VerificationReport]]:
     """verify_stats over the whole dataset and per group, in one pass.
 
-    Each document is tokenized once; its sentence, slang and
-    misspelling counts are added to its group's, and the overall
-    figures are the sums over groups. Groups come in first-seen order;
-    those without sentences are left out. Raises NoSentencesError when
-    the whole dataset has no sentence.
+    The word lists are taken as verify_stats takes them. Each document
+    is tokenized once; its sentence, slang and misspelling counts are
+    added to its group's, and the overall figures are the sums over
+    groups. Groups come in first-seen order; those without sentences
+    are left out. Raises NoSentencesError when the whole dataset has
+    no sentence.
     """
-    if not slang:
-        raise DomainError("slang list is empty")
     turkish = locale is Locale.TURKISH
     singles: set[str] = set()
     phrases: set[tuple[str, ...]] = set()
     for entry in slang:
-        words = tuple(w for w in (normalize_token(p, turkish) for p in entry.split()) if w)
-        if not words:
-            continue
+        words = _entry_words(entry, turkish)
         if len(words) == 1:
             singles.add(words[0])
-        else:
-            phrases.add(words)
+        elif words:
+            phrases.add(tuple(words))
+    if not singles and not phrases:
+        raise DomainError("slang list is empty")
     phrase_lengths = sorted({len(p) for p in phrases}, reverse=True)
     # Only a token that starts some phrase needs the phrase probes.
     first_words = {p[0] for p in phrases}
-    dict_words = {normalize_token(p, turkish) for e in dictionary for p in e.split()}
-    dict_words.discard("")
+    dict_words = {w for entry in dictionary for w in _entry_words(entry, turkish)}
     if not dict_words:
         raise DomainError("dictionary is empty")
 
@@ -447,10 +446,14 @@ def verify_stats(
 ) -> VerificationReport:
     """Slang and misspelling rates per sentence across a dataset.
 
-    Slang entries may span several words; multi-word phrases are
-    matched greedily left to right and count one occurrence per match.
-    A normalized token counts as misspelled when it is in neither the
-    dictionary nor the slang list, unless it is all digits.
+    Entries are taken as written or as load_word_list returns them:
+    each word of an entry is normalized once, here, under the locale,
+    and words that normalize to nothing are dropped. A slang list or
+    dictionary left with no word raises DomainError. Slang entries may
+    span several words; multi-word phrases are matched greedily left
+    to right and count one occurrence per match. A normalized token
+    counts as misspelled when it is in neither the dictionary nor the
+    slang list, unless it is all digits.
     """
     return verify_stats_by_group(
         ds, slang, dictionary, lambda doc: None, locale=locale, include_title=include_title

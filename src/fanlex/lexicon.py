@@ -14,7 +14,7 @@ import json
 import sys
 from collections import Counter
 from enum import Enum
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from fanlex._kernels import expand_suffix_subsequences  # re-exported: C04 imports it from here
@@ -84,9 +84,10 @@ class Lexicon:
     of counts takes their counts and scores as they are.
 
     Raises TypeError unless exactly one of counts and entries is given,
-    ValueError for a smoothing that is not finite and >= 0 or for a
-    smoothing or total that makes a score denominator overflow, and
-    EmptyTrainingSplitError for a total that is not above zero.
+    ValueError for a smoothing that is not an int or float (a bool is
+    not), finite and >= 0, or for a smoothing or total that makes a
+    score denominator overflow, and EmptyTrainingSplitError for a total
+    that is not above zero.
     """
 
     def __init__(
@@ -100,6 +101,10 @@ class Lexicon:
         counts: dict[str, tuple[int, int]] | None = None,
         entries: Mapping[str, TermEntry] | None = None,
     ) -> None:
+        # A bool is no number: save_lexicon would write it as true, which
+        # load_lexicon refuses.
+        if isinstance(smoothing, bool) or not isinstance(smoothing, (int, float)):
+            raise ValueError(f"smoothing must be int or float, not {type(smoothing).__name__}")
         # Bounds here and below, not math.isfinite: they refuse an int too
         # large for a float as not finite, where converting it would raise.
         if not 0 <= smoothing <= sys.float_info.max:
@@ -490,10 +495,11 @@ def load_lexicon(path: str) -> Lexicon:
     if type(smoothing) not in (int, float) or not 0 <= smoothing <= sys.float_info.max:
         raise LexiconParseError(f"{path}: bad smoothing value {smoothing!r}")
 
-    # Blank lines are skipped, but line numbers still count them. A line
-    # with nothing to strip is kept as is, so kept holds no copies.
+    # Lines of JSON whitespace alone are skipped, but line numbers still
+    # count them. A line with nothing to strip is kept as is, so kept
+    # holds no copies.
     body = raw_lines[1:]
-    kept = list(map(str.strip, body))
+    kept = list(map(str.strip, body, repeat(" \t\n\r")))
     if "checksum" in header and _checksum(compress(body, kept)) != header["checksum"]:
         raise LexiconChecksumError(f"{path}: checksum mismatch")
 

@@ -1096,6 +1096,56 @@ def test_verify_corpus_tokenizes_each_document_once(capsys, write_text, monkeypa
     assert calls == Counter(texts)
 
 
+def test_verify_corpus_normalizes_each_word_list_word_once(capsys, write_text, monkeypatch):
+    corpus = write_text(
+        "v.jsonl", '{"id":"a","text":"Bu çok fena lan. Σ İyi.","label":"FAKE"}\n'
+    )
+    slang = write_text("slang.txt", "\ufeff# argo\nlan\nÇOK  fena\n!!!\nlan\n")
+    words = write_text("dict.txt", "bu\nçok\n\nfena\nİyi\n")
+    calls: Counter = Counter()
+    real = fanlex.corpus.normalize_token
+
+    def counting(token, *args, **kwargs):
+        calls[token] += 1
+        return real(token, *args, **kwargs)
+
+    monkeypatch.setattr(fanlex.corpus, "normalize_token", counting)
+    code, _, _ = run(
+        capsys,
+        ["verify-corpus", "--input", corpus, "--slang", slang, "--dictionary", words],
+    )
+    assert code == 0
+    written = ["lan", "ÇOK", "fena", "!!!", "lan", "bu", "çok", "fena", "İyi"]
+    assert calls == Counter(written)
+
+
+def _verify_with(capsys, write_text, flag, content):
+    """verify-corpus on a one-document corpus, the file of `flag` holding `content`."""
+    files = {
+        "--input": write_text("v.jsonl", '{"id":"a","text":"Bu lan.","label":"FAKE"}\n'),
+        "--slang": write_text("slang.txt", "lan\n"),
+        "--dictionary": write_text("dict.txt", "bu\n"),
+    }
+    Path(files[flag]).write_bytes(content)
+    return files[flag], run(capsys, ["verify-corpus", *(x for f in files.items() for x in f)])
+
+
+@pytest.mark.parametrize("flag", ["--slang", "--dictionary"])
+def test_verify_corpus_undecodable_word_list_is_input_error(capsys, write_text, flag):
+    path, (code, stdout, err) = _verify_with(capsys, write_text, flag, b"lan\n\xff\n")
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {path}: not valid UTF-8 text")
+
+
+@pytest.mark.parametrize(
+    "flag, message", [("--slang", "slang list is empty"), ("--dictionary", "dictionary is empty")]
+)
+def test_verify_corpus_word_list_of_no_word_is_domain_error(capsys, write_text, flag, message):
+    content = "# yalnız noktalama\n!!!\n\n  !!!  ...\n".encode()
+    _, result = _verify_with(capsys, write_text, flag, content)
+    assert result == (3, "", f"error: {message}\n")
+
+
 def test_inspect_term(capsys, cli_files):
     raw_lex, _ = build(capsys, cli_files, "RAW")
     pos_lex, _ = build(capsys, cli_files, "RAW_POS")
@@ -1640,6 +1690,10 @@ PIN_RUNS = {
     "corpus-stats": ["corpus-stats", "--input", "@all"],
     "verify-corpus": ["verify-corpus", "--input", "@all", "--slang", "@slang",
                       "--dictionary", "@dict"],
+    "verify-corpus-generic": ["verify-corpus", "--input", "@all", "--slang", "@slang-mixed",
+                              "--dictionary", "@dict-mixed", "--locale", "GENERIC"],
+    "verify-corpus-turkish": ["verify-corpus", "--input", "@all", "--slang", "@slang-mixed",
+                              "--dictionary", "@dict-mixed", "--locale", "TURKISH"],
     "evaluate": ["evaluate", "--train-fake", "@fake", "--train-valid", "@valid",
                  "--test", "@test", "--classes", "RAW,ROOT"],
     "cross-validate": ["cross-validate", "--input", "@all", "--folds", "2",
@@ -1676,6 +1730,32 @@ PIN_STDOUT = {
         '"slang_per_sentence":0.5,"misspelling_per_sentence":1.5},{"source":"b",'
         '"label":"VALID","slang_per_sentence":0.0,'
         '"misspelling_per_sentence":2.5}]}\n'
+    ),
+    "verify-corpus-generic": (
+        '{"overall":{"slang_per_sentence":0.38461538461538464,'
+        '"misspelling_per_sentence":1.4615384615384615},'
+        '"groups":[{"source":"(none)","label":"FAKE","slang_per_sentence":1.0,'
+        '"misspelling_per_sentence":1.0},{"source":"(none)","label":"VALID",'
+        '"slang_per_sentence":0.0,"misspelling_per_sentence":1.0},'
+        '{"source":"a","label":"FAKE","slang_per_sentence":0.75,'
+        '"misspelling_per_sentence":0.75},{"source":"a","label":"VALID",'
+        '"slang_per_sentence":0.0,"misspelling_per_sentence":2.0},'
+        '{"source":"b","label":"FAKE","slang_per_sentence":0.5,'
+        '"misspelling_per_sentence":1.5},{"source":"b","label":"VALID",'
+        '"slang_per_sentence":0.0,"misspelling_per_sentence":2.25}]}\n'
+    ),
+    "verify-corpus-turkish": (
+        '{"overall":{"slang_per_sentence":0.38461538461538464,'
+        '"misspelling_per_sentence":1.1538461538461537},'
+        '"groups":[{"source":"(none)","label":"FAKE","slang_per_sentence":1.0,'
+        '"misspelling_per_sentence":1.0},{"source":"(none)","label":"VALID",'
+        '"slang_per_sentence":0.0,"misspelling_per_sentence":0.0},'
+        '{"source":"a","label":"FAKE","slang_per_sentence":0.75,'
+        '"misspelling_per_sentence":0.75},{"source":"a","label":"VALID",'
+        '"slang_per_sentence":0.0,"misspelling_per_sentence":1.0},'
+        '{"source":"b","label":"FAKE","slang_per_sentence":0.5,'
+        '"misspelling_per_sentence":1.5},{"source":"b","label":"VALID",'
+        '"slang_per_sentence":0.0,"misspelling_per_sentence":1.75}]}\n'
     ),
     "evaluate": (
         '{"config":{"locale":"TURKISH","count_mode":"TOKEN_FREQ",'
@@ -1714,6 +1794,16 @@ def pin_files(capsys, tmp_path, write_jsonl, write_text):
         "test": write_jsonl("test.jsonl", fake[3:] + valid[3:] + PIN_TEST_ONLY),
         "slang": write_text("slang.txt", "şok\nşok iddia\n"),
         "dict": write_text("dict.txt", "vergi\nyok\nherkes\nbakanlık\n"),
+        # Casing, edge punctuation and spacing that normalization undoes.
+        "slang-mixed": write_text(
+            "slang-mixed.txt",
+            "\ufeff# argo\nŞOK\n  şok  iddia \n«İnanılmaz»\nΣΟΣ\n!!!\nşok\n",
+        ),
+        "dict-mixed": write_text(
+            "dict-mixed.txt",
+            "# sözlük\nVERGİ\n\"yok,\"\nHERKES\nIşık\nBAKANLIK\nMECLİS\n\n"
+            "oranını  onayladı\n—\n",
+        ),
     }
     for model_class in ("RAW", "ROOT"):
         paths[model_class] = str(tmp_path / f"{model_class}.lex")

@@ -13,6 +13,7 @@ from fanlex.corpus import (
     Document,
     Label,
     Split,
+    _read_word_list,
     corpus_stats,
     document_to_json,
     load_corpus,
@@ -445,9 +446,67 @@ def test_verify_stats_guards():
         verify_stats(Dataset(docs), slang=[], dictionary=["bu"])
     with pytest.raises(DomainError):
         verify_stats(Dataset(docs), slang=["lan"], dictionary=[])
+    # Entries that normalize to nothing leave a list empty, as written
+    # or from load_word_list.
+    with pytest.raises(DomainError, match="^slang list is empty$"):
+        verify_stats(Dataset(docs), slang=["!!!", " ... "], dictionary=["bu"])
+    with pytest.raises(DomainError, match="^dictionary is empty$"):
+        verify_stats(Dataset(docs), slang=["lan"], dictionary=["!!!", "—"])
     empty = (Document(id="a", text="   ", label=Label.FAKE),)
     with pytest.raises(NoSentencesError):
         verify_stats(Dataset(empty), slang=["lan"], dictionary=["bu"])
+
+
+# Lines of a word list: comments, blank lines, words that normalize to
+# nothing, Turkish and Greek capitals, edge punctuation, and phrases with
+# runs of spaces around and between their words.
+_LIST_WORDS = ["lan", "LAN", "«lan»", "çok", "ÇOK", "fena!", "İyi", "IRAK", "ırak",
+               "ΣΟΣ", "σος", "Dr.", "!!!", "—", "47"]
+_list_lines = st.one_of(
+    st.sampled_from(["", "   ", "\t", "# yorum", "  # lan", "#lan"]),
+    st.tuples(
+        st.lists(st.sampled_from(_LIST_WORDS), min_size=1, max_size=3),
+        st.sampled_from([" ", "  ", " \t "]),
+        st.sampled_from(["", "  ", "\t"]),
+    ).map(lambda x: x[2] + x[1].join(x[0]) + x[2]),
+)
+_word_list_files = st.tuples(
+    st.booleans(), st.lists(_list_lines, min_size=1, max_size=8)
+).map(lambda x: "\ufeff" * x[0] + "\n".join(x[1]) + "\n")
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    slang_text=_word_list_files,
+    dict_text=_word_list_files,
+    texts=st.lists(st.lists(st.sampled_from(_LIST_WORDS + ["."]), max_size=10), max_size=4),
+    locale=st.sampled_from(Locale),
+)
+def test_verify_stats_takes_entries_as_written_or_loaded(
+    write_text, slang_text, dict_text, texts, locale
+):
+    slang = write_text("slang.txt", slang_text)
+    words = write_text("dict.txt", dict_text)
+    docs = tuple(
+        Document(id=f"d{i}", text=" ".join(t), label=Label.FAKE, source=str(i % 2))
+        for i, t in enumerate(texts)
+    )
+
+    def outcome(slang_entries, dict_entries):
+        try:
+            return verify_stats_by_group(
+                Dataset(docs), slang_entries, dict_entries, _source_label, locale=locale
+            )
+        except DomainError as exc:  # NoSentencesError included
+            return type(exc), str(exc)
+
+    as_written = outcome(_read_word_list(slang), _read_word_list(words))
+    loaded = outcome(load_word_list(slang, locale), load_word_list(words, locale))
+    assert as_written == loaded
 
 
 SLANG = ["lan", "çok fena"]

@@ -510,6 +510,18 @@ def _reference_entries(fake_counts, valid_counts, smoothing):
     return entries
 
 
+@pytest.mark.parametrize("smoothing", [True, False, "0.5", None])
+def test_lexicon_refuses_smoothing_that_is_not_a_number(smoothing):
+    """save_lexicon would write a bool smoothing that load_lexicon refuses."""
+    with pytest.raises(ValueError, match="smoothing must be int or float"):
+        Lexicon(ModelClass.RAW, fake_total=1, valid_total=1, count_mode=CountMode.TOKEN_FREQ,
+                smoothing=smoothing, counts={"a": (1, 1)})
+    fake = Dataset((raw_doc("f", Label.FAKE, ["a"]),))
+    valid = Dataset((raw_doc("v", Label.VALID, ["a"]),))
+    with pytest.raises(ValueError, match="smoothing must be int or float"):
+        build_lexicon(fake, valid, ModelClass.RAW, smoothing=smoothing)
+
+
 @pytest.mark.parametrize("smoothing", [0.0, 0.5])
 def test_entries_view_matches_reference(tmp_path, smoothing):
     ds = analyzed_corpus(random.Random(41), 10, 9, vocab=12)
@@ -801,6 +813,21 @@ def test_load_rejects_tampered_entries(tmp_path, mini_lexicon):
     path.write_text(text.replace('"fc":1', '"fc":7', 1), encoding="utf-8")
     with pytest.raises(LexiconChecksumError):
         load_lexicon(str(path))
+
+
+@pytest.mark.parametrize("blank", [" \t", "\u00a0"])
+def test_load_skips_only_json_whitespace_lines(tmp_path, mini_lexicon, blank):
+    """A line of spaces and tabs is skipped and outside the checksum; a line
+    holding other whitespace is an entry line, and the checksum covers it."""
+    path = tmp_path / "lex.jsonl"
+    save_lexicon(mini_lexicon, str(path))
+    header, entries = path.read_text(encoding="utf-8").split("\n", 1)
+    path.write_text(f"{header}\n{blank}\n{entries}", encoding="utf-8")
+    if blank.isascii():
+        assert load_lexicon(str(path)).entries == mini_lexicon.entries
+    else:
+        with pytest.raises(LexiconChecksumError, match="checksum mismatch"):
+            load_lexicon(str(path))
 
 
 def test_load_rejects_total_mismatch(tmp_path, mini_lexicon):
