@@ -1,9 +1,9 @@
 """Class-conditional term lexicons built from labeled training splits.
 
-A lexicon maps terms to raw counts in the fake and valid splits and to
-scores, where a term's score for a class is its count divided by the
-total count of all terms in that class. Counts are the source of
-truth; scores are always derived from them. Four term definitions are
+A lexicon maps terms to raw counts in the fake and valid splits. A
+term's score for a class is its count divided by the total count of
+all terms in that class. Counts are the only stored state; a score is
+worked out each time a term is looked up. Four term definitions are
 supported: surface forms (RAW), roots (ROOT), surface plus POS
 (RAW_POS) and contiguous suffix-tag runs (SUFFIX).
 """
@@ -15,6 +15,7 @@ import sys
 from collections import Counter
 from enum import Enum
 from itertools import compress, repeat
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from fanlex._kernels import expand_suffix_subsequences  # re-exported: C04 imports it from here
@@ -74,14 +75,16 @@ class TermEntry(NamedTuple):
 
 
 class Lexicon:
-    """Term counts for one model class; scores are derived from them.
+    """Term counts for one model class; scores are worked out at lookup.
 
     counts maps each term to its (fake, valid) counts, at least one of
     them above zero, and each total is the sum of its side. Counts,
     totals, count mode and smoothing are the whole state; treat them as
-    immutable. scores is derived on first use and entries is a
-    read-only TermEntry view of both. A lexicon given entries instead
-    of counts takes their counts and scores as they are.
+    immutable. A term's score for a class is (count + smoothing) /
+    (total + smoothing * vocabulary), computed each time the term is
+    looked up, and entries is a read-only TermEntry view of counts and
+    scores. A lexicon given entries instead of counts takes their counts
+    and scores as they are.
 
     Raises TypeError unless exactly one of counts and entries is given,
     ValueError for a smoothing that is not an int or float (a bool is
@@ -124,83 +127,68 @@ class Lexicon:
         self.smoothing = smoothing
         if (counts is None) == (entries is None):
             raise TypeError("Lexicon needs exactly one of counts or entries")
-        self._scores: dict[str, tuple[float, float]] | None = None
-        if entries is not None:
-            counts = {t: (e.fake_count, e.valid_count) for t, e in entries.items()}
-            self._scores = {
-                t: (e.fake_score, e.valid_score) for t, e in entries.items()
-            }
+        vocabulary = len(counts if entries is None else entries)
         largest = max(fake_total, valid_total)
         top = sys.float_info.max
-        if not (largest <= top and largest + smoothing * len(counts) <= top):
+        if not (largest <= top and largest + smoothing * vocabulary <= top):
             raise ValueError(
                 f"smoothing {smoothing!r} or a total is too large: the score "
                 "denominator is not finite"
             )
-        self.counts = counts
+        # _pair works out (value + shift) / denominator on each side. Given
+        # scores pass it unchanged, bit for bit: x + -0.0 == x and x / 1.0 == x.
+        if entries is None:
+            self.counts = self._values = counts
+            self._shift = smoothing
+            self._denominators = (
+                fake_total + smoothing * vocabulary,
+                valid_total + smoothing * vocabulary,
+            )
+        else:
+            self.counts = {t: (e.fake_count, e.valid_count) for t, e in entries.items()}
+            self._values = {t: (e.fake_score, e.valid_score) for t, e in entries.items()}
+            self._shift, self._denominators = -0.0, (1.0, 1.0)
 
-    @property
-    def scores(self) -> dict[str, tuple[float, float]]:
-        """term -> (fake, valid) scores, each
-        (count + smoothing) / (total + smoothing * vocabulary)."""
-        if self._scores is None:
-            s = self.smoothing
-            fake_denom = self.fake_total + s * len(self.counts)
-            valid_denom = self.valid_total + s * len(self.counts)
-            self._scores = {
-                t: ((fc + s) / fake_denom, (vc + s) / valid_denom)
-                for t, (fc, vc) in self.counts.items()
-            }
-        return self._scores
+    def _pair(self, term: str) -> tuple[float, float] | None:
+        """term's (fake, valid) scores, or None for a term not in the lexicon."""
+        values = self._values.get(term)
+        if values is None:
+            return None
+        shift, (fake_denominator, valid_denominator) = self._shift, self._denominators
+        return (values[0] + shift) / fake_denominator, (values[1] + shift) / valid_denominator
 
     @property
     def entries(self) -> Mapping[str, TermEntry]:
-        return _EntryView(self.counts, self.scores)
+        return _EntryView(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lexicon):
             return NotImplemented
-        return self._state() == other._state()
-
-    def _state(self) -> tuple:
-        return (
-            self.model_class,
-            self.count_mode,
-            self.fake_total,
-            self.valid_total,
-            self.smoothing,
-            self.counts,
-            self.scores,
+        state = attrgetter(
+            "model_class", "count_mode", "fake_total", "valid_total", "smoothing", "counts"
+        )
+        return state(self) == state(other) and all(
+            self._pair(t) == other._pair(t) for t in self.counts
         )
 
 
 class _EntryView(Mapping[str, TermEntry]):
-    """Counts and scores as a read-only term -> TermEntry mapping.
+    """A lexicon's counts and scores as a read-only term -> TermEntry mapping."""
 
-    It holds the two dicts, not the lexicon: a view kept on the lexicon
-    that pointed back at it would keep the lexicon alive until the
-    cyclic garbage collector runs.
-    """
-
-    def __init__(
-        self,
-        counts: dict[str, tuple[int, int]],
-        scores: dict[str, tuple[float, float]],
-    ) -> None:
-        self._counts = counts
-        self._scores = scores
+    def __init__(self, lex: Lexicon) -> None:
+        self._lex = lex
 
     def __getitem__(self, term: str) -> TermEntry:
-        return TermEntry(term, *self._counts[term], *self._scores[term])
+        return TermEntry(term, *self._lex.counts[term], *self._lex._pair(term))
 
     def __contains__(self, term: object) -> bool:
-        return term in self._counts
+        return term in self._lex.counts
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._counts)
+        return iter(self._lex.counts)
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self._lex.counts)
 
 
 class LexiconStats(NamedTuple):
@@ -435,7 +423,7 @@ def _checksum(lines: Iterable[str]) -> str:
 def save_lexicon(lex: Lexicon, path: str) -> None:
     """Write a lexicon: one JSON header line, then one entry per line.
 
-    Only counts are stored; scores are recomputed at load.
+    Only counts are stored; scores are worked out at lookup.
     """
     write_atomic({path: _lexicon_lines(lex)})
 

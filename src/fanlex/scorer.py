@@ -78,10 +78,10 @@ def _score_terms(
     fake = 0.0
     valid = 0.0
     unknown = 0
-    scores = lex.scores
+    pair_of = lex._pair
     for term, count in terms.items():
         weight = 1 if distinct else count
-        pair = scores.get(term)
+        pair = pair_of(term)
         if pair is None:
             unknown += weight
         else:
@@ -126,8 +126,8 @@ def _explain_terms(terms: Counter, lex: Lexicon, top_n: int) -> list[TermContrib
     nsmallest equals a full sort cut to top_n, so only the kept terms
     become TermContributions.
     """
-    scores = lex.scores
-    known = ((t, *scores[t]) for t in terms if t in scores)
+    pair_of = lex._pair
+    known = ((t, *pair) for t in terms if (pair := pair_of(t)) is not None)
     top = heapq.nsmallest(top_n, known, key=lambda row: (-abs(row[1] - row[2]), row[0]))
     return [
         TermContribution(term=t, fake_score=f, valid_score=v, delta=f - v)

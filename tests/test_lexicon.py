@@ -777,6 +777,25 @@ def test_save_load_preserves_smoothing(tmp_path):
     assert loaded.count_mode is CountMode.DOC_PRESENCE
     assert loaded.entries == lex.entries
 
+    def given(entries):
+        return Lexicon(
+            lex.model_class,
+            entries=entries,
+            fake_total=lex.fake_total,
+            valid_total=lex.valid_total,
+            count_mode=lex.count_mode,
+            smoothing=lex.smoothing,
+        )
+
+    # Equality compares scores too: given scores equal to the lexicon's
+    # make an equal lexicon, scaled ones a different one.
+    assert given(lex.entries) == lex
+    scaled = {
+        t: e._replace(fake_score=e.fake_score * 2, valid_score=e.valid_score * 2)
+        for t, e in lex.entries.items()
+    }
+    assert given(scaled) != lex
+
 
 @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
 def test_save_load_round_trip_with_line_separator_in_term(tmp_path, separator):

@@ -8,12 +8,20 @@ from hypothesis import strategies as st
 import oracle
 from fanlex.corpus import Dataset, Document, Label
 from fanlex.errors import ModelMismatchError
-from fanlex.lexicon import CountMode, Lexicon, ModelClass, TermPipeline, build_lexicon
+from fanlex.lexicon import (
+    CountMode,
+    Lexicon,
+    ModelClass,
+    TermEntry,
+    TermPipeline,
+    build_lexicon,
+)
 from fanlex.morph import MorphAnalysis
 from fanlex.scorer import (
     TermContribution,
     TermSetMode,
     _explain_terms,
+    _score_terms,
     explain,
     score_batch,
     score_document,
@@ -136,13 +144,26 @@ def test_explain_breaks_ties_alphabetically():
     assert [c.term for c in explain(doc, lex, 3)] == ["r", "p", "q"]
 
 
+def _reference_scores(lex):
+    """term -> (fake, valid) scores from the lexicon's counts, as written:
+    (count + smoothing) / (total + smoothing * vocabulary)."""
+    s = lex.smoothing
+    fake_denom = lex.fake_total + s * len(lex.counts)
+    valid_denom = lex.valid_total + s * len(lex.counts)
+    return {
+        t: ((fc + s) / fake_denom, (vc + s) / valid_denom)
+        for t, (fc, vc) in lex.counts.items()
+    }
+
+
 def _explain_reference(terms, lex, top_n):
     """Every known term as a TermContribution, fully sorted, then cut."""
+    scores = _reference_scores(lex)
     rows = [
         TermContribution(t, f, v, f - v)
         for t in terms
-        if t in lex.scores
-        for f, v in [lex.scores[t]]
+        if t in scores
+        for f, v in [scores[t]]
     ]
     rows.sort(key=lambda c: (-abs(c.delta), c.term))
     return rows[:top_n]
@@ -172,6 +193,65 @@ def test_explain_terms_matches_full_sort(counts, doc_terms, top_n, smoothing):
     )
     terms = Counter(doc_terms)
     assert _explain_terms(terms, lex, top_n) == _explain_reference(terms, lex, top_n)
+
+
+def _sum_reference(terms, scores, term_set_mode):
+    """(fake, valid, unknown) summed over a term -> scores dict in Counter order."""
+    fake = valid = 0.0
+    unknown = 0
+    for term, count in terms.items():
+        weight = 1 if term_set_mode is TermSetMode.DISTINCT else count
+        if term in scores:
+            fake += weight * scores[term][0]
+            valid += weight * scores[term][1]
+        else:
+            unknown += weight
+    return fake, valid, unknown
+
+
+@given(
+    counts=st.dictionaries(
+        st.sampled_from("abcdefghij"),
+        st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)).filter(any),
+        min_size=1,
+    ),
+    doc_terms=st.lists(st.sampled_from("abcdefghijxyz"), max_size=30),
+    smoothing=st.sampled_from([0, 0.5, 1, 3]),
+    term_set_mode=st.sampled_from(TermSetMode),
+    factor=st.floats(1e-6, 1e6),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_scores_at_lookup_equal_a_score_dict_bit_for_bit(
+    counts, doc_terms, smoothing, term_set_mode, factor
+):
+    lex = Lexicon(
+        ModelClass.RAW,
+        counts=counts,
+        fake_total=sum(fc for fc, _ in counts.values()) or 1,
+        valid_total=sum(vc for _, vc in counts.values()) or 1,
+        count_mode=CountMode.TOKEN_FREQ,
+        smoothing=smoothing,
+    )
+    terms = Counter(doc_terms)
+    score = _score_terms(terms, lex, term_set_mode)
+    scores = _reference_scores(lex)
+    expected = _sum_reference(terms, scores, term_set_mode)
+    assert (score.fake_score, score.valid_score, score.unknown_terms) == expected
+    # A lexicon given scaled scores, as C05 makes, sums them unchanged.
+    scaled = {t: (f * factor, v * factor) for t, (f, v) in scores.items()}
+    given_lex = Lexicon(
+        ModelClass.RAW,
+        entries={
+            t: TermEntry(t, *counts[t], *pair) for t, pair in scaled.items()
+        },
+        fake_total=lex.fake_total,
+        valid_total=lex.valid_total,
+        count_mode=lex.count_mode,
+        smoothing=smoothing,
+    )
+    score = _score_terms(terms, given_lex, term_set_mode)
+    expected = _sum_reference(terms, scaled, term_set_mode)
+    assert (score.fake_score, score.valid_score, score.unknown_terms) == expected
 
 
 def test_score_batch_shape(mini_lexicon):
