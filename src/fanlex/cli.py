@@ -194,14 +194,7 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     scale = cfg.display_scale
     lines = []
     blocks = []
-    for doc, lex, terms, score in _score_rows(
-        ds,
-        lexicons,
-        cfg.term_set_mode,
-        analyzer=analyzer,
-        locale=cfg.locale,
-        include_title=cfg.include_title,
-    ):
+    for doc, lex, terms, score in _score_rows(ds, lexicons, cfg, analyzer):
         lines.append(
             _json_line(
                 {
@@ -301,7 +294,7 @@ def cmd_cross_validate(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
 
 def cmd_corpus_stats(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     ds = load_corpus(args.input)
-    stats = corpus_stats(ds, include_title=cfg.include_title)
+    stats = corpus_stats(ds, cfg)
     ordered = sorted(Counter(_group_key(doc) for doc in ds.documents).items())
     stdout = _json_line(
         {
@@ -335,14 +328,7 @@ def cmd_verify_corpus(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     ds = load_corpus(args.input)
     slang = _read_word_list(args.slang)
     dictionary = _read_word_list(args.dictionary)
-    overall, groups = verify_stats_by_group(
-        ds,
-        slang,
-        dictionary,
-        _group_key,
-        locale=cfg.locale,
-        include_title=cfg.include_title,
-    )
+    overall, groups = verify_stats_by_group(ds, slang, dictionary, _group_key, cfg)
     group_rows = sorted(groups.items())
     stdout = _json_line(
         {

@@ -1,4 +1,9 @@
-"""Run configuration shared by the library entry points and the CLI.
+"""Run configuration shared by the library and the CLI.
+
+RunConfig carries the run settings, and this module owns the enums of
+those settings, so every other module may import it: it imports no
+fanlex module but errors. TermPipeline, scoring, corpus statistics,
+evaluation and cross-validation take a RunConfig.
 
 A config file is plain UTF-8 text with one `key = value` pair per
 line; # starts a comment. Recognized keys match the RunConfig fields.
@@ -12,11 +17,33 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 from fanlex.errors import InputError, open_text
-from fanlex.lexicon import CountMode
-from fanlex.morph import Locale
-from fanlex.scorer import TermSetMode
 
 ENV_CONFIG = "FANLEX_CONFIG"
+
+
+class Locale(Enum):
+    """Casing rules used by normalization."""
+
+    TURKISH = "turkish"
+    GENERIC = "generic"
+
+
+class CountMode(Enum):
+    """How often a term counts inside one document.
+
+    TOKEN_FREQ counts every occurrence; DOC_PRESENCE counts at most
+    one per document.
+    """
+
+    TOKEN_FREQ = "TOKEN_FREQ"
+    DOC_PRESENCE = "DOC_PRESENCE"
+
+
+class TermSetMode(Enum):
+    """Whether a document's repeated terms are summed once or per use."""
+
+    DISTINCT = "DISTINCT"
+    MULTISET = "MULTISET"
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from enum import Enum
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from fanlex._kernels import normalize_token, normalized_tokens
+from fanlex.config import Locale, RunConfig
 from fanlex.errors import (
     CorpusParseError,
     DomainError,
@@ -28,8 +29,8 @@ from fanlex.errors import (
 )
 from fanlex.morph import (
     TERMINALS,
-    Locale,
     MorphAnalysis,
+    _turkish,
     analysis_from_json,
     compose_text,
     tokenize,
@@ -312,8 +313,12 @@ def split_sentences(
     return sentences
 
 
-def corpus_stats(ds: Dataset, *, include_title: bool = True) -> CorpusStats:
-    """Document counts per label plus token and sentence means."""
+def corpus_stats(ds: Dataset, config: RunConfig | None = None) -> CorpusStats:
+    """Document counts per label plus token and sentence means.
+
+    Of the config (default RunConfig()) only include_title is read.
+    """
+    include_title = (RunConfig() if config is None else config).include_title
     counts = {Label.FAKE: 0, Label.VALID: 0}
     token_total = 0
     sentence_total = 0
@@ -354,7 +359,7 @@ def load_word_list(path: str, locale: Locale = Locale.TURKISH) -> list[str]:
     Entries are de-duplicated, order kept. verify_stats takes the
     entries as written as well as this list.
     """
-    turkish = locale is Locale.TURKISH
+    turkish = _turkish(locale)
     entries = (" ".join(_entry_words(e, turkish)) for e in _read_word_list(path))
     return [e for e in dict.fromkeys(entries) if e]
 
@@ -364,20 +369,20 @@ def verify_stats_by_group(
     slang: Sequence[str],
     dictionary: Iterable[str],
     group_key: Callable[[Document], Hashable],
-    *,
-    locale: Locale = Locale.TURKISH,
-    include_title: bool = True,
+    config: RunConfig | None = None,
 ) -> tuple[VerificationReport, dict[Hashable, VerificationReport]]:
     """verify_stats over the whole dataset and per group, in one pass.
 
-    The word lists are taken as verify_stats takes them. Each document
-    is tokenized once; its sentence, slang and misspelling counts are
-    added to its group's, and the overall figures are the sums over
-    groups. Groups come in first-seen order; those without sentences
-    are left out. Raises NoSentencesError when the whole dataset has
-    no sentence.
+    Of the config (default RunConfig()) the locale and include_title
+    are read. The word lists are taken as verify_stats takes them. Each
+    document is tokenized once; its sentence, slang and misspelling
+    counts are added to its group's, and the overall figures are the
+    sums over groups. Groups come in first-seen order; those without
+    sentences are left out. Raises NoSentencesError when the whole
+    dataset has no sentence.
     """
-    turkish = locale is Locale.TURKISH
+    config = RunConfig() if config is None else config
+    turkish, include_title = config.locale is Locale.TURKISH, config.include_title
     singles: set[str] = set()
     phrases: set[tuple[str, ...]] = set()
     for entry in slang:
@@ -455,9 +460,8 @@ def verify_stats(
     counts as misspelled when it is in neither the dictionary nor the
     slang list, unless it is all digits.
     """
-    return verify_stats_by_group(
-        ds, slang, dictionary, lambda doc: None, locale=locale, include_title=include_title
-    )[0]
+    config = RunConfig(locale=locale, include_title=include_title)
+    return verify_stats_by_group(ds, slang, dictionary, lambda doc: None, config)[0]
 
 
 def _fold_of(ds: Dataset, k: int, seed: int) -> list[int]:

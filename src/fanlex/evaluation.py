@@ -108,8 +108,7 @@ def evaluate_models(
     Results do not depend on test document order. Each document is
     analyzed at most once, for all classes together.
     """
-    if config is None:
-        config = RunConfig()
+    config = RunConfig() if config is None else config
     _check_classes(classes)
     train_ids = train_fake.ids() | train_valid.ids()
     overlap = train_ids & test.ids()
@@ -118,12 +117,8 @@ def evaluate_models(
         raise LeakageError(
             f"{len(overlap)} document id(s) shared between train and test: {sample}"
         )
-    pipeline = TermPipeline(
-        classes, analyzer, locale=config.locale, include_title=config.include_title
-    )
-    fake_counts, valid_counts = count_splits(
-        train_fake, train_valid, pipeline, config.count_mode
-    )
+    pipeline = TermPipeline(classes, analyzer, config)
+    fake_counts, valid_counts = count_splits(train_fake, train_valid, pipeline)
     test_terms = [pipeline.terms(doc) for doc in test.documents]
     actual = [doc.label for doc in test.documents]
     return _score_fold(classes, fake_counts, valid_counts, test_terms, actual, config)
@@ -149,14 +144,11 @@ def cross_validate(
     build_lexicon on its training split and score_document on its test
     split.
     """
-    if config is None:
-        config = RunConfig()
+    config = RunConfig() if config is None else config
     _check_classes(classes)
     fold_of = _fold_of(ds, k, seed)
     mode = config.count_mode
-    pipeline = TermPipeline(
-        classes, analyzer, locale=config.locale, include_title=config.include_title
-    )
+    pipeline = TermPipeline(classes, analyzer, config)
     # terms, actual and fold_of are aligned by position with ds.documents.
     terms = [pipeline.terms(doc) for doc in ds.documents]
     actual = [doc.label for doc in ds.documents]

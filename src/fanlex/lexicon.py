@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from fanlex._kernels import expand_suffix_subsequences  # re-exported: C04 imports it from here
 from fanlex._kernels import normalize_token, normalized_tokens, suffix_runs
+from fanlex.config import CountMode, Locale, RunConfig
 from fanlex.corpus import Dataset, Document, write_atomic
 from fanlex.errors import (
     EmptyTrainingSplitError,
@@ -34,7 +35,6 @@ from fanlex.errors import (
 from fanlex.morph import (
     DEFAULT_RULE_TABLE,
     AnalyzerRuleTable,
-    Locale,
     MorphAnalysis,
     analyze_text,
     compose_text,
@@ -53,17 +53,6 @@ class ModelClass(Enum):
     ROOT = "ROOT"
     RAW_POS = "RAW_POS"
     SUFFIX = "SUFFIX"
-
-
-class CountMode(Enum):
-    """How often a term counts inside one document.
-
-    TOKEN_FREQ counts every occurrence; DOC_PRESENCE counts at most
-    one per document.
-    """
-
-    TOKEN_FREQ = "TOKEN_FREQ"
-    DOC_PRESENCE = "DOC_PRESENCE"
 
 
 class TermEntry(NamedTuple):
@@ -212,7 +201,8 @@ def extract_terms(
     one-class case of TermPipeline's one pass over a document's
     analyses, with a suffix-run memo that lasts for this call.
     """
-    return Counter(TermPipeline((model_class,), locale=locale)._term_lists(analyses)[0])
+    pipeline = TermPipeline((model_class,), config=RunConfig(locale=locale))
+    return Counter(pipeline._term_lists(analyses)[0])
 
 
 class _SuffixRuns(dict):
@@ -227,8 +217,9 @@ class _SuffixRuns(dict):
 class TermPipeline:
     """Turns documents into term lists, one per model class.
 
-    A pipeline holds one run's classes, rule table, locale and title
-    setting. One pass over a document's analyses, given or analyzed
+    A pipeline holds one run's classes, rule table and RunConfig, of
+    which it reads the locale and the title setting (default
+    RunConfig()). One pass over a document's analyses, given or analyzed
     from its text, yields the terms of all its classes. Three memos
     live as long as the pipeline: token -> analysis, so each distinct
     plain-text token is analyzed once (failures are not memoized); the
@@ -240,15 +231,13 @@ class TermPipeline:
         self,
         classes: Sequence[ModelClass],
         analyzer: AnalyzerRuleTable | None = None,
-        *,
-        locale: Locale = Locale.TURKISH,
-        include_title: bool = True,
+        config: RunConfig | None = None,
     ) -> None:
         self.classes = tuple(classes)
         self.analyzer = DEFAULT_RULE_TABLE if analyzer is None else analyzer
-        self.locale = locale
-        self.include_title = include_title
-        self._turkish = locale is Locale.TURKISH
+        self.config = config = RunConfig() if config is None else config
+        self._title = config.include_title
+        self._turkish = config.locale is Locale.TURKISH
         self._memo: dict[str, MorphAnalysis] = {}
         self._runs = _SuffixRuns()
         self._raw_pos: dict[str, str] = {}
@@ -260,10 +249,10 @@ class TermPipeline:
         """One new term list per class, in class order: token order, repeats kept."""
         analyses = doc.analyses
         if analyses is None:
-            text = compose_text(doc.title, doc.text, self.include_title)
+            text = compose_text(doc.title, doc.text, self._title)
             if self.classes == (ModelClass.RAW,):
                 return [normalized_tokens(text, self._turkish, letters_only=True)]
-            analyses = analyze_text(text, self.analyzer, self.locale, self._memo)
+            analyses = analyze_text(text, self.analyzer, self.config.locale, self._memo)
         return self._term_lists(analyses)
 
     def _term_lists(self, analyses: Iterable[MorphAnalysis]) -> list[list[str]]:
@@ -336,11 +325,12 @@ def lexicon_from_counts(
 
 
 def count_splits(
-    fake: Dataset, valid: Dataset, pipeline: TermPipeline, count_mode: CountMode
+    fake: Dataset, valid: Dataset, pipeline: TermPipeline
 ) -> tuple[list[Counter], list[Counter]]:
     """Term totals of a fake and a valid split, one Counter per class.
 
-    The Counters come in the pipeline's class order.
+    The Counters come in the pipeline's class order, counted under its
+    config's count mode.
     """
     if not fake.documents:
         raise EmptyTrainingSplitError("empty training split: fake")
@@ -348,7 +338,7 @@ def count_splits(
         raise EmptyTrainingSplitError("empty training split: valid")
     width = len(pipeline.classes)
     return tuple(
-        count_terms(map(pipeline.terms, ds.documents), width, count_mode)
+        count_terms(map(pipeline.terms, ds.documents), width, pipeline.config.count_mode)
         for ds in (fake, valid)
     )
 
@@ -370,15 +360,10 @@ def build_lexicon(
     exact: building on a union of corpora equals merging lexicons
     built on the parts.
     """
-    pipeline = TermPipeline(
-        (model_class,), analyzer, locale=locale, include_title=include_title
-    )
-    (fake_counts,), (valid_counts,) = count_splits(
-        fake_train, valid_train, pipeline, count_mode
-    )
-    return lexicon_from_counts(
-        model_class, fake_counts, valid_counts, count_mode, smoothing
-    )
+    config = RunConfig(locale=locale, count_mode=count_mode, include_title=include_title)
+    pipeline = TermPipeline((model_class,), analyzer, config)
+    (fake_counts,), (valid_counts,) = count_splits(fake_train, valid_train, pipeline)
+    return lexicon_from_counts(model_class, fake_counts, valid_counts, count_mode, smoothing)
 
 
 def lexicon_stats(lex: Lexicon) -> LexiconStats:

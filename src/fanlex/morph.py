@@ -9,21 +9,14 @@ not know. Documents that carry pre-computed analyses bypass both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
 from fanlex._kernels import has_letter, normalize_token, tokenize
+from fanlex.config import Locale
 from fanlex.errors import AnalysisError, InputError, open_text, parse_json
 
 if TYPE_CHECKING:
     from fanlex.corpus import Document
-
-
-class Locale(Enum):
-    """Casing rules used by normalization."""
-
-    TURKISH = "turkish"
-    GENERIC = "generic"
 
 
 UNKNOWN_POS = "Unknown"
@@ -152,13 +145,21 @@ class AnalyzerRuleTable:
 DEFAULT_RULE_TABLE = AnalyzerRuleTable()
 
 
+def _turkish(locale: Locale) -> bool:
+    """Whether locale is TURKISH; TypeError for anything not a Locale,
+    which would otherwise read as GENERIC."""
+    if not isinstance(locale, Locale):
+        raise TypeError(f"locale must be Locale, not {type(locale).__name__}")
+    return locale is Locale.TURKISH
+
+
 def normalize(token: str, locale: Locale = Locale.TURKISH) -> str:
     """Lowercase and strip surrounding punctuation.
 
     TURKISH maps I to dotless i and dotted I to i before lowercasing.
     normalize(normalize(x)) == normalize(x) holds for every input.
     """
-    return normalize_token(token, locale is Locale.TURKISH)
+    return normalize_token(token, _turkish(locale))
 
 
 def compose_text(title: str | None, text: str, include_title: bool = True) -> str:

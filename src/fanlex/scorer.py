@@ -11,20 +11,13 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from enum import Enum
 from typing import Iterator, NamedTuple, Sequence
 
+from fanlex.config import Locale, RunConfig, TermSetMode
 from fanlex.corpus import Dataset, Document, Label
 from fanlex.errors import ModelMismatchError
 from fanlex.lexicon import Lexicon, ModelClass, TermPipeline
-from fanlex.morph import AnalyzerRuleTable, Locale
-
-
-class TermSetMode(Enum):
-    """Whether a document's repeated terms are summed once or per use."""
-
-    DISTINCT = "DISTINCT"
-    MULTISET = "MULTISET"
+from fanlex.morph import AnalyzerRuleTable
 
 
 class DocumentScore(NamedTuple):
@@ -47,23 +40,21 @@ class TermContribution(NamedTuple):
 def score_document(
     doc: Document,
     lex: Lexicon,
-    term_set_mode: TermSetMode = TermSetMode.DISTINCT,
-    *,
+    config: RunConfig | None = None,
     analyzer: AnalyzerRuleTable | None = None,
-    locale: Locale = Locale.TURKISH,
-    include_title: bool = True,
 ) -> DocumentScore:
     """Score one document against one lexicon.
 
-    DISTINCT sums each of the document's distinct terms once; MULTISET
-    weights each term by its occurrence count. unknown_terms counts
-    lexicon misses the same way: distinct terms or occurrences. For
-    many documents use score_batch, which shares one TermPipeline.
+    The config's term_set_mode says how repeated terms count: DISTINCT
+    sums each of the document's distinct terms once, MULTISET weights
+    each term by its occurrence count. unknown_terms counts lexicon
+    misses the same way: distinct terms or occurrences. Its locale and
+    include_title shape the terms (default RunConfig()). For many
+    documents use score_batch, which shares one TermPipeline.
     """
-    terms = TermPipeline(
-        (lex.model_class,), analyzer, locale=locale, include_title=include_title
-    ).terms(doc)[0]
-    return _score_terms(Counter(terms), lex, term_set_mode)
+    pipeline = TermPipeline((lex.model_class,), analyzer, config)
+    terms = Counter(pipeline.terms(doc)[0])
+    return _score_terms(terms, lex, pipeline.config.term_set_mode)
 
 
 def _score_terms(
@@ -114,9 +105,8 @@ def explain(
     """
     if top_n < 0:
         raise ValueError("top_n must be >= 0")
-    terms = TermPipeline(
-        (lex.model_class,), analyzer, locale=locale, include_title=include_title
-    ).terms(doc)[0]
+    config = RunConfig(locale=locale, include_title=include_title)
+    terms = TermPipeline((lex.model_class,), analyzer, config).terms(doc)[0]
     return _explain_terms(Counter(terms), lex, top_n)
 
 
@@ -151,17 +141,11 @@ def score_batch(
     given lexicon order; each document's scores are independent of the
     rest of the batch.
     """
+    config = RunConfig(locale=locale, term_set_mode=term_set_mode, include_title=include_title)
     table: dict[str, dict[ModelClass, DocumentScore]] = {
         doc.id: {} for doc in docs.documents
     }
-    for doc, lex, _, score in _score_rows(
-        docs,
-        lexicons,
-        term_set_mode,
-        analyzer=analyzer,
-        locale=locale,
-        include_title=include_title,
-    ):
+    for doc, lex, _, score in _score_rows(docs, lexicons, config, analyzer):
         table[doc.id][lex.model_class] = score
     return table
 
@@ -169,16 +153,14 @@ def score_batch(
 def _score_rows(
     docs: Dataset,
     lexicons: Sequence[Lexicon],
-    term_set_mode: TermSetMode,
-    *,
+    config: RunConfig,
     analyzer: AnalyzerRuleTable | None,
-    locale: Locale,
-    include_title: bool,
 ) -> Iterator[tuple[Document, Lexicon, Counter, DocumentScore]]:
     """(document, lexicon, terms, score) in document, then lexicon order.
 
     One TermPipeline over the lexicon classes serves every document,
-    so each document's terms for all lexicons come from one call.
+    so each document's terms for all lexicons come from one call; the
+    config gives its locale and title setting and the term_set_mode.
     """
     classes = [lex.model_class for lex in lexicons]
     for i, model_class in enumerate(classes):
@@ -186,9 +168,8 @@ def _score_rows(
             raise ModelMismatchError(
                 f"duplicate lexicon class {model_class.value} in batch"
             )
-    pipeline = TermPipeline(
-        classes, analyzer, locale=locale, include_title=include_title
-    )
+    pipeline = TermPipeline(classes, analyzer, config)
+    mode = config.term_set_mode
     for doc in docs.documents:
         for lex, terms in zip(lexicons, map(Counter, pipeline.terms(doc))):
-            yield doc, lex, terms, _score_terms(terms, lex, term_set_mode)
+            yield doc, lex, terms, _score_terms(terms, lex, mode)

@@ -1,5 +1,10 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import fanlex
+from fanlex import config, lexicon, morph, scorer
 from fanlex.config import RunConfig, load_config_file, make_config
 from fanlex.errors import InputError
 from fanlex.lexicon import CountMode
@@ -142,3 +147,22 @@ def test_ints_are_accepted_as_floats():
     cfg = RunConfig(smoothing=1, display_scale=3)
     assert cfg.smoothing == 1
     assert cfg.to_dict()["display_scale"] == 3
+
+
+def test_config_imports_no_fanlex_module_but_errors():
+    # Every module below the CLI builds or reads a RunConfig, so config.py
+    # may import none of them: that import would be circular.
+    tree = ast.parse(Path(config.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert {name for name in imported if name.startswith(("fanlex", "."))} == {"fanlex.errors"}
+
+
+def test_setting_enums_are_the_config_objects():
+    assert morph.Locale is fanlex.Locale is config.Locale
+    assert lexicon.CountMode is fanlex.CountMode is config.CountMode
+    assert scorer.TermSetMode is fanlex.TermSetMode is config.TermSetMode

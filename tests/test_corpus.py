@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fanlex.config import RunConfig
 from fanlex.corpus import (
     Dataset,
     Document,
@@ -372,7 +373,7 @@ def test_corpus_stats_means():
 def test_corpus_stats_counts_title():
     doc = Document(id="a", title="Başlık bir", text="Gövde.", label=Label.FAKE)
     with_title = corpus_stats(Dataset((doc,)))
-    without = corpus_stats(Dataset((doc,)), include_title=False)
+    without = corpus_stats(Dataset((doc,)), RunConfig(include_title=False))
     assert with_title.token_total == 3
     assert with_title.mean_sentences_per_doc == 2.0
     assert without.token_total == 1
@@ -499,7 +500,7 @@ def test_verify_stats_takes_entries_as_written_or_loaded(
     def outcome(slang_entries, dict_entries):
         try:
             return verify_stats_by_group(
-                Dataset(docs), slang_entries, dict_entries, _source_label, locale=locale
+                Dataset(docs), slang_entries, dict_entries, _source_label, RunConfig(locale=locale)
             )
         except DomainError as exc:  # NoSentencesError included
             return type(exc), str(exc)
@@ -580,10 +581,10 @@ def test_verify_stats_by_group_is_exact(rows, include_title, locale):
         expected_overall = verify_stats(ds, SLANG, DICTIONARY, **kwargs)
     except NoSentencesError:
         with pytest.raises(NoSentencesError):
-            verify_stats_by_group(ds, SLANG, DICTIONARY, _source_label, **kwargs)
+            verify_stats_by_group(ds, SLANG, DICTIONARY, _source_label, RunConfig(**kwargs))
         return
     overall, groups = verify_stats_by_group(
-        ds, SLANG, DICTIONARY, _source_label, **kwargs
+        ds, SLANG, DICTIONARY, _source_label, RunConfig(**kwargs)
     )
     assert overall == expected_overall
     assert groups == _per_subset(ds, _source_label, **kwargs)

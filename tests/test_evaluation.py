@@ -224,7 +224,7 @@ def reference_evaluate(train_fake, train_valid, test, classes, config, analyzer)
             smoothing=config.smoothing, **opts,
         )
         predicted = [
-            score_document(doc, lex, config.term_set_mode, **opts).label
+            score_document(doc, lex, config, analyzer).label
             for doc in test.documents
         ]
         cm = confusion(predicted, actual)

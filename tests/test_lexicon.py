@@ -315,7 +315,7 @@ def test_term_pipeline_equals_per_document_analysis(
     docs, classes, locale, include_title, analyzer
 ):
     pipeline = TermPipeline(
-        classes, analyzer, locale=locale, include_title=include_title
+        classes, analyzer, RunConfig(locale=locale, include_title=include_title)
     )
     for doc in docs:
         analyses = analyze_document(
@@ -379,8 +379,9 @@ def test_term_pipeline_raw_routes_agree_on_casing_exceptions(text, locale):
     # The RAW-only route normalizes whole texts, the analyzed route token
     # by token; sigma and generic dotted I take the per-token loop.
     doc = Document(id="a", title="BAŞLIK", text=text, label=Label.FAKE)
-    (alone,) = TermPipeline([ModelClass.RAW], locale=locale).terms(doc)
-    (_, with_root) = TermPipeline([ModelClass.ROOT, ModelClass.RAW], locale=locale).terms(doc)
+    config = RunConfig(locale=locale)
+    (alone,) = TermPipeline([ModelClass.RAW], config=config).terms(doc)
+    (_, with_root) = TermPipeline([ModelClass.ROOT, ModelClass.RAW], config=config).terms(doc)
     assert alone == with_root
     assert alone
 
@@ -402,7 +403,7 @@ def test_document_terms_include_title():
     doc = Document(id="a", title="Tek", text="çift çift", label=Label.FAKE)
     raw = (ModelClass.RAW,)
     assert TermPipeline(raw).terms(doc)[0] == ["tek", "çift", "çift"]
-    assert TermPipeline(raw, include_title=False).terms(doc)[0] == ["çift", "çift"]
+    assert TermPipeline(raw, config=RunConfig(include_title=False)).terms(doc)[0] == ["çift", "çift"]
 
 
 def test_build_rejects_empty_splits():
@@ -530,8 +531,9 @@ def test_entries_view_matches_reference(tmp_path, smoothing):
     path = tmp_path / "lex.jsonl"
     save_lexicon(built, str(path))
     loaded = load_lexicon(str(path))
+    config = RunConfig(count_mode=CountMode.TOKEN_FREQ)
     (fake_counts,), (valid_counts,) = count_splits(
-        fake, valid, TermPipeline((ModelClass.SUFFIX,)), CountMode.TOKEN_FREQ
+        fake, valid, TermPipeline((ModelClass.SUFFIX,), config=config)
     )
     expected = _reference_entries(fake_counts, valid_counts, smoothing)
     for lex in (built, loaded):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from fanlex.config import RunConfig
 from fanlex.corpus import Dataset, Document, Label
 from fanlex.errors import ModelMismatchError
 from fanlex.lexicon import (
@@ -60,11 +61,11 @@ def test_score_document_distinct(mini_lexicon):
 
 def test_score_document_repeats_and_unknowns(mini_lexicon):
     doc = raw_doc("q", Label.VALID, ["a", "a", "b", "z", "z"])
-    distinct = score_document(doc, mini_lexicon, TermSetMode.DISTINCT)
+    distinct = score_document(doc, mini_lexicon, RunConfig(term_set_mode=TermSetMode.DISTINCT))
     assert distinct.fake_score == pytest.approx(0.5)
     assert distinct.valid_score == pytest.approx(1.0)
     assert distinct.unknown_terms == 1
-    multiset = score_document(doc, mini_lexicon, TermSetMode.MULTISET)
+    multiset = score_document(doc, mini_lexicon, RunConfig(term_set_mode=TermSetMode.MULTISET))
     assert multiset.fake_score == pytest.approx(1.0)
     assert multiset.valid_score == pytest.approx(2 * (2 / 3) + 1 / 3)
     assert multiset.unknown_terms == 2
