@@ -30,6 +30,8 @@ from fanlex.corpus import (
     Label,
     _read_word_list,
     corpus_stats,
+    iter_corpus,
+    labeled,
     load_corpus,
     verify_stats_by_group,
     write_atomic,
@@ -39,8 +41,10 @@ from fanlex.evaluation import cross_validate, evaluate_models
 from fanlex.lexicon import (
     ModelClass,
     RAW_POS_SEPARATOR,
+    TermPipeline,
     _lexicon_lines,
-    build_lexicon,
+    count_splits,
+    lexicon_from_counts,
     lexicon_stats,
     load_lexicon,
 )
@@ -135,36 +139,17 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _check_label_purity(ds: Dataset, expected: Label, flag: str) -> None:
-    for doc in ds.documents:
-        if doc.label is not expected:
-            raise InputError(
-                f"{flag} corpus contains a document labeled {doc.label.value}: {doc.id!r}"
-            )
-
-
 def _group_key(doc) -> tuple[str, str]:
     return (doc.source or "(none)", doc.label.value)
 
 
 def cmd_build_lexicon(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
-    analyzer = _resolve_analyzer(args, cfg)
-    interned: dict[tuple, MorphAnalysis] = {}
-    fake = load_corpus(args.fake, interned=interned)
-    valid = load_corpus(args.valid, interned=interned)
-    del interned  # the documents hold their analyses; the keys would outlive their use
-    _check_label_purity(fake, Label.FAKE, "--fake")
-    _check_label_purity(valid, Label.VALID, "--valid")
-    lex = build_lexicon(
-        fake,
-        valid,
-        args.model_class,
-        cfg.count_mode,
-        analyzer=analyzer,
-        locale=cfg.locale,
-        include_title=cfg.include_title,
-        smoothing=cfg.smoothing,
-    )
+    pipeline = TermPipeline((args.model_class,), _resolve_analyzer(args, cfg), cfg)
+    interned: dict[tuple, MorphAnalysis] = {}  # one table for both corpora
+    fake_docs = labeled(iter_corpus(args.fake, interned=interned), Label.FAKE, "--fake")
+    valid_docs = labeled(iter_corpus(args.valid, interned=interned), Label.VALID, "--valid")
+    (fake,), (valid,) = count_splits(fake_docs, valid_docs, pipeline)
+    lex = lexicon_from_counts(args.model_class, fake, valid, cfg.count_mode, cfg.smoothing)
     stats = lexicon_stats(lex)
     stdout = _json_line(
         {
@@ -190,11 +175,10 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
         raise InputError("--report needs --explain N with N > 0: score has no other report")
     analyzer = _resolve_analyzer(args, cfg)
     lexicons = [load_lexicon(path) for path in args.lexicon]
-    ds = load_corpus(args.input)
     scale = cfg.display_scale
     lines = []
     blocks = []
-    for doc, lex, terms, score in _score_rows(ds, lexicons, cfg, analyzer):
+    for doc, lex, terms, score in _score_rows(iter_corpus(args.input), lexicons, cfg, analyzer):
         lines.append(
             _json_line(
                 {
@@ -231,10 +215,9 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     analyzer = _resolve_analyzer(args, cfg)
     classes = _parse_classes(args.classes)
     interned: dict[tuple, MorphAnalysis] = {}
-    train_fake = load_corpus(args.train_fake, interned=interned)
-    train_valid = load_corpus(args.train_valid, interned=interned)
-    _check_label_purity(train_fake, Label.FAKE, "--train-fake")
-    _check_label_purity(train_valid, Label.VALID, "--train-valid")
+    fake = labeled(iter_corpus(args.train_fake, interned=interned), Label.FAKE, "--train-fake")
+    valid = labeled(iter_corpus(args.train_valid, interned=interned), Label.VALID, "--train-valid")
+    train_fake, train_valid = Dataset(tuple(fake)), Dataset(tuple(valid))
     test = load_corpus(args.test, interned=interned)
     del interned  # the documents hold their analyses; the keys would outlive their use
     if not test.documents:

@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from fanlex._kernels import normalize_token, normalized_tokens
 from fanlex.config import Locale, RunConfig
@@ -109,6 +109,9 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.documents)
+
+    def __iter__(self) -> Iterator[Document]:
+        return iter(self.documents)
 
     def ids(self) -> set[str]:
         return {doc.id for doc in self.documents}
@@ -209,15 +212,12 @@ def _parse_document(
     )
 
 
-def load_corpus(path: str, *, interned: dict[tuple, MorphAnalysis] | None = None) -> Dataset:
-    """Load a JSONL corpus; errors name the offending file and line.
-
-    Equal analyses within the file are one shared, frozen MorphAnalysis.
-    Nothing is shared between two loads, unless they pass one interned
-    dict, as a command does for the corpora it loads. A line of JSON
-    whitespace alone is skipped.
-    """
-    docs: list[Document] = []
+def iter_corpus(
+    path: str, *, interned: dict[tuple, MorphAnalysis] | None = None
+) -> Iterator[Document]:
+    """A JSONL corpus's documents, validated, as they are read; errors name the
+    file and line, and a line of JSON whitespace alone is skipped. Equal analyses
+    are one frozen MorphAnalysis within a read, or across reads given one interned dict."""
     seen: dict[str, int] = {}
     interned = {} if interned is None else interned
     with open_text(path, CorpusParseError) as fh:
@@ -232,8 +232,22 @@ def load_corpus(path: str, *, interned: dict[tuple, MorphAnalysis] | None = None
                     f"(first seen on line {seen[doc.id]})"
                 )
             seen[doc.id] = lineno
-            docs.append(doc)
-    return Dataset(tuple(docs), Split.UNSPLIT)
+            yield doc
+
+
+def load_corpus(path: str, *, interned: dict[tuple, MorphAnalysis] | None = None) -> Dataset:
+    """Load a JSONL corpus whole: iter_corpus's documents as a Dataset."""
+    return Dataset(tuple(iter_corpus(path, interned=interned)))
+
+
+def labeled(docs: Iterable[Document], label: Label, flag: str) -> Iterator[Document]:
+    """docs as they come; one of another label raises InputError naming flag."""
+    for doc in docs:
+        if doc.label is not label:
+            raise InputError(
+                f"{flag} corpus contains a document labeled {doc.label.value}: {doc.id!r}"
+            )
+        yield doc
 
 
 def document_to_json(doc: Document) -> str:
@@ -300,7 +314,7 @@ def split_sentences(
     start = 0
     for match in _BOUNDARY.finditer(text):
         if match.group() == ".":
-            before = text[start : match.start()].split()
+            before = text[start : match.start()].rsplit(None, 1)
             if before and before[-1].lower() in abbreviations:
                 continue
         piece = text[start : match.end()].strip()

@@ -14,7 +14,7 @@ import json
 import sys
 from collections import Counter
 from enum import Enum
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -24,6 +24,7 @@ from fanlex.config import CountMode, Locale, RunConfig
 from fanlex.corpus import Dataset, Document, write_atomic
 from fanlex.errors import (
     EmptyTrainingSplitError,
+    FormatError,
     LexiconChecksumError,
     LexiconConsistencyError,
     LexiconParseError,
@@ -325,22 +326,21 @@ def lexicon_from_counts(
 
 
 def count_splits(
-    fake: Dataset, valid: Dataset, pipeline: TermPipeline
+    fake: Iterable[Document], valid: Iterable[Document], pipeline: TermPipeline
 ) -> tuple[list[Counter], list[Counter]]:
-    """Term totals of a fake and a valid split, one Counter per class.
-
-    The Counters come in the pipeline's class order, counted under its
-    config's count mode.
-    """
-    if not fake.documents:
-        raise EmptyTrainingSplitError("empty training split: fake")
-    if not valid.documents:
-        raise EmptyTrainingSplitError("empty training split: valid")
-    width = len(pipeline.classes)
-    return tuple(
-        count_terms(map(pipeline.terms, ds.documents), width, pipeline.config.count_mode)
-        for ds in (fake, valid)
-    )
+    """Term totals of a fake and a valid split, each read once, a document at a
+    time: one Counter per class, in the pipeline's class order, under its
+    config's count mode. An empty split raises once both splits are read."""
+    width, mode = len(pipeline.classes), pipeline.config.count_mode
+    totals = []
+    for docs in map(iter, (fake, valid)):
+        first = next(docs, None)
+        rows = map(pipeline.terms, chain((first,), docs))
+        totals.append(None if first is None else count_terms(rows, width, mode))
+    for side, counts in zip(("fake", "valid"), totals):
+        if counts is None:
+            raise EmptyTrainingSplitError(f"empty training split: {side}")
+    return tuple(totals)
 
 
 def build_lexicon(
@@ -384,24 +384,29 @@ def lexicon_stats(lex: Lexicon) -> LexiconStats:
     )
 
 
-def _entry_lines(lex: Lexicon) -> list[str]:
-    """Entry lines in term order, as json.dumps(ensure_ascii=False,
-    separators=(",", ":")) writes {"t": term, "fc": fc, "vc": vc}."""
-    counts = lex.counts
-    encode = json.encoder.encode_basestring
-    return [
-        '{"t":%s,"fc":%d,"vc":%d}' % (encode(term), *counts[term])
-        for term in sorted(counts)
-    ]
+def _entry_blocks(lex: Lexicon) -> Iterator[str]:
+    """Entry lines in term order, as json.dumps(ensure_ascii=False, separators=(",", ":"))
+    writes {"t": term, "fc": fc, "vc": vc}, each ended by "\n", 1,024 to a block."""
+    counts, encode = lex.counts, json.encoder.encode_basestring
+    terms = sorted(counts)
+    for start in range(0, len(terms), 1024):
+        block = terms[start : start + 1024]
+        yield "".join(['{"t":%s,"fc":%d,"vc":%d}\n' % (encode(t), *counts[t]) for t in block])
 
 
-def _checksum(lines: Iterable[str]) -> str:
+def _add_lines(digest, text: str) -> None:
+    """The checksum rule: sha256 over each entry line's UTF-8 plus "\n".
+    text holds whole lines, each ended by "\n" but perhaps the last."""
+    if text:
+        digest.update((text if text[-1] == "\n" else text + "\n").encode("utf-8"))
+
+
+def _checksum(texts: Iterable[str]) -> str:
     import hashlib  # maps OpenSSL's libcrypto; only lexicon files need it
 
     digest = hashlib.sha256()
-    for line in lines:
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
+    for text in texts:
+        _add_lines(digest, text)
     return digest.hexdigest()
 
 
@@ -414,8 +419,8 @@ def save_lexicon(lex: Lexicon, path: str) -> None:
 
 
 def _lexicon_lines(lex: Lexicon) -> Iterator[str]:
-    """The lines save_lexicon writes, made only as they are read."""
-    lines = _entry_lines(lex)
+    """save_lexicon's text: the header, then the entry blocks, made and hashed first."""
+    blocks = list(_entry_blocks(lex))
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -424,86 +429,84 @@ def _lexicon_lines(lex: Lexicon) -> Iterator[str]:
         "fake_total": lex.fake_total,
         "valid_total": lex.valid_total,
         "smoothing": lex.smoothing,
-        "checksum": _checksum(lines),
+        "checksum": _checksum(blocks),
     }
     yield json.dumps(header, ensure_ascii=False, separators=(",", ":")) + "\n"
-    for line in lines:
-        yield line + "\n"
+    yield from blocks
 
 
 def load_lexicon(path: str) -> Lexicon:
-    """Load and validate a lexicon file.
+    """Load and validate a lexicon file, read once, a block at a time.
 
     Raises LexiconVersionError for unknown versions,
     LexiconChecksumError when the entry lines do not hash to the
-    stored checksum, and LexiconConsistencyError when totals disagree
-    with the entry counts, a total is not above 0 or an entry carries no
-    evidence.
+    stored checksum, which wins over any bad entry line, and
+    LexiconConsistencyError when totals disagree with the entry counts,
+    a total is not above 0 or an entry carries no evidence.
     """
     # Only "\n" ends a line. str.splitlines would also split at U+0085
     # or U+2028 inside a term, which json.dumps leaves unescaped.
     with open_text(path, LexiconParseError) as fh:
-        raw_lines = fh.read().split("\n")
-    if raw_lines == [""]:
-        raise LexiconParseError(f"{path}: empty lexicon file")
-    header = parse_json(raw_lines[0], LexiconParseError, path, 1)
-    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-        raise LexiconParseError(f"{path}: not a {FORMAT_NAME} file")
-    # type() rather than isinstance(): JSON true and false load as bool,
-    # which is an int subclass.
-    for key in ("version", "fake_total", "valid_total"):
-        if type(header.get(key)) is not int:
-            raise LexiconParseError(f"{path}: header {key!r} must be an integer")
-    version = header["version"]
-    if version != FORMAT_VERSION:
-        raise LexiconVersionError(f"{path}: unsupported lexicon version {version!r}")
-    try:
-        model_class = ModelClass(header["class"])
-        count_mode = CountMode(header["count_mode"])
-    except (KeyError, ValueError) as exc:
-        raise LexiconParseError(f"{path}: bad header field ({exc})") from exc
-    fake_total, valid_total = header["fake_total"], header["valid_total"]
-    smoothing = header.get("smoothing", 0.0)
-    # The upper bound also refuses integers too large for a float.
-    if type(smoothing) not in (int, float) or not 0 <= smoothing <= sys.float_info.max:
-        raise LexiconParseError(f"{path}: bad smoothing value {smoothing!r}")
-
-    # Lines of JSON whitespace alone are skipped, but line numbers still
-    # count them. A line with nothing to strip is kept as is, so kept
-    # holds no copies.
-    body = raw_lines[1:]
-    kept = list(map(str.strip, body, repeat(" \t\n\r")))
-    if "checksum" in header and _checksum(compress(body, kept)) != header["checksum"]:
-        raise LexiconChecksumError(f"{path}: checksum mismatch")
-
-    counts: dict[str, tuple[int, int]] = {}
-    fake_sum = valid_sum = 0
-    for lineno, line in compress(enumerate(body, 2), kept):
-        obj = parse_json(line, LexiconParseError, path, lineno)
+        first = fh.readline()
+        if not first:
+            raise LexiconParseError(f"{path}: empty lexicon file")
+        header = parse_json(first, LexiconParseError, path, 1)
+        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+            raise LexiconParseError(f"{path}: not a {FORMAT_NAME} file")
+        # type() rather than isinstance(): JSON true and false load as bool,
+        # which is an int subclass.
+        for key in ("version", "fake_total", "valid_total"):
+            if type(header.get(key)) is not int:
+                raise LexiconParseError(f"{path}: header {key!r} must be an integer")
+        version = header["version"]
+        if version != FORMAT_VERSION:
+            raise LexiconVersionError(f"{path}: unsupported lexicon version {version!r}")
         try:
-            term = obj["t"]
-            fc = obj["fc"]
-            vc = obj["vc"]
-        except (KeyError, TypeError) as exc:
-            raise LexiconParseError(f"{path}:{lineno}: bad entry line") from exc
-        if (
-            not isinstance(term, str)
-            or not term
-            or type(fc) is not int
-            or type(vc) is not int
-            or fc < 0
-            or vc < 0
-        ):
-            raise LexiconParseError(f"{path}:{lineno}: bad entry values")
-        if fc + vc < 1:
-            raise LexiconConsistencyError(
-                f"{path}:{lineno}: entry {term!r} has no evidence"
-            )
-        if term in counts:
-            raise LexiconParseError(f"{path}:{lineno}: duplicate term {term!r}")
-        counts[term] = (fc, vc)
-        fake_sum += fc
-        valid_sum += vc
+            model_class = ModelClass(header["class"])
+            count_mode = CountMode(header["count_mode"])
+        except (KeyError, ValueError) as exc:
+            raise LexiconParseError(f"{path}: bad header field ({exc})") from exc
+        fake_total, valid_total = header["fake_total"], header["valid_total"]
+        smoothing = header.get("smoothing", 0.0)
+        # The upper bound also refuses integers too large for a float.
+        if type(smoothing) not in (int, float) or not 0 <= smoothing <= sys.float_info.max:
+            raise LexiconParseError(f"{path}: bad smoothing value {smoothing!r}")
+
+        import hashlib  # as in _checksum
+        digest = hashlib.sha256()
+        counts: dict[str, tuple[int, int]] = {}
+        fake_sum = valid_sum = 0
+        error: FormatError | None = None  # the first bad entry line's
+        lineno = 1
+        # Lines of JSON whitespace alone are skipped, but line numbers
+        # still count them. The checksum covers the kept lines as read.
+        while block := fh.readlines(1 << 14):
+            kept = list(map(str.strip, block, repeat(" \t\n\r")))
+            _add_lines(digest, "".join(compress(block, kept)))
+            try:
+                for n, line in compress(enumerate(kept, lineno + 1), kept):
+                    obj = parse_json(line, LexiconParseError, path, n)
+                    try:
+                        term, fc, vc = obj["t"], obj["fc"], obj["vc"]
+                    except (KeyError, TypeError) as exc:
+                        raise LexiconParseError(f"{path}:{n}: bad entry line") from exc
+                    typed = isinstance(term, str) and term and type(fc) is int is type(vc)
+                    if not typed or fc < 0 or vc < 0:
+                        raise LexiconParseError(f"{path}:{n}: bad entry values")
+                    if fc + vc < 1:
+                        raise LexiconConsistencyError(f"{path}:{n}: entry {term!r} has no evidence")
+                    if term in counts:
+                        raise LexiconParseError(f"{path}:{n}: duplicate term {term!r}")
+                    counts[term] = (fc, vc)
+                    fake_sum += fc
+                    valid_sum += vc
+            except FormatError as exc:
+                error = error or exc
+            lineno += len(block)
+    if "checksum" in header and digest.hexdigest() != header["checksum"]:
+        raise LexiconChecksumError(f"{path}: checksum mismatch")
+    if error is not None:
+        raise error
 
     for side, total, found in (("fake", fake_total, fake_sum), ("valid", valid_total, valid_sum)):
         if found != total:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from fanlex.config import Locale, RunConfig, TermSetMode
 from fanlex.corpus import Dataset, Document, Label
@@ -151,7 +151,7 @@ def score_batch(
 
 
 def _score_rows(
-    docs: Dataset,
+    docs: Iterable[Document],
     lexicons: Sequence[Lexicon],
     config: RunConfig,
     analyzer: AnalyzerRuleTable | None,
@@ -170,6 +170,6 @@ def _score_rows(
             )
     pipeline = TermPipeline(classes, analyzer, config)
     mode = config.term_set_mode
-    for doc in docs.documents:
+    for doc in docs:
         for lex, terms in zip(lexicons, map(Counter, pipeline.terms(doc))):
             yield doc, lex, terms, _score_terms(terms, lex, mode)

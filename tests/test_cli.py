@@ -147,6 +147,71 @@ def test_build_lexicon_missing_file(capsys, cli_files):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "command, fake_flag, valid_flag, extra",
+    [
+        ("build-lexicon", "--fake", "--valid",
+         lambda files: ["--class", "RAW", "--out", files["dir"] / "out.lex"]),
+        ("evaluate", "--train-fake", "--train-valid", lambda files: ["--test", files["test"]]),
+    ],
+)
+def test_training_corpus_reports_the_first_fault_it_reads(
+    capsys, cli_files, command, fake_flag, valid_flag, extra
+):
+    """The training corpora are checked as they are read: a VALID document
+    on line 1 of the fake corpus is reported before invalid JSON on line 3."""
+    valid_lines = cli_files["valid"].read_text(encoding="utf-8").splitlines()
+    fake = cli_files["dir"] / "bad-fake.jsonl"
+    fake.write_text(f"{valid_lines[0]}\n{valid_lines[1]}\n{{not json\n", encoding="utf-8")
+    first_id = json.loads(valid_lines[0])["id"]
+    code, out, err = run(
+        capsys, [command, fake_flag, fake, valid_flag, cli_files["valid"], *extra(cli_files)]
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {fake_flag} corpus contains a document labeled VALID: {first_id!r}\n"
+    )
+    assert not (cli_files["dir"] / "out.lex").exists()
+
+
+def test_build_lexicon_reads_the_valid_corpus_before_an_empty_fake_one(
+    capsys, cli_files, tmp_path
+):
+    """An empty --fake is reported only once --valid is read, so a parse
+    error in --valid comes first."""
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    valid = tmp_path / "valid.jsonl"
+    text = cli_files["valid"].read_text(encoding="utf-8")
+    valid.write_text(text + "{not json\n", encoding="utf-8")
+    bad_line = text.count("\n") + 1
+    code, out, err = run(
+        capsys,
+        ["build-lexicon", "--fake", empty, "--valid", valid, "--class", "RAW",
+         "--out", tmp_path / "x.lex"],
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {valid}:{bad_line}: invalid JSON (")
+    assert not (tmp_path / "x.lex").exists()
+
+
+def test_score_fails_whole_on_a_late_malformed_line(capsys, cli_files, tmp_path):
+    """score scores each document as it is read, yet a malformed line after
+    good ones exits 2 with nothing on stdout and --out left as it was."""
+    lex, _ = build(capsys, cli_files)
+    text = cli_files["test"].read_text(encoding="utf-8")
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text(text + "{not json\n", encoding="utf-8")
+    bad_line = text.count("\n") + 1
+    out = tmp_path / "scores.jsonl"
+    out.write_bytes(b"earlier bytes\n")
+    for extra in ([], ["--out", out]):
+        code, stdout, err = run(capsys, ["score", "--lexicon", lex, "--input", broken, *extra])
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {broken}:{bad_line}: invalid JSON (")
+    assert out.read_bytes() == b"earlier bytes\n"
+
+
 def test_score_jsonl_schema(capsys, cli_files):
     raw_lex, _ = build(capsys, cli_files, "RAW")
     root_lex, _ = build(capsys, cli_files, "ROOT")

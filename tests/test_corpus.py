@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from fanlex.config import RunConfig
 from fanlex.corpus import (
+    DEFAULT_ABBREVIATIONS,
     Dataset,
     Document,
     Label,
     Split,
+    _BOUNDARY,
     _read_word_list,
     corpus_stats,
     document_to_json,
@@ -351,6 +353,43 @@ def test_split_sentences_abbreviations():
     ]
     # Only a single period defers to the abbreviation list.
     assert split_sentences("Dr.. Ali geldi.") == ["Dr..", "Ali geldi."]
+
+
+def _split_sentences_full_probe(text, abbreviations=DEFAULT_ABBREVIATIONS):
+    """split_sentences with its first abbreviation probe: the whole
+    sentence prefix split into words, of which the last is compared."""
+    sentences = []
+    start = 0
+    for match in _BOUNDARY.finditer(text):
+        if match.group() == ".":
+            before = text[start : match.start()].split()
+            if before and before[-1].lower() in abbreviations:
+                continue
+        piece = text[start : match.end()].strip()
+        if piece:
+            sentences.append(piece)
+        start = match.end()
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+# Words that are abbreviations in any case, other words, terminal runs
+# and whitespace that str.split() splits at, ASCII or not.
+_sentence_parts = st.sampled_from(
+    ["Dr", "prof", "PROF", "Doç", "vs", "no", "Ali", "geldi", "3", "İ", "ş",
+     ".", ".", "..", "!", "?", "…", "?!", " ", " ", "  ", "\t", "\n", "\u00a0",
+     "\u2028", "\u3000", "\x1c"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_sentence_parts, max_size=30).map("".join))
+def test_split_sentences_probes_only_the_last_word(text):
+    assert split_sentences(text) == _split_sentences_full_probe(text)
+    custom = frozenset({"ali", "geldi"})
+    assert split_sentences(text, custom) == _split_sentences_full_probe(text, custom)
 
 
 def test_split_sentences_mid_token_periods():

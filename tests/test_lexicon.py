@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -28,7 +29,8 @@ from fanlex.lexicon import (
     ModelClass,
     TermEntry,
     TermPipeline,
-    _entry_lines,
+    _entry_blocks,
+    _lexicon_lines,
     build_lexicon,
     count_splits,
     count_terms,
@@ -579,7 +581,7 @@ def test_entry_lines_equal_json_dumps(pairs):
     fake = {"ok": 1, **{t: fc for t, (fc, _) in pairs.items()}}
     valid = {"ok": 1, **{t: vc for t, (_, vc) in pairs.items()}}
     lex = lexicon_from_counts(ModelClass.RAW, fake, valid)
-    assert _entry_lines(lex) == [
+    assert "".join(_entry_blocks(lex)).split("\n")[:-1] == [
         _dumps({"t": t, "fc": fake[t], "vc": valid[t]})
         for t in sorted(lex.counts)
     ]
@@ -1056,6 +1058,75 @@ def test_load_rejects_bad_entry_values(tmp_path):
     with pytest.raises(LexiconParseError) as err:
         load_lexicon(str(path2))
     assert "bad entry values" in str(err.value)
+
+
+def _wide_lexicon(n_terms=24_000):
+    """A seeded long-tail RAW lexicon: short terms, counts of 0-3."""
+    rng = random.Random(5)
+    letters = "abcçdefgğhıijklmnoöprsştuüvyz"
+    terms = set()
+    while len(terms) < n_terms:
+        terms.add("".join(rng.choices(letters, k=rng.randint(3, 14))))
+    fake = {t: rng.choice((0, 1, 1, 1, 2, 3)) for t in sorted(terms)}
+    valid = {t: rng.choice((0, 1, 2)) if fake[t] else 1 for t in fake}
+    return lexicon_from_counts(ModelClass.RAW, fake, valid)
+
+
+def _traced(call):
+    """call's result, the bytes it left allocated and its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, size - base, peak - base
+
+
+def test_load_holds_about_one_lexicon(tmp_path):
+    """load_lexicon reads a block at a time: its traced peak stays near the
+    size of the lexicon it returns, where reading the file whole took 1.9x."""
+    lex = _wide_lexicon()
+    path = str(tmp_path / "lex.jsonl")
+    save_lexicon(lex, path)
+    loaded, size, peak = _traced(lambda: load_lexicon(path))
+    assert loaded == lex
+    assert peak <= 1.2 * size
+
+
+def test_writer_holds_its_blocks_not_lines(tmp_path):
+    """Up to the header, the writer holds the entry text as joined blocks:
+    well under the lexicon's own size, where a string per line took 0.8x."""
+    path = str(tmp_path / "lex.jsonl")
+    save_lexicon(_wide_lexicon(), path)
+    lex, size, _ = _traced(lambda: load_lexicon(path))
+    lines = _lexicon_lines(lex)
+    _, _, held = _traced(lambda: next(lines))
+    lines.close()
+    assert held <= 0.6 * size
+
+
+def test_load_numbers_lines_across_blocks(tmp_path):
+    """Entry lines far past the first block, with blank lines before them
+    and no "\n" after the last, keep their file line numbers."""
+    lex = _wide_lexicon(3_000)
+    path = tmp_path / "lex.jsonl"
+    save_lexicon(lex, str(path))
+    header, *entries = path.read_text(encoding="utf-8").split("\n")[:-1]
+    entries[1000:1000] = ["", " \t"]
+    bad = len(entries) - 10
+    entries[bad] = '{"t":"z","fc":-1,"vc":1}'
+    kept = [line for line in entries if line.strip()]
+    fields = json.loads(header)
+    fields["checksum"] = hashlib.sha256("".join(e + "\n" for e in kept).encode()).hexdigest()
+    path.write_text("\n".join([json.dumps(fields), *entries]), encoding="utf-8")
+    with pytest.raises(LexiconParseError, match=f":{bad + 2}: bad entry values"):
+        load_lexicon(str(path))
+    entries[bad] = "{not json"
+    path.write_text("\n".join([json.dumps(fields), *entries]), encoding="utf-8")
+    with pytest.raises(LexiconChecksumError):
+        load_lexicon(str(path))
 
 
 def test_order_independence():
