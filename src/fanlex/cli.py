@@ -21,18 +21,19 @@ import os
 import sys
 from collections import Counter
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from fanlex import __version__
 from fanlex.config import ENV_CONFIG, FIELD_TYPES, RunConfig, _parse, load_config_file, make_config
 from fanlex.corpus import (
-    Dataset,
+    Document,
     Label,
     _read_word_list,
     corpus_stats,
     iter_corpus,
     labeled,
     load_corpus,
+    tallied,
     verify_stats_by_group,
     write_atomic,
 )
@@ -143,6 +144,15 @@ def _group_key(doc) -> tuple[str, str]:
     return (doc.source or "(none)", doc.label.value)
 
 
+def _nonempty(docs: Iterator[Document], message: str) -> Iterator[Document]:
+    """docs as they come; DomainError(message) if the first read finds none."""
+    first = next(docs, None)
+    if first is None:
+        raise DomainError(message)
+    yield first
+    yield from docs
+
+
 def cmd_build_lexicon(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     pipeline = TermPipeline((args.model_class,), _resolve_analyzer(args, cfg), cfg)
     interned: dict[tuple, MorphAnalysis] = {}  # one table for both corpora
@@ -217,12 +227,9 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     interned: dict[tuple, MorphAnalysis] = {}
     fake = labeled(iter_corpus(args.train_fake, interned=interned), Label.FAKE, "--train-fake")
     valid = labeled(iter_corpus(args.train_valid, interned=interned), Label.VALID, "--train-valid")
-    train_fake, train_valid = Dataset(tuple(fake)), Dataset(tuple(valid))
-    test = load_corpus(args.test, interned=interned)
-    del interned  # the documents hold their analyses; the keys would outlive their use
-    if not test.documents:
-        raise DomainError("test corpus is empty")
-    results = evaluate_models(train_fake, train_valid, test, classes, cfg, analyzer)
+    test = _nonempty(iter_corpus(args.test, interned=interned), "test corpus is empty")
+    del interned  # held by the readers only, so freed once the test corpus is read
+    results = evaluate_models(fake, valid, test, classes, cfg, analyzer)
     stdout = _json_line(
         {
             "config": cfg.to_dict(),
@@ -276,9 +283,9 @@ def cmd_cross_validate(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
 
 
 def cmd_corpus_stats(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
-    ds = load_corpus(args.input)
-    stats = corpus_stats(ds, cfg)
-    ordered = sorted(Counter(_group_key(doc) for doc in ds.documents).items())
+    groups: Counter = Counter()
+    stats = corpus_stats(tallied(iter_corpus(args.input), groups, _group_key), cfg)
+    ordered = sorted(groups.items())
     stdout = _json_line(
         {
             "doc_count_by_label": {
@@ -308,10 +315,10 @@ def cmd_corpus_stats(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
 
 
 def cmd_verify_corpus(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
-    ds = load_corpus(args.input)
     slang = _read_word_list(args.slang)
     dictionary = _read_word_list(args.dictionary)
-    overall, groups = verify_stats_by_group(ds, slang, dictionary, _group_key, cfg)
+    docs = iter_corpus(args.input)
+    overall, groups = verify_stats_by_group(docs, slang, dictionary, _group_key, cfg)
     group_rows = sorted(groups.items())
     stdout = _json_line(
         {

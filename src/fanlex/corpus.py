@@ -11,6 +11,7 @@ import json
 import os
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -250,6 +251,13 @@ def labeled(docs: Iterable[Document], label: Label, flag: str) -> Iterator[Docum
         yield doc
 
 
+def tallied(docs: Iterable[Document], counts: Counter, key: Callable) -> Iterator[Document]:
+    """docs as they come, each counted in counts under key(doc)."""
+    for doc in docs:
+        counts[key(doc)] += 1
+        yield doc
+
+
 def document_to_json(doc: Document) -> str:
     """Canonical single-line JSON for a document."""
     obj: dict[str, object] = {"id": doc.id}
@@ -327,8 +335,8 @@ def split_sentences(
     return sentences
 
 
-def corpus_stats(ds: Dataset, config: RunConfig | None = None) -> CorpusStats:
-    """Document counts per label plus token and sentence means.
+def corpus_stats(ds: Iterable[Document], config: RunConfig | None = None) -> CorpusStats:
+    """Document counts per label plus token and sentence means, in one read of ds.
 
     Of the config (default RunConfig()) only include_title is read.
     """
@@ -336,12 +344,12 @@ def corpus_stats(ds: Dataset, config: RunConfig | None = None) -> CorpusStats:
     counts = {Label.FAKE: 0, Label.VALID: 0}
     token_total = 0
     sentence_total = 0
-    for doc in ds.documents:
+    for doc in ds:
         counts[doc.label] += 1
         text = compose_text(doc.title, doc.text, include_title)
         token_total += len(tokenize(text))
         sentence_total += len(split_sentences(text))
-    n = len(ds.documents)
+    n = counts[Label.FAKE] + counts[Label.VALID]
     return CorpusStats(
         doc_count_by_label=counts,
         mean_tokens_per_doc=token_total / n if n else 0.0,
@@ -379,21 +387,21 @@ def load_word_list(path: str, locale: Locale = Locale.TURKISH) -> list[str]:
 
 
 def verify_stats_by_group(
-    ds: Dataset,
+    ds: Iterable[Document],
     slang: Sequence[str],
     dictionary: Iterable[str],
     group_key: Callable[[Document], Hashable],
     config: RunConfig | None = None,
 ) -> tuple[VerificationReport, dict[Hashable, VerificationReport]]:
-    """verify_stats over the whole dataset and per group, in one pass.
+    """verify_stats over ds, any iterable of documents, and per group.
 
-    Of the config (default RunConfig()) the locale and include_title
-    are read. The word lists are taken as verify_stats takes them. Each
-    document is tokenized once; its sentence, slang and misspelling
-    counts are added to its group's, and the overall figures are the
-    sums over groups. Groups come in first-seen order; those without
-    sentences are left out. Raises NoSentencesError when the whole
-    dataset has no sentence.
+    ds is read once, after the word lists are checked. Of the config
+    (default RunConfig()) the locale and include_title are read. The
+    word lists are taken as verify_stats takes them. Each document is
+    tokenized once; its sentence, slang and misspelling counts are added
+    to its group's, and the overall figures are the sums over groups.
+    Groups come in first-seen order; those without sentences are left
+    out. Raises NoSentencesError when ds has no sentence.
     """
     config = RunConfig() if config is None else config
     turkish, include_title = config.locale is Locale.TURKISH, config.include_title
@@ -416,7 +424,7 @@ def verify_stats_by_group(
 
     # group key -> [sentences, slang hits, misspellings]
     counts: dict[Hashable, list[int]] = {}
-    for doc in ds.documents:
+    for doc in ds:
         text = compose_text(doc.title, doc.text, include_title)
         tokens = normalized_tokens(text, turkish)
         hits = 0

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from fanlex.config import RunConfig
-from fanlex.corpus import Dataset, Label, _fold_of
+from fanlex.corpus import Dataset, Document, Label, _fold_of, tallied
 from fanlex.errors import LeakageError
 from fanlex.lexicon import (
     ModelClass,
@@ -95,32 +95,35 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
 
 
 def evaluate_models(
-    train_fake: Dataset,
-    train_valid: Dataset,
-    test: Dataset,
+    train_fake: Iterable[Document],
+    train_valid: Iterable[Document],
+    test: Iterable[Document],
     classes: Sequence[ModelClass],
     config: RunConfig | None = None,
     analyzer: AnalyzerRuleTable | None = None,
 ) -> dict[ModelClass, EvalResult]:
     """Train one lexicon per model class and evaluate on the test set.
 
-    Refuses id overlap between the training splits and the test set.
-    Results do not depend on test document order. Each document is
-    analyzed at most once, for all classes together.
+    Each split is any iterable of documents, read once, training first;
+    of the test set only terms and labels are kept. Refuses id overlap
+    between training and test before scoring. Results do not depend on
+    test document order. Each document is analyzed at most once.
     """
     config = RunConfig() if config is None else config
     _check_classes(classes)
-    train_ids = train_fake.ids() | train_valid.ids()
-    overlap = train_ids & test.ids()
+    pipeline = TermPipeline(classes, analyzer, config)
+    train_ids: Counter = Counter()
+    fake, valid = (tallied(d, train_ids, attrgetter("id")) for d in (train_fake, train_valid))
+    fake_counts, valid_counts = count_splits(fake, valid, pipeline)
+    rows = [(doc.id, doc.label, pipeline.terms(doc)) for doc in test]
+    overlap = {doc_id for doc_id, _, _ in rows if doc_id in train_ids}
     if overlap:
         sample = ", ".join(sorted(overlap)[:5])
         raise LeakageError(
             f"{len(overlap)} document id(s) shared between train and test: {sample}"
         )
-    pipeline = TermPipeline(classes, analyzer, config)
-    fake_counts, valid_counts = count_splits(train_fake, train_valid, pipeline)
-    test_terms = [pipeline.terms(doc) for doc in test.documents]
-    actual = [doc.label for doc in test.documents]
+    actual = [label for _, label, _ in rows]
+    test_terms = [terms for _, _, terms in rows]
     return _score_fold(classes, fake_counts, valid_counts, test_terms, actual, config)
 
 

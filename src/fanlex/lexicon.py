@@ -413,9 +413,14 @@ def _checksum(texts: Iterable[str]) -> str:
 def save_lexicon(lex: Lexicon, path: str) -> None:
     """Write a lexicon: one JSON header line, then one entry per line.
 
-    Only counts are stored; scores are worked out at lookup.
+    Only counts are stored; scores are worked out at lookup. A term
+    holding a lone surrogate raises LexiconParseError; path is left as it was.
     """
-    write_atomic({path: _lexicon_lines(lex)})
+    try:
+        write_atomic({path: _lexicon_lines(lex)})
+    except UnicodeEncodeError:
+        term = min(t for t in lex.counts if t.encode("utf-8", "replace").decode() != t)
+        raise LexiconParseError(f"{path}: term {term!r} holds a lone surrogate") from None
 
 
 def _lexicon_lines(lex: Lexicon) -> Iterator[str]:

@@ -5,6 +5,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -13,11 +15,14 @@ import pytest
 
 import fanlex.cli
 import fanlex.corpus
+import fanlex.evaluation
+import fanlex.morph
 from fanlex.cli import COMMANDS, _resolve_config, build_parser, main
 from fanlex.config import FIELD_TYPES, RunConfig, load_config_file
 from fanlex.corpus import Label, load_corpus, save_corpus
+from fanlex.errors import AnalysisError
 from fanlex.lexicon import RAW_POS_SEPARATOR, CountMode, TermPipeline, load_lexicon
-from fanlex.morph import Locale, compose_text
+from fanlex.morph import Locale, MorphAnalysis, compose_text
 from fanlex.scorer import TermSetMode, explain
 from synth import separable_corpus
 
@@ -193,6 +198,33 @@ def test_build_lexicon_reads_the_valid_corpus_before_an_empty_fake_one(
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {valid}:{bad_line}: invalid JSON (")
     assert not (tmp_path / "x.lex").exists()
+
+
+def test_evaluate_reads_both_training_splits_before_the_test_corpus(
+    capsys, cli_files, tmp_path
+):
+    """An empty --train-fake is reported once both training splits are read,
+    before --test is read, so invalid JSON in --test is not reached."""
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    test = tmp_path / "test.jsonl"
+    test.write_text("{not json\n", encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        ["evaluate", "--train-fake", empty, "--train-valid", cli_files["valid"], "--test", test],
+    )
+    assert (code, out, err) == (3, "", "error: empty training split: fake\n")
+
+
+def test_verify_corpus_reads_the_word_lists_before_the_corpus(capsys, write_text):
+    """A slang list of punctuation alone is reported before invalid JSON in --input."""
+    code, out, err = run(
+        capsys,
+        ["verify-corpus", "--input", write_text("v.jsonl", "{not json\n"),
+         "--slang", write_text("slang.txt", "!!!\n"),
+         "--dictionary", write_text("dict.txt", "bu\n")],
+    )
+    assert (code, out, err) == (3, "", "error: slang list is empty\n")
 
 
 def test_score_fails_whole_on_a_late_malformed_line(capsys, cli_files, tmp_path):
@@ -900,6 +932,105 @@ def test_evaluate_leakage(capsys, cli_files):
     assert "shared between train and test" in err
 
 
+def _evaluate_peak(tmp_path, scale):
+    """evaluate's traced peak on 40 * scale training documents per split,
+    drawn from one seeded 300-word vocabulary, and 10 test documents."""
+    rng = random.Random(3)
+    letters = "abcçdefgğhıijklmnoöprsştuüvyz"
+    words = ["".join(rng.choices(letters, k=rng.randint(4, 9))) for _ in range(300)]
+    paths = []
+    for name, label, n in (("f", "FAKE", 40 * scale), ("v", "VALID", 40 * scale), ("t", "FAKE", 10)):
+        path = tmp_path / f"{name}.jsonl"
+        rows = ({"id": f"{name}{i}", "text": " ".join(rng.choices(words, k=80)) + ".",
+                 "label": label} for i in range(n))
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        paths.append(path)
+    argv = ["evaluate", "--train-fake", paths[0], "--train-valid", paths[1], "--test", paths[2],
+            "--report", tmp_path / "report.txt"]
+    tracemalloc.start()
+    try:
+        assert main([str(a) for a in argv]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_memory_does_not_grow_with_training_documents(capsys, tmp_path):
+    """evaluate counts each training document as it reads it: on four times
+    the documents over the same vocabulary its traced peak grows by 1.2-1.3x,
+    where holding the corpora took 2.2x."""
+    _evaluate_peak(tmp_path, 1)  # first-run allocations, such as compiled regexes
+    once, four_times = _evaluate_peak(tmp_path, 1), _evaluate_peak(tmp_path, 4)
+    capsys.readouterr()
+    assert four_times <= 1.6 * once
+
+
+def _open_files(paths):
+    """Which of paths this process holds open, where /proc/self/fd tells."""
+    if not os.path.isdir("/proc/self/fd"):
+        return set()
+    wanted = {os.path.realpath(p) for p in paths}
+    held = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            held.add(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # the fd listing itself, closed by now
+            pass
+    return wanted & held
+
+
+@pytest.mark.parametrize(
+    "command, fault",
+    [("evaluate", "late-label"), ("evaluate", "wrong-split"), ("evaluate", "analysis"),
+     ("evaluate", "leakage"), ("verify-corpus", "late-label"), ("corpus-stats", "late-label")],
+)
+def test_streams_close_their_files_on_a_late_fault(
+    capsys, cli_files, write_text, monkeypatch, command, fault
+):
+    """A run that fails part-way through a corpus leaves no corpus file open
+    once main returns, and no ResourceWarning once garbage is collected."""
+    lines = cli_files["test"].read_text(encoding="utf-8").splitlines()
+    files = {"fake": cli_files["fake"], "valid": cli_files["valid"], "test": cli_files["test"]}
+    if fault == "late-label":  # a label that is neither FAKE nor VALID, on the last line
+        files["test"] = write_text("late.jsonl", "\n".join(lines[:-1] + [
+            json.dumps({**json.loads(lines[-1]), "label": "MAYBE"})]) + "\n")
+    elif fault == "wrong-split":  # a VALID document late in the fake training split
+        fake_lines = cli_files["fake"].read_text(encoding="utf-8").splitlines()
+        valid_doc = json.dumps({**json.loads(lines[-1]), "label": "VALID"})
+        files["fake"] = write_text("wrong.jsonl", "\n".join(fake_lines + [valid_doc]) + "\n")
+    elif fault == "analysis":  # the analyzer fails on the plain text of the last test document
+        last = {k: v for k, v in json.loads(lines[-1]).items() if k != "analyses"}
+        files["test"] = write_text(
+            "odd.jsonl", "\n".join(lines[:-1] + [json.dumps({**last, "text": "bozuk"})]) + "\n"
+        )
+        real = fanlex.morph.analyze_token
+
+        def failing(token, *args):
+            if token == "bozuk":
+                raise AnalysisError(f"token {token!r} rejected")
+            return real(token, *args)
+
+        monkeypatch.setattr(fanlex.morph, "analyze_token", failing)
+    elif fault == "leakage":
+        files["test"] = cli_files["mixed"]
+    argv = {
+        "evaluate": ["evaluate", "--train-fake", files["fake"], "--train-valid", files["valid"],
+                     "--test", files["test"]],
+        "verify-corpus": ["verify-corpus", "--input", files["test"],
+                          "--slang", write_text("slang.txt", "lan\n"),
+                          "--dictionary", write_text("dict.txt", "bu\n")],
+        "corpus-stats": ["corpus-stats", "--input", files["test"]],
+    }[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, argv)
+        still_open = _open_files(files.values())
+        gc.collect()
+    assert (code, out) == ({"leakage": 3}.get(fault, 2), "")
+    assert still_open == set()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_evaluate_empty_test(capsys, cli_files, tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
@@ -985,27 +1116,29 @@ def test_build_lexicon_validates_each_distinct_analysis_once(
 
 
 def test_evaluate_drops_the_intern_table_before_scoring(capsys, shared_analyses, monkeypatch):
-    """Once the corpora are loaded, only the documents hold their
-    analyses: no dict, such as the intern table, lives on through
-    evaluate_models."""
+    """Once the corpora are read, no MorphAnalysis of theirs is alive: the
+    documents are gone, and so is the intern table their readers shared."""
     files = shared_analyses
-    holders = []
-    real = fanlex.cli.evaluate_models
+    alive = []
+    real = fanlex.evaluation._score_fold
 
-    def checking(train_fake, *args):
-        for doc in train_fake.documents:
-            for analysis in doc.analyses:
-                holders.extend(type(r) for r in gc.get_referrers(analysis))
-        return real(train_fake, *args)
+    def analyses_alive():
+        gc.collect()
+        return sum(isinstance(obj, MorphAnalysis) for obj in gc.get_objects())
 
-    monkeypatch.setattr(fanlex.cli, "evaluate_models", checking)
+    def checking(*args):
+        alive.append(analyses_alive())
+        return real(*args)
+
+    monkeypatch.setattr(fanlex.evaluation, "_score_fold", checking)
+    before = analyses_alive()
     code, _, _ = run(
         capsys,
         ["evaluate", "--train-fake", files["fake"], "--train-valid", files["valid"],
          "--test", files["test"]],
     )
     assert code == 0
-    assert holders and set(holders) == {tuple}
+    assert alive == [before]
 
 
 @pytest.mark.parametrize("flag", ["--fake", "--rule-table"])

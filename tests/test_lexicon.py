@@ -817,6 +817,20 @@ def test_save_load_round_trip_with_line_separator_in_term(tmp_path, separator):
     assert path.read_bytes() == again.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "fake, bad", [({"\ud800": 1}, "\ud800"), ({"a": 1, "b\udfffc": 2, "\ud800": 1}, "b\udfffc")]
+)
+def test_save_refuses_a_lone_surrogate_term(tmp_path, fake, bad):
+    """UTF-8 cannot encode a lone surrogate: saving names the file and the
+    first such term in term order, and writes no file, temporary or not."""
+    lex = lexicon_from_counts(ModelClass.RAW, fake, {"\ud800": 0, "a": 1})
+    path = tmp_path / "lex.jsonl"
+    with pytest.raises(LexiconParseError) as err:
+        save_lexicon(lex, str(path))
+    assert str(err.value) == f"{path}: term {bad!r} holds a lone surrogate"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_rejects_version(tmp_path, mini_lexicon):
     path = tmp_path / "lex.jsonl"
     save_lexicon(mini_lexicon, str(path))
