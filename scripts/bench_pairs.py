@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Alternating fanbench pairs: a parent checkout against a change.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload raw-wide --pairs 10 --seconds 8
+
+Runs fanbench/run.py in each checkout, one run after the other; the side
+that runs first alternates from pair to pair. Every run must report
+`correct: true` with 0 failed, or the script exits 1. It then prints,
+for each end-to-end metric, the parent's median and quartiles, the
+change's median, and in how many pairs the change was better, in the
+direction BENCHMARK.json gives. Peak RSS has been seen to move with the
+length of the checkout path, so the two paths should be equally long; the
+script warns when they are not. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def run_once(checkout: str, workload: str, seconds: float, seed: int) -> dict[str, float]:
+    """One fanbench run in checkout: its metrics, by name. Exits 1 on a
+    run that fails or does not report correct: true with 0 failed."""
+    argv = [sys.executable, "fanbench/run.py", "--workload", workload,
+            "--seconds", str(seconds), "--seed", str(seed)]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
+    if result.get("correct") is not True or result.get("failed") != 0:
+        tail = (lines[-1] if lines else proc.stderr.strip()[-500:]) or "no output"
+        raise SystemExit(f"{checkout}: fanbench run failed (exit {proc.returncode}): {tail}")
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
+    """One line per metric of the (parent, change) metric pairs. better maps
+    a metric name, without a "workload/" prefix, to "higher" or "lower"."""
+    lines = []
+    for name in pairs[0][0]:
+        parent = [p[name] for p, _ in pairs]
+        change = [c[name] for _, c in pairs]
+        q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        sign = 1 if better[name.rsplit("/", 1)[-1]] == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        moved = statistics.median(change)
+        low, high = (q1, q3) if sign > 0 else (q3, q1)  # worse and better quartile
+        where = ("better than" if sign * (moved - high) > 0
+                 else "worse than" if sign * (moved - low) < 0 else "within")
+        lines.append(
+            f"{name}: parent median {median:.6g} (quartiles {q1:.6g} to {q3:.6g}), "
+            f"change median {moved:.6g} ({(moved - median) / median:+.1%}), "
+            f"change better in {wins} of {len(pairs)} pairs, {where} the parent's quartiles"
+        )
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="checkout of the parent commit")
+    parser.add_argument("change", help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    parent, change = os.path.abspath(args.parent), os.path.abspath(args.change)
+    if parent == change:
+        parser.error("PARENT and CHANGE must be two checkouts")
+    if len(parent) != len(change):
+        print(f"warning: checkout paths differ in length ({len(parent)} and "
+              f"{len(change)} characters); peak RSS may differ by that alone",
+              file=sys.stderr)
+    with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    pairs = []
+    for i in range(args.pairs):
+        sides = (parent, change) if i % 2 == 0 else (change, parent)
+        ran = {side: run_once(side, args.workload, args.seconds, args.seed) for side in sides}
+        pairs.append((ran[parent], ran[change]))
+        print(f"pair {i + 1}: " + ", ".join(
+            f"{name} {ran[parent][name]:.6g} -> {ran[change][name]:.6g}" for name in ran[parent]),
+            flush=True)
+    print("\n".join(summarize(pairs, better)))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -29,6 +29,7 @@ from fanlex.corpus import (
     Document,
     Label,
     _read_word_list,
+    _word_list_blocks,
     corpus_stats,
     iter_corpus,
     labeled,
@@ -316,7 +317,7 @@ def cmd_corpus_stats(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
 
 def cmd_verify_corpus(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     slang = _read_word_list(args.slang)
-    dictionary = _read_word_list(args.dictionary)
+    dictionary = _word_list_blocks(args.dictionary)
     docs = iter_corpus(args.input)
     overall, groups = verify_stats_by_group(docs, slang, dictionary, _group_key, cfg)
     group_rows = sorted(groups.items())

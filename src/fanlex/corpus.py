@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from fanlex._kernels import normalize_token, normalized_tokens
+from fanlex._kernels import _lower, normalize_token, normalized_tokens
 from fanlex.config import Locale, RunConfig
 from fanlex.errors import (
     CorpusParseError,
@@ -358,17 +358,64 @@ def corpus_stats(ds: Iterable[Document], config: RunConfig | None = None) -> Cor
     )
 
 
-def _read_word_list(path: str) -> list[str]:
-    """A word list's entries as written: its stripped lines, without
-    blank lines and lines starting with #. One leading byte order mark
-    is ignored."""
+_BLOCK = 1 << 14  # characters of word-list text worked on at once
+
+
+def _word_list_blocks(path: str) -> Iterator[str]:
+    """A word list's text in blocks of whole lines, without the lines that
+    start with # after leading whitespace. One leading byte order mark is
+    ignored."""
     with open_text(path, InputError, "utf-8-sig") as fh:
-        return [body for body in map(str.strip, fh) if body and not body.startswith("#")]
+        while block := fh.read(_BLOCK):
+            block += fh.readline()
+            if "#" in block:
+                block = "\n".join(s for s in block.split("\n") if s.lstrip()[:1] != "#")
+            yield block
+
+
+def _read_word_list(path: str) -> list[str]:
+    """A word list's entries as written: the stripped lines of its blocks, blank ones left out."""
+    return [e for block in _word_list_blocks(path) for e in map(str.strip, block.split("\n")) if e]
 
 
 def _entry_words(entry: str, turkish: bool) -> list[str]:
     """An entry's words, each normalized; words that normalize to nothing are dropped."""
     return [w for p in entry.split() if (w := normalize_token(p, turkish))]
+
+
+def _blocks(items: Iterable[str]) -> Iterator[str]:
+    """items joined by newlines into blocks of at least _BLOCK characters, but the last."""
+    batch: list[str] = []
+    size = 0
+    for item in items:
+        batch.append(item)
+        size += len(item)
+        if size >= _BLOCK:
+            yield "\n".join(batch)
+            batch, size = [], 0
+    yield "\n".join(batch)
+
+
+def _dictionary_words(dictionary: Iterable[str], turkish: bool) -> set[str]:
+    """The union of _entry_words over the dictionary's items, each an entry
+    or a block of entries, one per line, by _kernels' whole-text rule: items
+    are joined into blocks, a block is lowercased once and split, and only
+    its words that are not alphanumeric go through normalize_token, which
+    gives the same for a word and its lowercase. A block holding Σ takes
+    _entry_words whole. Generic İ needs no exception here: its dot is not
+    whitespace."""
+    words: set[str] = set()
+    for block in _blocks(dictionary):
+        if "Σ" in block:
+            words.update(_entry_words(block, turkish))
+            continue
+        found = _lower(block, turkish).split()
+        words.update(found)
+        odd = [w for w in found if not w.isalnum()]
+        if odd:  # they go in normalized; one that already was comes back
+            words.difference_update(odd)
+            words.update(_entry_words(" ".join(odd), turkish))
+    return words
 
 
 def load_word_list(path: str, locale: Locale = Locale.TURKISH) -> list[str]:
@@ -395,16 +442,19 @@ def verify_stats_by_group(
 ) -> tuple[VerificationReport, dict[Hashable, VerificationReport]]:
     """verify_stats over ds, any iterable of documents, and per group.
 
-    ds is read once, after the word lists are checked. Of the config
-    (default RunConfig()) the locale and include_title are read. The
-    word lists are taken as verify_stats takes them. Each document is
-    tokenized once; its sentence, slang and misspelling counts are added
-    to its group's, and the overall figures are the sums over groups.
-    Groups come in first-seen order; those without sentences are left
-    out. Raises NoSentencesError when ds has no sentence.
+    The dictionary is read first, and an item of it may hold several
+    entries, one per line. ds is read once, after the word lists are
+    checked. Of the config (default RunConfig()) the locale and
+    include_title are read. The word lists are taken as verify_stats
+    takes them. Each document is tokenized once; its sentence, slang and
+    misspelling counts are added to its group's, and the overall figures
+    are the sums over groups. Groups come in first-seen order; those
+    without sentences are left out. Raises NoSentencesError when ds has
+    no sentence.
     """
     config = RunConfig() if config is None else config
     turkish, include_title = config.locale is Locale.TURKISH, config.include_title
+    dict_words = _dictionary_words(dictionary, turkish)
     singles: set[str] = set()
     phrases: set[tuple[str, ...]] = set()
     for entry in slang:
@@ -418,7 +468,6 @@ def verify_stats_by_group(
     phrase_lengths = sorted({len(p) for p in phrases}, reverse=True)
     # Only a token that starts some phrase needs the phrase probes.
     first_words = {p[0] for p in phrases}
-    dict_words = {w for entry in dictionary for w in _entry_words(entry, turkish)}
     if not dict_words:
         raise DomainError("dictionary is empty")
 

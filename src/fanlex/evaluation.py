@@ -116,6 +116,7 @@ def evaluate_models(
     fake, valid = (tallied(d, train_ids, attrgetter("id")) for d in (train_fake, train_valid))
     fake_counts, valid_counts = count_splits(fake, valid, pipeline)
     rows = [(doc.id, doc.label, pipeline.terms(doc)) for doc in test]
+    del pipeline  # with its memos: scoring reads only the terms made
     overlap = {doc_id for doc_id, _, _ in rows if doc_id in train_ids}
     if overlap:
         sample = ", ".join(sorted(overlap)[:5])

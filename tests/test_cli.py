@@ -982,7 +982,8 @@ def _open_files(paths):
 @pytest.mark.parametrize(
     "command, fault",
     [("evaluate", "late-label"), ("evaluate", "wrong-split"), ("evaluate", "analysis"),
-     ("evaluate", "leakage"), ("verify-corpus", "late-label"), ("corpus-stats", "late-label")],
+     ("evaluate", "leakage"), ("verify-corpus", "late-label"), ("verify-corpus", "late-byte"),
+     ("corpus-stats", "late-label")],
 )
 def test_streams_close_their_files_on_a_late_fault(
     capsys, cli_files, write_text, monkeypatch, command, fault
@@ -1013,20 +1014,26 @@ def test_streams_close_their_files_on_a_late_fault(
         monkeypatch.setattr(fanlex.morph, "analyze_token", failing)
     elif fault == "leakage":
         files["test"] = cli_files["mixed"]
+    elif fault == "late-byte":  # an undecodable byte in --dictionary, after its first block
+        files["dictionary"] = write_text("dict.txt", "bu\n" * fanlex.corpus._BLOCK)
+        with open(files["dictionary"], "ab") as fh:
+            fh.write(b"\xff\n")
     argv = {
         "evaluate": ["evaluate", "--train-fake", files["fake"], "--train-valid", files["valid"],
                      "--test", files["test"]],
         "verify-corpus": ["verify-corpus", "--input", files["test"],
                           "--slang", write_text("slang.txt", "lan\n"),
-                          "--dictionary", write_text("dict.txt", "bu\n")],
+                          "--dictionary", files.get("dictionary") or write_text("dict.txt", "bu\n")],
         "corpus-stats": ["corpus-stats", "--input", files["test"]],
     }[command]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, _ = run(capsys, argv)
+        code, out, err = run(capsys, argv)
         still_open = _open_files(files.values())
         gc.collect()
     assert (code, out) == ({"leakage": 3}.get(fault, 2), "")
+    if fault == "late-byte":
+        assert err.startswith(f"error: {files['dictionary']}: not valid UTF-8 text")
     assert still_open == set()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
@@ -1115,10 +1122,9 @@ def test_build_lexicon_validates_each_distinct_analysis_once(
     assert len(files["validated"]) == 4
 
 
-def test_evaluate_drops_the_intern_table_before_scoring(capsys, shared_analyses, monkeypatch):
-    """Once the corpora are read, no MorphAnalysis of theirs is alive: the
-    documents are gone, and so is the intern table their readers shared."""
-    files = shared_analyses
+def _analyses_alive_before_and_at_scoring(capsys, monkeypatch, argv):
+    """How many MorphAnalysis objects are alive before a successful run of
+    argv, and at each _score_fold call, each counted after a collection."""
     alive = []
     real = fanlex.evaluation._score_fold
 
@@ -1132,12 +1138,30 @@ def test_evaluate_drops_the_intern_table_before_scoring(capsys, shared_analyses,
 
     monkeypatch.setattr(fanlex.evaluation, "_score_fold", checking)
     before = analyses_alive()
-    code, _, _ = run(
-        capsys,
-        ["evaluate", "--train-fake", files["fake"], "--train-valid", files["valid"],
-         "--test", files["test"]],
-    )
-    assert code == 0
+    assert run(capsys, argv)[0] == 0
+    return before, alive
+
+
+def test_evaluate_drops_the_intern_table_before_scoring(capsys, shared_analyses, monkeypatch):
+    """Once the corpora are read, no MorphAnalysis of theirs is alive: the
+    documents are gone, and so is the intern table their readers shared."""
+    files = shared_analyses
+    argv = ["evaluate", "--train-fake", files["fake"], "--train-valid", files["valid"],
+            "--test", files["test"]]
+    before, alive = _analyses_alive_before_and_at_scoring(capsys, monkeypatch, argv)
+    assert alive == [before]
+
+
+def test_evaluate_drops_the_analysis_memo_before_scoring(capsys, write_jsonl, monkeypatch):
+    """On plain text, the pipeline's token -> analysis memo is gone before
+    scoring: no MorphAnalysis made while the corpora were read is alive."""
+    texts = {"f": ("FAKE", "Evlerde kitaplar var."), "v": ("VALID", "Yollar geldi."),
+             "t": ("FAKE", "Kitaplar evde.")}
+    files = {name: write_jsonl(f"{name}.jsonl", [{"id": name, "text": text, "label": label}])
+             for name, (label, text) in texts.items()}
+    argv = ["evaluate", "--train-fake", files["f"], "--train-valid", files["v"],
+            "--test", files["t"], "--classes", "ROOT"]
+    before, alive = _analyses_alive_before_and_at_scoring(capsys, monkeypatch, argv)
     assert alive == [before]
 
 
@@ -1307,14 +1331,23 @@ def test_verify_corpus_normalizes_each_word_list_word_once(capsys, write_text, m
         calls[token] += 1
         return real(token, *args, **kwargs)
 
+    lowered = []
+    real_lower = fanlex.corpus._lower
+
+    def lowering(text, *args):
+        lowered.append(text)
+        return real_lower(text, *args)
+
     monkeypatch.setattr(fanlex.corpus, "normalize_token", counting)
+    monkeypatch.setattr(fanlex.corpus, "_lower", lowering)
     code, _, _ = run(
         capsys,
         ["verify-corpus", "--input", corpus, "--slang", slang, "--dictionary", words],
     )
     assert code == 0
-    written = ["lan", "ÇOK", "fena", "!!!", "lan", "bu", "çok", "fena", "İyi"]
-    assert calls == Counter(written)
+    # Slang entry by entry; the dictionary's alphanumeric words in one block.
+    assert calls == Counter(["lan", "ÇOK", "fena", "!!!", "lan"])
+    assert [w for block in lowered for w in block.split()] == ["bu", "çok", "fena", "İyi"]
 
 
 def _verify_with(capsys, write_text, flag, content):
@@ -1342,6 +1375,82 @@ def test_verify_corpus_word_list_of_no_word_is_domain_error(capsys, write_text, 
     content = "# yalnız noktalama\n!!!\n\n  !!!  ...\n".encode()
     _, result = _verify_with(capsys, write_text, flag, content)
     assert result == (3, "", f"error: {message}\n")
+
+
+def _entries_per_line(path):
+    """A word list's entries read line by line: stripped lines, without
+    blank lines and lines starting with #, one leading BOM ignored."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return [body for body in map(str.strip, fh) if body and not body.startswith("#")]
+
+
+# Dictionary lines around a block boundary: comment and blank lines, and
+# a # inside lines that are not comments, one after a next-line character
+# (U+0085), which splits words but not lines. The corpus holds each word.
+_BOUNDARY_LINES = {
+    "crlf": "bu\nkelime\n# yorum\norta\n",
+    "boundary": "bu\n\n  # yorum\n\n#gizli\n   \nkelime\n\t# orta\n",
+    "bom": "bu\n# gizli\nkelime\n",
+    "inner-hash": "bu\norta#gizli\nkelime #yorum\na # b\nc\x85# ek\n",
+}
+
+
+def _dictionary_text(case, cut):
+    """A dictionary whose first block (_BLOCK characters, then the rest of
+    the line) ends `cut` characters into the case's lines."""
+    head = "# yorum\n" if case == "bom" else "ilk\n"
+    head += "d" * (fanlex.corpus._BLOCK - len(head) - cut - 1) + "\n"
+    text = head + _BOUNDARY_LINES[case] + "son\n"
+    if case == "bom":
+        text = "\ufeff" + text
+    return text.replace("\n", "\r\n") if case == "crlf" else text
+
+
+@pytest.mark.parametrize("case", list(_BOUNDARY_LINES))
+def test_verify_corpus_dictionary_blocks_equal_per_line_reading(
+    capsys, write_text, monkeypatch, case
+):
+    """verify-corpus bytes from the dictionary's blocks equal those from its
+    entries read line by line, each normalized by _entry_words, wherever
+    the first block ends."""
+    corpus = write_text(
+        "v.jsonl",
+        '{"id":"a","text":"Bu kelime yorum gizli. Orta son ilk b lan.","label":"FAKE"}\n'
+        '{"id":"b","text":"Orta#gizli a yorum ek.","label":"VALID","source":"s"}\n',
+    )
+    words = write_text("dict.txt", "")
+    argv = ["verify-corpus", "--input", corpus, "--slang", write_text("s.txt", "lan\n"),
+            "--dictionary", words]
+    for cut in range(len(_BOUNDARY_LINES[case]) + 1):
+        Path(words).write_bytes(_dictionary_text(case, cut).encode())
+        for extra in ([], ["--locale", "GENERIC", "--no-title"]):
+            blocks = run(capsys, argv + extra)
+            with monkeypatch.context() as m:
+                m.setattr(fanlex.cli, "_word_list_blocks", _entries_per_line)
+                m.setattr(fanlex.corpus, "_dictionary_words", lambda entries, turkish: {
+                    w for e in entries for w in fanlex.corpus._entry_words(e, turkish)})
+                assert blocks == run(capsys, argv + extra)
+            assert blocks[0] == 0
+
+
+def test_verify_corpus_reads_both_word_lists_before_the_slang_check(capsys, write_text, tmp_path):
+    """A slang list of punctuation alone is reported only once the dictionary
+    is read, so a missing or undecodable dictionary is the first fault."""
+    slang = write_text("slang.txt", "!!!\n")
+    corpus = write_text("v.jsonl", '{"id":"a","text":"Bu lan.","label":"FAKE"}\n')
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(
+        capsys, ["verify-corpus", "--input", corpus, "--slang", slang, "--dictionary", missing]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"bu\n" * fanlex.corpus._BLOCK + b"\xff\n")
+    code, out, err = run(
+        capsys, ["verify-corpus", "--input", corpus, "--slang", slang, "--dictionary", bad]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: not valid UTF-8 text")
 
 
 def test_inspect_term(capsys, cli_files):

@@ -3,11 +3,13 @@ import os
 import random
 import threading
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fanlex.corpus
 from fanlex.config import RunConfig
 from fanlex.corpus import (
     DEFAULT_ABBREVIATIONS,
@@ -16,6 +18,8 @@ from fanlex.corpus import (
     Label,
     Split,
     _BOUNDARY,
+    _dictionary_words,
+    _entry_words,
     _read_word_list,
     corpus_stats,
     document_to_json,
@@ -547,6 +551,37 @@ def test_verify_stats_takes_entries_as_written_or_loaded(
     as_written = outcome(_read_word_list(slang), _read_word_list(words))
     loaded = outcome(load_word_list(slang, locale), load_word_list(words, locale))
     assert as_written == loaded
+
+
+# Entries for the dictionary blocks: sigma, the Turkish and combining-dot
+# i's, words that are not alphanumeric or normalize to nothing, and any
+# text at all, whitespace and line breaks included.
+_BLOCK_ENTRIES = st.lists(
+    st.one_of(
+        st.sampled_from(_LIST_WORDS + ["küba'da", "aİ", "İ'da", "i\u0307", "«IŞIK»", "#"]),
+        st.text(st.sampled_from("ΣσİIıi\u0307aZ9'-.#« \t\n\r\x85\u2028")),
+        st.text(max_size=6),
+    ),
+    max_size=12,
+)
+
+
+@given(
+    entries=_BLOCK_ENTRIES,
+    turkish=st.booleans(),
+    cut=st.integers(0, 12),
+    block=st.sampled_from([1, 7, 1 << 14]),
+)
+@settings(max_examples=400, deadline=None)
+def test_dictionary_block_words_are_the_entry_words(entries, turkish, cut, block):
+    """The block route gives the union of _entry_words over the entries,
+    given one by one or joined into blocks, one entry per line, whatever
+    the block size."""
+    expected = {w for entry in entries for w in _entry_words(entry, turkish)}
+    joined = ["\n".join(entries[:cut]), "\n".join(entries[cut:])]
+    with mock.patch.object(fanlex.corpus, "_BLOCK", block):
+        assert _dictionary_words(entries, turkish) == expected
+        assert _dictionary_words(joined, turkish) == expected
 
 
 SLANG = ["lan", "çok fena"]

@@ -129,7 +129,8 @@ def test_pure_normalize_token_returns_normalized_word_itself():
 
 
 def test_unicode_casing_facts_of_whole_text_path():
-    """The facts that let _kernels.normalized_tokens lowercase whole texts.
+    """The facts that let _kernels.normalized_tokens, and the dictionary
+    blocks of fanlex.corpus, lowercase whole texts.
 
     A Python whose case tables break one of them fails here, instead of
     silently changing tokens.
@@ -144,14 +145,20 @@ def test_unicode_casing_facts_of_whole_text_path():
         # ... that keeps isalnum and isalpha ...
         for predicate in (str.isalnum, str.isalpha):
             assert list(map(predicate, lowered)) == list(map(predicate, mapped))
-        # ... maps no other character onto a joiner or the underscore ...
-        for joiner in "'’-_":
+        # ... and isspace, so split() finds the same words after lowercasing ...
+        assert list(map(str.isspace, lowered)) == list(map(str.isspace, mapped))
+        # ... lowercases nothing further when lowercased again ...
+        assert lowered.lower() == lowered
+        # ... maps no other character onto a joiner, the underscore or the
+        # combining dot above ...
+        for joiner in "'’-_\u0307":
             assert joiner.lower() == joiner
             assert lowered.count(joiner) == mapped.count(joiner)
         # ... and needs no context once sigma is gone.
         no_sigma = mapped.replace("Σ", "")
         assert no_sigma.lower() == "".join(map(str.lower, no_sigma))
-    # The two exceptions, which take the per-token loop.
+    # The two exceptions: sigma takes the per-token loop, and generic dotted I
+    # the dotted-token route, or the per-token loop beside a combining dot.
     assert "İ".lower() == "i\u0307" and not "\u0307".isalnum()
     assert "ΑΣ.Β".lower() == "ασ.β" and "ΑΣ".lower() == "ας"
 
