@@ -18,12 +18,11 @@ mapping and lowercases once, then tokenizes the result. That equals
 normalizing token by token because str.lower maps each code point to
 one code point, keeps whether it is alphanumeric, alphabetic or
 whitespace, and leaves the joiners and the underscore alone
-(tests/test_kernels.py checks this over all of Unicode). U+03A3
-(capital sigma), whose lowercase depends on the characters around it,
-falls back to the per-token loop. U+0130 (dotted capital I) under
-generic casing lowercases to i plus a non-alphanumeric combining dot,
-so that text is tokenized with the dot inside tokens, unless it holds
-a combining dot of its own, which takes the per-token loop.
+(tests/test_kernels.py checks this over all of Unicode). Two
+exceptions fall back to the per-token loop: U+03A3 (capital sigma),
+whose lowercase depends on the characters around it, and U+0130
+(dotted capital I) under generic casing, which lowercases to i plus a
+non-alphanumeric combining dot.
 
 The same rule serves word lists: fanlex.corpus lowercases a block of
 dictionary entries once and splits it on whitespace, which no
@@ -38,13 +37,6 @@ import re
 
 _TOKEN = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*")
 _EDGE = re.compile(r"^[\W_]+|[\W_]+$")
-# Generic casing lowercases İ to i and a combining dot (U+0307): a token
-# runs on across the dot, and a token-final İ, whose dot normalization
-# strips, is written as I before lowercasing. Left to re's cache, so only
-# a run that meets such a text compiles them.
-_DOTTED = r"[^\W_]+(?:\u0307[^\W_]*)*"
-_DOTTED_TOKEN = rf"{_DOTTED}(?:['’-]{_DOTTED})*"
-_FINAL_I = r"İ(?![^\W_]|['’-][^\W_])"
 
 
 def _lower(text, turkish):
@@ -92,17 +84,22 @@ def normalized_tokens(text, turkish, letters_only=False):
     With letters_only, tokens without a single alphabetic character
     (numerals, mostly) are skipped.
     """
-    if "Σ" in text or not turkish and "İ" in text and "\u0307" in text:
-        found = [normalize_token(t, turkish) for t in _TOKEN.findall(text)]
-    elif turkish or "İ" not in text:
-        found = _TOKEN.findall(_lower(text, turkish))
-    else:
-        found = re.findall(_DOTTED_TOKEN, re.sub(_FINAL_I, "I", text).lower())
-    if letters_only:
-        return [
-            t for t in found if t.isalpha() or not t.isdecimal() and any(ch.isalpha() for ch in t)
-        ]
-    return found
+    if "Σ" not in text and (turkish or "İ" not in text):
+        text = _lower(text, turkish)
+        if letters_only:
+            return [
+                t for t in _TOKEN.findall(text)
+                if t.isalpha() or not t.isdecimal() and any(ch.isalpha() for ch in t)
+            ]
+        return _TOKEN.findall(text)
+    out = []
+    for tok in _TOKEN.findall(text):
+        if letters_only and not any(ch.isalpha() for ch in tok):
+            continue
+        norm = normalize_token(tok, turkish)
+        if norm:
+            out.append(norm)
+    return out
 
 
 def expand_suffix_subsequences(suffixes: list[str]) -> list[list[str]]:

@@ -394,16 +394,14 @@ def _entry_blocks(lex: Lexicon) -> Iterator[str]:
         yield "".join(['{"t":%s,"fc":%d,"vc":%d}\n' % (encode(t), *counts[t]) for t in block])
 
 
-def _add_lines(digest, text: str | bytes) -> None:
+def _add_lines(digest, text: str) -> None:
     """The checksum rule: sha256 over each entry line's UTF-8 plus "\n".
-    text holds whole lines, as text or UTF-8, each ended by "\n" but
-    perhaps the last."""
-    data = text.encode("utf-8") if isinstance(text, str) else text
-    if data:
-        digest.update(data if data[-1:] == b"\n" else data + b"\n")
+    text holds whole lines, each ended by "\n" but perhaps the last."""
+    if text:
+        digest.update((text if text[-1] == "\n" else text + "\n").encode("utf-8"))
 
 
-def _checksum(texts: Iterable[str | bytes]) -> str:
+def _checksum(texts: Iterable[str]) -> str:
     import hashlib  # maps OpenSSL's libcrypto; only lexicon files need it
 
     digest = hashlib.sha256()
@@ -426,10 +424,8 @@ def save_lexicon(lex: Lexicon, path: str) -> None:
 
 
 def _lexicon_lines(lex: Lexicon) -> Iterator[str]:
-    """save_lexicon's text: the header, then the entry blocks, made and hashed
-    first. They wait for the header as UTF-8, which takes half the memory of
-    text holding a letter past U+00FF, such as ğ or ş."""
-    blocks = [block.encode("utf-8") for block in _entry_blocks(lex)]
+    """save_lexicon's text: the header, then the entry blocks, made and hashed first."""
+    blocks = list(_entry_blocks(lex))
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -441,7 +437,7 @@ def _lexicon_lines(lex: Lexicon) -> Iterator[str]:
         "checksum": _checksum(blocks),
     }
     yield json.dumps(header, ensure_ascii=False, separators=(",", ":")) + "\n"
-    yield from map(bytes.decode, blocks)
+    yield from blocks
 
 
 def load_lexicon(path: str) -> Lexicon:

@@ -149,16 +149,14 @@ def test_unicode_casing_facts_of_whole_text_path():
         assert list(map(str.isspace, lowered)) == list(map(str.isspace, mapped))
         # ... lowercases nothing further when lowercased again ...
         assert lowered.lower() == lowered
-        # ... maps no other character onto a joiner, the underscore or the
-        # combining dot above ...
-        for joiner in "'’-_\u0307":
+        # ... maps no other character onto a joiner or the underscore ...
+        for joiner in "'’-_":
             assert joiner.lower() == joiner
             assert lowered.count(joiner) == mapped.count(joiner)
         # ... and needs no context once sigma is gone.
         no_sigma = mapped.replace("Σ", "")
         assert no_sigma.lower() == "".join(map(str.lower, no_sigma))
-    # The two exceptions: sigma takes the per-token loop, and generic dotted I
-    # the dotted-token route, or the per-token loop beside a combining dot.
+    # The two exceptions, which take the per-token loop.
     assert "İ".lower() == "i\u0307" and not "\u0307".isalnum()
     assert "ΑΣ.Β".lower() == "ασ.β" and "ΑΣ".lower() == "ας"
 
