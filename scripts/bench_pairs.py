@@ -7,10 +7,21 @@ Runs fanbench/run.py in each checkout, one run after the other; the side
 that runs first alternates from pair to pair. Every run must report
 `correct: true` with 0 failed, or the script exits 1. It then prints,
 for each end-to-end metric, the parent's median and quartiles, the
-change's median, and in how many pairs the change was better, in the
-direction BENCHMARK.json gives. Peak RSS has been seen to move with the
-length of the checkout path, so the two paths should be equally long; the
-script warns when they are not. Standard library only.
+change's median, in how many pairs the change was better, in the
+direction BENCHMARK.json gives, and a verdict:
+
+- gain: the change is better in at least 9 in 10 pairs (a tie counts for
+  neither side), and its median is better than the parent's by more than
+  the distance between the parent's quartiles;
+- regressed: the change's median is worse than the parent's by more than
+  the metric's bound in BENCHMARK.json, a share of the parent's median;
+- unresolved: the parent's quartile distance, as a share of its median, is
+  wider than that bound, and not every change run beats every parent run;
+- no regression: none of these.
+
+Peak RSS has been seen to move with the length of the checkout path, so
+the two paths should be equally long; the script warns when they are not.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -37,24 +48,37 @@ def run_once(checkout: str, workload: str, seconds: float, seed: int) -> dict[st
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
-    """One line per metric of the (parent, change) metric pairs. better maps
-    a metric name, without a "workload/" prefix, to "higher" or "lower"."""
+def summarize(pairs: list[tuple[dict, dict]], end_to_end: dict[str, dict]) -> list[str]:
+    """One line per metric of the (parent, change) metric pairs, ending in
+    its verdict. end_to_end maps a metric name, without a "workload/"
+    prefix, to its BENCHMARK.json entry, of which "better" ("higher" or
+    "lower") and "bound" (a share of the parent's median) are read."""
     lines = []
     for name in pairs[0][0]:
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
+        metric = end_to_end[name.rsplit("/", 1)[-1]]
         q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
-        sign = 1 if better[name.rsplit("/", 1)[-1]] == "higher" else -1
+        sign = 1 if metric["better"] == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         moved = statistics.median(change)
         low, high = (q1, q3) if sign > 0 else (q3, q1)  # worse and better quartile
         where = ("better than" if sign * (moved - high) > 0
                  else "worse than" if sign * (moved - low) < 0 else "within")
+        gained, spread, bound = sign * (moved - median), q3 - q1, metric["bound"] * abs(median)
+        if gained < -bound:
+            verdict = "regressed"
+        elif wins >= 0.9 * len(pairs) and gained > spread:
+            verdict = "gain"
+        elif spread > bound and not all(sign * (c - p) > 0 for c in change for p in parent):
+            verdict = "unresolved"
+        else:
+            verdict = "no regression"
         lines.append(
             f"{name}: parent median {median:.6g} (quartiles {q1:.6g} to {q3:.6g}), "
             f"change median {moved:.6g} ({(moved - median) / median:+.1%}), "
-            f"change better in {wins} of {len(pairs)} pairs, {where} the parent's quartiles"
+            f"change better in {wins} of {len(pairs)} pairs, {where} the parent's quartiles: "
+            f"{verdict}"
         )
     return lines
 
@@ -78,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{len(change)} characters); peak RSS may differ by that alone",
               file=sys.stderr)
     with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     pairs = []
     for i in range(args.pairs):
         sides = (parent, change) if i % 2 == 0 else (change, parent)
@@ -87,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pair {i + 1}: " + ", ".join(
             f"{name} {ran[parent][name]:.6g} -> {ran[change][name]:.6g}" for name in ran[parent]),
             flush=True)
-    print("\n".join(summarize(pairs, better)))
+    print("\n".join(summarize(pairs, end_to_end)))
     return 0
 
 

@@ -33,7 +33,6 @@ from fanlex.corpus import (
     corpus_stats,
     iter_corpus,
     labeled,
-    load_corpus,
     tallied,
     verify_stats_by_group,
     write_atomic,
@@ -263,8 +262,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
 def cmd_cross_validate(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
     analyzer = _resolve_analyzer(args, cfg)
     classes = _parse_classes(args.classes)
-    ds = load_corpus(args.input)
-    report = cross_validate(ds, args.folds, classes, cfg.seed, cfg, analyzer)
+    report = cross_validate(iter_corpus(args.input), args.folds, classes, cfg.seed, cfg, analyzer)
     stdout = _json_line(
         {
             "config": cfg.to_dict(),
@@ -277,9 +275,9 @@ def cmd_cross_validate(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
             "means": {c.value: m._asdict() for c, m in report.means.items()},
         }
     )
-    labeled = [(str(fm.fold), fm.model_class, fm.metrics) for fm in report.per_fold]
-    labeled += [("mean", c, m) for c, m in report.means.items()]
-    rows = [[fold, c.value, *(f"{v:.3f}" for v in m)] for fold, c, m in labeled]
+    named = [(str(fm.fold), fm.model_class, fm.metrics) for fm in report.per_fold]
+    named += [("mean", c, m) for c, m in report.means.items()]
+    rows = [[fold, c.value, *(f"{v:.3f}" for v in m)] for fold, c, m in named]
     return stdout, _table(["fold", "class", "precision", "recall", "accuracy", "f1"], rows), {}
 
 
@@ -330,9 +328,9 @@ def cmd_verify_corpus(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
             ],
         }
     )
-    labeled = [(f"{source} ({label})", rep) for (source, label), rep in group_rows]
-    labeled.append(("overall", overall))
-    rows = [[name, *(f"{v:.3f}" for v in rep)] for name, rep in labeled]
+    named = [(f"{source} ({label})", rep) for (source, label), rep in group_rows]
+    named.append(("overall", overall))
+    rows = [[name, *(f"{v:.3f}" for v in rep)] for name, rep in named]
     return stdout, _table(["group", "slang/sentence", "misspellings/sentence"], rows), {}
 
 

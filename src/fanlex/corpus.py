@@ -82,8 +82,8 @@ _BOUNDARY = re.compile(rf"[{re.escape(TERMINALS)}]+(?=\s|$)")
 class Document:
     """One news item with a gold label.
 
-    Documents loaded by one command share one frozen MorphAnalysis per
-    distinct analysis; two plain load_corpus calls share none.
+    Documents read by one iter_corpus call, or by calls given one
+    interned dict, share one frozen MorphAnalysis per distinct analysis.
     """
 
     id: str
@@ -236,9 +236,9 @@ def iter_corpus(
             yield doc
 
 
-def load_corpus(path: str, *, interned: dict[tuple, MorphAnalysis] | None = None) -> Dataset:
+def load_corpus(path: str) -> Dataset:
     """Load a JSONL corpus whole: iter_corpus's documents as a Dataset."""
-    return Dataset(tuple(iter_corpus(path, interned=interned)))
+    return Dataset(tuple(iter_corpus(path)))
 
 
 def labeled(docs: Iterable[Document], label: Label, flag: str) -> Iterator[Document]:
@@ -535,16 +535,16 @@ def verify_stats(
     return verify_stats_by_group(ds, slang, dictionary, lambda doc: None, config)[0]
 
 
-def _fold_of(ds: Dataset, k: int, seed: int) -> list[int]:
-    """Each document's fold, by position: documents of each label are
-    shuffled with the seeded generator and dealt round-robin, so
-    per-fold label counts differ by at most one."""
+def _fold_of(labels: Sequence[Label], k: int, seed: int) -> list[int]:
+    """Each document's fold, by position in its labels: documents of each
+    label are shuffled with the seeded generator and dealt round-robin,
+    so per-fold label counts differ by at most one."""
     if k < 2:
         raise FoldSizeError(f"need at least 2 folds, got {k}")
     rng = random.Random(seed)
-    fold_of = [0] * len(ds)
+    fold_of = [0] * len(labels)
     for label in (Label.FAKE, Label.VALID):
-        positions = [i for i, doc in enumerate(ds.documents) if doc.label is label]
+        positions = [i for i, got in enumerate(labels) if got is label]
         if len(positions) < k:
             raise FoldSizeError(
                 f"label {label.value} has {len(positions)} documents, "
@@ -561,7 +561,7 @@ def stratified_folds(
 ) -> list[tuple[Dataset, Dataset]]:
     """Deterministic stratified k-fold split as dealt by _fold_of, in
     (train, test) pairs; each pair is disjoint and covers the dataset."""
-    fold_of = _fold_of(ds, k, seed)
+    fold_of = _fold_of([doc.label for doc in ds.documents], k, seed)
     pairs: list[tuple[Dataset, Dataset]] = []
     for fold in range(k):
         train = tuple(doc for doc, f in zip(ds.documents, fold_of) if f != fold)

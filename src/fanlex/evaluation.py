@@ -12,7 +12,7 @@ from operator import add, attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from fanlex.config import RunConfig
-from fanlex.corpus import Dataset, Document, Label, _fold_of, tallied
+from fanlex.corpus import Document, Label, _fold_of, tallied
 from fanlex.errors import LeakageError
 from fanlex.lexicon import (
     ModelClass,
@@ -129,17 +129,18 @@ def evaluate_models(
 
 
 def cross_validate(
-    ds: Dataset,
+    docs: Iterable[Document],
     k: int,
     classes: Sequence[ModelClass],
     seed: int,
     config: RunConfig | None = None,
     analyzer: AnalyzerRuleTable | None = None,
 ) -> CvReport:
-    """Stratified k-fold cross-validation over a mixed-label dataset.
+    """Stratified k-fold cross-validation over mixed-label documents.
 
-    Per-class means are the arithmetic means of the per-fold metrics.
-    The same seed always produces the same folds and the same report.
+    docs is any iterable, read once; only each document's label and terms
+    are kept, not its id. Per-class means are the arithmetic means of the
+    per-fold metrics. The same documents and seed give the same report.
 
     Each document's terms are computed once per run and counted once
     per class and label; each fold's training counts are those totals
@@ -150,18 +151,19 @@ def cross_validate(
     """
     config = RunConfig() if config is None else config
     _check_classes(classes)
-    fold_of = _fold_of(ds, k, seed)
-    mode = config.count_mode
     pipeline = TermPipeline(classes, analyzer, config)
-    # terms, actual and fold_of are aligned by position with ds.documents.
-    terms = [pipeline.terms(doc) for doc in ds.documents]
-    actual = [doc.label for doc in ds.documents]
+    kept = [(doc.label, pipeline.terms(doc)) for doc in docs]
+    del pipeline  # with its memos: the folds read only the terms made
+    # actual, terms and fold_of are aligned by position with docs.
+    actual, terms = [label for label, _ in kept], [t for _, t in kept]
+    fold_of = _fold_of(actual, k, seed)
+    mode = config.count_mode
     width = len(classes)
 
     def count(rows: Iterable[int], label: Label) -> list[Counter]:
         return count_terms((terms[i] for i in rows if actual[i] is label), width, mode)
 
-    totals = {label: count(range(len(ds)), label) for label in Label}
+    totals = {label: count(range(len(actual)), label) for label in Label}
     per_fold: list[FoldMetrics] = []
     for fold in range(k):
         held = [i for i, f in enumerate(fold_of) if f == fold]

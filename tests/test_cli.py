@@ -983,7 +983,8 @@ def _open_files(paths):
     "command, fault",
     [("evaluate", "late-label"), ("evaluate", "wrong-split"), ("evaluate", "analysis"),
      ("evaluate", "leakage"), ("verify-corpus", "late-label"), ("verify-corpus", "late-byte"),
-     ("corpus-stats", "late-label")],
+     ("corpus-stats", "late-label"), ("cross-validate", "late-label"),
+     ("cross-validate", "analysis")],
 )
 def test_streams_close_their_files_on_a_late_fault(
     capsys, cli_files, write_text, monkeypatch, command, fault
@@ -1025,6 +1026,7 @@ def test_streams_close_their_files_on_a_late_fault(
                           "--slang", write_text("slang.txt", "lan\n"),
                           "--dictionary", files.get("dictionary") or write_text("dict.txt", "bu\n")],
         "corpus-stats": ["corpus-stats", "--input", files["test"]],
+        "cross-validate": ["cross-validate", "--input", files["test"], "--folds", "2"],
     }[command]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -1218,6 +1220,34 @@ def test_cross_validate_bad_fold_count(capsys, cli_files):
     )
     assert code == 3
     assert "folds" in err
+
+
+def test_cross_validate_reports_an_analysis_fault_before_the_fold_count(
+    capsys, cli_files, write_text, monkeypatch
+):
+    """cross-validate reads and analyzes its whole corpus before it deals the
+    folds, so an analyzer failure on the last document exits 2 before a
+    --folds larger than either label's share exits 3."""
+    lines = cli_files["mixed"].read_text(encoding="utf-8").splitlines()
+    last = {k: v for k, v in json.loads(lines[-1]).items() if k != "analyses"}
+    odd = write_text(
+        "odd.jsonl", "\n".join(lines[:-1] + [json.dumps({**last, "text": "bozuk"})]) + "\n"
+    )
+    real = fanlex.morph.analyze_token
+
+    def failing(token, *args):
+        if token == "bozuk":
+            raise AnalysisError(f"token {token!r} rejected")
+        return real(token, *args)
+
+    monkeypatch.setattr(fanlex.morph, "analyze_token", failing)
+    folds = ["--folds", str(len(lines))]
+    code, out, err = run(capsys, ["cross-validate", "--input", cli_files["mixed"], *folds])
+    assert (code, out) == (3, "")
+    assert "fewer than k=" in err
+    assert run(capsys, ["cross-validate", "--input", odd, *folds]) == (
+        2, "", "error: token 0: token 'bozuk' rejected\n"
+    )
 
 
 def test_corpus_stats(capsys, cli_files, write_text):

@@ -23,6 +23,7 @@ from fanlex.corpus import (
     _read_word_list,
     corpus_stats,
     document_to_json,
+    iter_corpus,
     load_corpus,
     load_word_list,
     save_corpus,
@@ -235,21 +236,21 @@ def _analyzed_lines(rows):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_shared_intern_table_matches_per_file_loads(write_text, first, second):
-    """Two files loaded into one intern table give the documents, or the
-    first error, of two plain loads, with one object per distinct
+    """Two files read into one intern table give the documents, or the
+    first error, of two plain reads, with one object per distinct
     analysis across both files."""
     paths = [write_text("first.jsonl", _analyzed_lines(first)),
              write_text("second.jsonl", _analyzed_lines(second))]
 
-    def outcome(load):
+    def outcome(read):
         try:
-            return [load(path).documents for path in paths]
+            return [tuple(read(path)) for path in paths]
         except CorpusParseError as exc:
             return type(exc), str(exc)
 
     interned: dict = {}
-    shared = outcome(lambda path: load_corpus(path, interned=interned))
-    assert shared == outcome(load_corpus)
+    shared = outcome(lambda path: iter_corpus(path, interned=interned))
+    assert shared == outcome(iter_corpus)
     if isinstance(shared, list):
         analyses = [a for docs in shared for doc in docs for a in doc.analyses]
         assert len({id(a) for a in analyses}) == len(set(analyses))

@@ -1,14 +1,17 @@
 import functools
+import gc
 import math
 import operator
 import random
 import re
+import weakref
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fanlex.evaluation
 from fanlex.config import RunConfig
 from fanlex.corpus import Dataset, Document, Label, stratified_folds
 from fanlex.errors import DomainError, LeakageError
@@ -447,6 +450,44 @@ def test_cross_validate_builds_no_dataset(monkeypatch):
     monkeypatch.setattr(Dataset, "__post_init__", counting)
     cross_validate(ds, 5, ALL_CLASSES, seed=0)
     assert built == []
+
+
+def test_cross_validate_reads_a_one_shot_stream(demo_table):
+    # A generator can be read only once: a second pass, or a len(), would
+    # change the report or raise.
+    texts = ["Vergi yok insanlara", "gidecek vergi 47", "yok yok demeyin",
+             "insanlara gidecek", "vergi vergi", "", "demeyin 47", "vergi 47"]
+    ds = Dataset(tuple(
+        Document(id=f"d{i}", text=t, label=F if i % 2 else V) for i, t in enumerate(texts)
+    ))
+    stream = (doc for doc in ds.documents)
+    report = cross_validate(stream, 3, ALL_CLASSES, 5, RunConfig(), demo_table)
+    assert report == cross_validate(ds, 3, ALL_CLASSES, 5, RunConfig(), demo_table)
+    assert next(stream, None) is None
+
+
+def test_cross_validate_drops_the_pipeline_before_the_folds(monkeypatch):
+    """Once every document's terms are made, the TermPipeline and its memos
+    are unreachable: no fold is scored while they are alive."""
+    made = []
+
+    class Recorded(TermPipeline):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    alive = []
+    real = fanlex.evaluation._score_fold
+
+    def checking(*args):
+        gc.collect()
+        alive.append([ref() is not None for ref in made])
+        return real(*args)
+
+    monkeypatch.setattr(fanlex.evaluation, "TermPipeline", Recorded)
+    monkeypatch.setattr(fanlex.evaluation, "_score_fold", checking)
+    cross_validate(separable_corpus(random.Random(3), 10, 10), 5, ALL_CLASSES, seed=0)
+    assert alive == [[False]] * 5
 
 
 @pytest.mark.parametrize("count_mode", list(CountMode))
