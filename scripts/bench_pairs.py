@@ -21,6 +21,8 @@ direction BENCHMARK.json gives, and a verdict:
 
 Peak RSS has been seen to move with the length of the checkout path, so
 the two paths should be equally long; the script warns when they are not.
+Last it prints the line count, in PARENT and in CHANGE, of each
+src/**/*.py file whose text differs between them, and the net change.
 Standard library only.
 """
 
@@ -32,6 +34,7 @@ import os
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 
 def run_once(checkout: str, workload: str, seconds: float, seed: int) -> dict[str, float]:
@@ -83,6 +86,22 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: dict[str, dict]) -> li
     return lines
 
 
+def src_line_delta(parent: str, change: str) -> list[str]:
+    """One line per src/**/*.py file whose bytes differ between the two
+    checkouts, with its line count in each (0 where it is absent), then
+    the net change over those files."""
+    sides = [{path.relative_to(side).as_posix(): path.read_bytes()
+              for path in Path(side, "src").rglob("*.py")} for side in (parent, change)]
+    lines, net = [], 0
+    for name in sorted(sides[0].keys() | sides[1].keys()):
+        texts = [side.get(name, b"") for side in sides]
+        if texts[0] != texts[1]:
+            before, after = (len(text.splitlines()) for text in texts)
+            net += after - before
+            lines.append(f"{name}: {before} -> {after} lines ({after - before:+d})")
+    return lines + [f"net src/ lines: {net:+d}"]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="checkout of the parent commit")
@@ -112,6 +131,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{name} {ran[parent][name]:.6g} -> {ran[change][name]:.6g}" for name in ran[parent]),
             flush=True)
     print("\n".join(summarize(pairs, end_to_end)))
+    print("\n".join(src_line_delta(parent, change)))
     return 0
 
 

@@ -114,9 +114,6 @@ class Dataset:
     def __iter__(self) -> Iterator[Document]:
         return iter(self.documents)
 
-    def ids(self) -> set[str]:
-        return {doc.id for doc in self.documents}
-
     def filter(self, label: Label) -> "Dataset":
         """Documents carrying the given label, order preserved."""
         return Dataset(
@@ -383,29 +380,15 @@ def _entry_words(entry: str, turkish: bool) -> list[str]:
     return [w for p in entry.split() if (w := normalize_token(p, turkish))]
 
 
-def _blocks(items: Iterable[str]) -> Iterator[str]:
-    """items joined by newlines into blocks of at least _BLOCK characters, but the last."""
-    batch: list[str] = []
-    size = 0
-    for item in items:
-        batch.append(item)
-        size += len(item)
-        if size >= _BLOCK:
-            yield "\n".join(batch)
-            batch, size = [], 0
-    yield "\n".join(batch)
-
-
 def _dictionary_words(dictionary: Iterable[str], turkish: bool) -> set[str]:
     """The union of _entry_words over the dictionary's items, each an entry
-    or a block of entries, one per line, by _kernels' whole-text rule: items
-    are joined into blocks, a block is lowercased once and split, and only
-    its words that are not alphanumeric go through normalize_token, which
-    gives the same for a word and its lowercase. A block holding Σ takes
-    _entry_words whole. Generic İ needs no exception here: its dot is not
-    whitespace."""
+    or a block of entries, one per line, by _kernels' whole-text rule: an
+    item is lowercased once and split, and only its words that are not
+    alphanumeric go through normalize_token, which gives the same for a
+    word and its lowercase. An item holding Σ takes _entry_words whole.
+    Generic İ needs no exception here: its dot is not whitespace."""
     words: set[str] = set()
-    for block in _blocks(dictionary):
+    for block in dictionary:
         if "Σ" in block:
             words.update(_entry_words(block, turkish))
             continue
@@ -455,15 +438,9 @@ def verify_stats_by_group(
     config = RunConfig() if config is None else config
     turkish, include_title = config.locale is Locale.TURKISH, config.include_title
     dict_words = _dictionary_words(dictionary, turkish)
-    singles: set[str] = set()
-    phrases: set[tuple[str, ...]] = set()
-    for entry in slang:
-        words = _entry_words(entry, turkish)
-        if len(words) == 1:
-            singles.add(words[0])
-        elif words:
-            phrases.add(tuple(words))
-    if not singles and not phrases:
+    # A one-word entry is a phrase of length 1, probed last.
+    phrases = {tuple(words) for entry in slang if (words := _entry_words(entry, turkish))}
+    if not phrases:
         raise DomainError("slang list is empty")
     phrase_lengths = sorted({len(p) for p in phrases}, reverse=True)
     # Only a token that starts some phrase needs the phrase probes.
@@ -492,9 +469,7 @@ def verify_stats_by_group(
                     hits += 1
                     i += hit
                     continue
-            if tok in singles:
-                hits += 1
-            elif tok not in dict_words and not tok.isdigit():
+            if tok not in dict_words and not tok.isdigit():
                 missed += 1
             i += 1
         group = counts.setdefault(group_key(doc), [0, 0, 0])

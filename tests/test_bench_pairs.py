@@ -121,5 +121,30 @@ def test_main_reads_the_bounds_of_the_change_benchmark(tmp_path, capsys, monkeyp
     assert bench_pairs.main([str(parent), str(change), "--workload", "raw-wide",
                              "--pairs", "4"]) == 0
     assert ran == ["parent", "change", "change", "parent"] * 2
-    assert capsys.readouterr().out.splitlines()[-1].endswith(": regressed")
+    *_, verdict, delta = capsys.readouterr().out.splitlines()
+    assert verdict.startswith("tokens_per_s: ") and verdict.endswith(": regressed")
+    assert delta == "net src/ lines: +0"
     assert (change / "BENCHMARK.json").read_bytes() == benchmark.read_bytes()
+
+
+def test_src_line_delta_counts_the_files_that_differ(tmp_path):
+    """Each src/**/*.py file whose bytes differ, with its line count on
+    each side (0 where absent), and the net change; other files are left out."""
+    trees = {
+        "parent": {"a.py": "x\n" * 3, "same.py": "s\n", "pkg/gone.py": "g\n" * 3,
+                   "pkg/edit.py": "e\n", "notes.txt": "n\n"},
+        "change": {"a.py": "x\n" * 5, "same.py": "s\n", "pkg/new.py": "n\n" * 2,
+                   "pkg/edit.py": "f\n", "notes.txt": "n\n" * 9},
+    }
+    for side, files in trees.items():
+        for name, text in files.items():
+            path = tmp_path / side / "src" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    assert bench_pairs.src_line_delta(str(tmp_path / "parent"), str(tmp_path / "change")) == [
+        "src/a.py: 3 -> 5 lines (+2)",
+        "src/pkg/edit.py: 1 -> 1 lines (+0)",
+        "src/pkg/gone.py: 3 -> 0 lines (-3)",
+        "src/pkg/new.py: 0 -> 2 lines (+2)",
+        "net src/ lines: +1",
+    ]

@@ -3,13 +3,12 @@ import os
 import random
 import threading
 from dataclasses import replace
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import fanlex.corpus
+from fanlex._kernels import normalized_tokens
 from fanlex.config import RunConfig
 from fanlex.corpus import (
     DEFAULT_ABBREVIATIONS,
@@ -325,6 +324,10 @@ def test_dataset_rejects_duplicate_ids():
         Dataset((doc, doc))
 
 
+def _ids(ds):
+    return {doc.id for doc in ds.documents}
+
+
 def test_dataset_filter_preserves_order():
     docs = tuple(
         Document(id=f"d{i}", text="x", label=Label.FAKE if i % 2 else Label.VALID)
@@ -334,7 +337,7 @@ def test_dataset_filter_preserves_order():
     fakes = ds.filter(Label.FAKE)
     assert [d.id for d in fakes.documents] == ["d1", "d3", "d5"]
     assert fakes.split is Split.TRAIN
-    assert ds.ids() == {f"d{i}" for i in range(6)}
+    assert _ids(ds) == {f"d{i}" for i in range(6)}
 
 
 def test_split_sentences_basic():
@@ -554,6 +557,58 @@ def test_verify_stats_takes_entries_as_written_or_loaded(
     assert as_written == loaded
 
 
+def _reference_counts(tokens, slang, dictionary):
+    """Slang hits and misspellings in normalized tokens, by a plain scan:
+    at each token the longest slang phrase (a tuple of words) that starts
+    there matches and consumes its tokens; an unmatched token is
+    misspelled unless it is in the dictionary or all digits."""
+    hits = missed = i = 0
+    while i < len(tokens):
+        match = max((p for p in slang if tuple(tokens[i : i + len(p)]) == p), key=len, default=())
+        if match:
+            hits += 1
+            i += len(match)
+        else:
+            missed += tokens[i] not in dictionary and not tokens[i].isdigit()
+            i += 1
+    return hits, missed
+
+
+# Words with no terminal punctuation, so that a text is one sentence and
+# its rates are its counts; some differ only in case or in the Turkish I.
+_MATCH_WORDS = ["lan", "«LAN»", "çok", "Çok", "fena", "iyi", "bu", "IRAK", "ırak", "irak", "47"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    phrases=st.lists(
+        st.tuples(st.lists(st.sampled_from(_MATCH_WORDS), min_size=1, max_size=3), st.booleans()),
+        min_size=1,
+        max_size=5,
+    ),
+    dictionary=st.lists(st.sampled_from(_MATCH_WORDS), min_size=1, max_size=4),
+    texts=st.lists(
+        st.lists(st.sampled_from(_MATCH_WORDS), min_size=1, max_size=12), min_size=1, max_size=4
+    ),
+    locale=st.sampled_from(Locale),
+)
+def test_verify_counts_match_a_longest_first_scan(phrases, dictionary, texts, locale):
+    """verify_stats_by_group counts as _reference_counts does, also when a
+    one-word slang entry is the first word of a longer one."""
+    turkish = locale is Locale.TURKISH
+    slang = [" ".join(words) for words, _ in phrases]
+    slang += [words[0] for words, first_too in phrases if first_too]
+    docs = [Document(id=f"d{i}", text=" ".join(t), label=Label.FAKE) for i, t in enumerate(texts)]
+    _, groups = verify_stats_by_group(
+        docs, slang, dictionary, lambda doc: doc.id, RunConfig(locale=locale)
+    )
+    reference_slang = {tuple(_entry_words(e, turkish)) for e in slang}
+    reference_dictionary = {w for e in dictionary for w in _entry_words(e, turkish)}
+    for doc in docs:
+        tokens = normalized_tokens(doc.text, turkish)
+        assert groups[doc.id] == _reference_counts(tokens, reference_slang, reference_dictionary)
+
+
 # Entries for the dictionary blocks: sigma, the Turkish and combining-dot
 # i's, words that are not alphanumeric or normalize to nothing, and any
 # text at all, whitespace and line breaks included.
@@ -567,22 +622,15 @@ _BLOCK_ENTRIES = st.lists(
 )
 
 
-@given(
-    entries=_BLOCK_ENTRIES,
-    turkish=st.booleans(),
-    cut=st.integers(0, 12),
-    block=st.sampled_from([1, 7, 1 << 14]),
-)
+@given(entries=_BLOCK_ENTRIES, turkish=st.booleans(), cut=st.integers(0, 12))
 @settings(max_examples=400, deadline=None)
-def test_dictionary_block_words_are_the_entry_words(entries, turkish, cut, block):
+def test_dictionary_block_words_are_the_entry_words(entries, turkish, cut):
     """The block route gives the union of _entry_words over the entries,
-    given one by one or joined into blocks, one entry per line, whatever
-    the block size."""
+    given one by one or joined into blocks, one entry per line."""
     expected = {w for entry in entries for w in _entry_words(entry, turkish)}
     joined = ["\n".join(entries[:cut]), "\n".join(entries[cut:])]
-    with mock.patch.object(fanlex.corpus, "_BLOCK", block):
-        assert _dictionary_words(entries, turkish) == expected
-        assert _dictionary_words(joined, turkish) == expected
+    assert _dictionary_words(entries, turkish) == expected
+    assert _dictionary_words(joined, turkish) == expected
 
 
 SLANG = ["lan", "çok fena"]
@@ -711,20 +759,20 @@ def test_stratified_folds_partition():
     for train, test in folds:
         assert train.split is Split.TRAIN
         assert test.split is Split.TEST
-        assert train.ids() | test.ids() == ds.ids()
-        assert not train.ids() & test.ids()
+        assert _ids(train) | _ids(test) == _ids(ds)
+        assert not _ids(train) & _ids(test)
         fake = len(test.filter(Label.FAKE))
         valid = len(test.filter(Label.VALID))
         assert fake in (13 // 4, 13 // 4 + 1)
         assert valid in (9 // 4, 9 // 4 + 1)
-        all_test_ids.extend(sorted(test.ids()))
+        all_test_ids.extend(sorted(_ids(test)))
         # Original document order is preserved inside each piece.
         order = {doc.id: i for i, doc in enumerate(ds.documents)}
         assert [order[d.id] for d in test.documents] == sorted(
             order[d.id] for d in test.documents
         )
     assert len(all_test_ids) == len(ds)
-    assert set(all_test_ids) == ds.ids()
+    assert set(all_test_ids) == _ids(ds)
 
 
 def test_stratified_folds_deterministic():
@@ -738,7 +786,7 @@ def test_stratified_folds_deterministic():
         ([d.id for d in tr.documents], [d.id for d in te.documents]) for tr, te in two
     ]
     other = stratified_folds(ds, 5, seed=43)
-    assert [sorted(te.ids()) for _, te in one] != [sorted(te.ids()) for _, te in other]
+    assert [sorted(_ids(te)) for _, te in one] != [sorted(_ids(te)) for _, te in other]
 
 
 def test_stratified_folds_rejects():
@@ -758,8 +806,8 @@ def test_stratified_folds_property(n_fake, n_valid, seed):
     ds = analyzed_corpus(rng, n_fake, n_valid, prefix=f"p{seed}")
     k = 2
     for train, test in stratified_folds(ds, k, seed=seed):
-        assert train.ids() | test.ids() == ds.ids()
-        assert not train.ids() & test.ids()
+        assert _ids(train) | _ids(test) == _ids(ds)
+        assert not _ids(train) & _ids(test)
         for label, total in ((Label.FAKE, n_fake), (Label.VALID, n_valid)):
             got = len(test.filter(label))
             assert abs(got - total / k) <= 0.5 + 1e-9
