@@ -380,15 +380,29 @@ def _entry_words(entry: str, turkish: bool) -> list[str]:
     return [w for p in entry.split() if (w := normalize_token(p, turkish))]
 
 
+def _blocks(items: Iterable[str]) -> Iterator[str]:
+    """items joined by newlines into blocks of at least _BLOCK characters, but the last."""
+    batch: list[str] = []
+    size = 0
+    for item in items:
+        batch.append(item)
+        size += len(item)
+        if size >= _BLOCK:
+            yield "\n".join(batch)
+            batch, size = [], 0
+    yield "\n".join(batch)
+
+
 def _dictionary_words(dictionary: Iterable[str], turkish: bool) -> set[str]:
     """The union of _entry_words over the dictionary's items, each an entry
-    or a block of entries, one per line, by _kernels' whole-text rule: an
-    item is lowercased once and split, and only its words that are not
-    alphanumeric go through normalize_token, which gives the same for a
-    word and its lowercase. An item holding Σ takes _entry_words whole.
-    Generic İ needs no exception here: its dot is not whitespace."""
+    or a block of entries, one per line, by _kernels' whole-text rule: items
+    are joined into blocks, a block is lowercased once and split, and only
+    its words that are not alphanumeric go through normalize_token, which
+    gives the same for a word and its lowercase. A block holding Σ takes
+    _entry_words whole. Generic İ needs no exception here: its dot is not
+    whitespace."""
     words: set[str] = set()
-    for block in dictionary:
+    for block in _blocks(dictionary):
         if "Σ" in block:
             words.update(_entry_words(block, turkish))
             continue

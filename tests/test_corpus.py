@@ -3,11 +3,13 @@ import os
 import random
 import threading
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fanlex.corpus
 from fanlex._kernels import normalized_tokens
 from fanlex.config import RunConfig
 from fanlex.corpus import (
@@ -622,15 +624,22 @@ _BLOCK_ENTRIES = st.lists(
 )
 
 
-@given(entries=_BLOCK_ENTRIES, turkish=st.booleans(), cut=st.integers(0, 12))
+@given(
+    entries=_BLOCK_ENTRIES,
+    turkish=st.booleans(),
+    cut=st.integers(0, 12),
+    block=st.sampled_from([1, 7, 1 << 14]),
+)
 @settings(max_examples=400, deadline=None)
-def test_dictionary_block_words_are_the_entry_words(entries, turkish, cut):
+def test_dictionary_block_words_are_the_entry_words(entries, turkish, cut, block):
     """The block route gives the union of _entry_words over the entries,
-    given one by one or joined into blocks, one entry per line."""
+    given one by one or joined into blocks, one entry per line, whatever
+    the block size."""
     expected = {w for entry in entries for w in _entry_words(entry, turkish)}
     joined = ["\n".join(entries[:cut]), "\n".join(entries[cut:])]
-    assert _dictionary_words(entries, turkish) == expected
-    assert _dictionary_words(joined, turkish) == expected
+    with mock.patch.object(fanlex.corpus, "_BLOCK", block):
+        assert _dictionary_words(entries, turkish) == expected
+        assert _dictionary_words(joined, turkish) == expected
 
 
 SLANG = ["lan", "çok fena"]
