@@ -21,6 +21,8 @@ direction BENCHMARK.json gives, and a verdict:
 
 Peak RSS has been seen to move with the length of the checkout path, so
 the two paths should be equally long; the script warns when they are not.
+A checkout whose src/ holds a __pycache__ directory is refused before
+any run: its cached bytecode lowers setup_s and peak_rss_mb on that side.
 Last it prints the line count, in PARENT and in CHANGE, of each
 src/**/*.py file whose text differs between them, and the net change.
 Standard library only.
@@ -120,6 +122,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"warning: checkout paths differ in length ({len(parent)} and "
               f"{len(change)} characters); peak RSS may differ by that alone",
               file=sys.stderr)
+    for checkout in (parent, change):
+        cache = next(Path(checkout, "src").rglob("__pycache__"), None)
+        if cache is not None:  # exits 1
+            raise SystemExit(f"{cache}: cached bytecode would lower this side's setup_s and "
+                             "peak_rss_mb; remove it before pairing")
     with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     pairs = []

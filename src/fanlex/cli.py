@@ -21,7 +21,8 @@ import os
 import sys
 from collections import Counter
 from enum import Enum
-from typing import Iterable, Iterator
+from operator import methodcaller
+from typing import Callable, Iterator, TextIO
 
 from fanlex import __version__
 from fanlex.config import ENV_CONFIG, FIELD_TYPES, RunConfig, _parse, load_config_file, make_config
@@ -43,7 +44,7 @@ from fanlex.lexicon import (
     ModelClass,
     RAW_POS_SEPARATOR,
     TermPipeline,
-    _lexicon_lines,
+    _write_lexicon,
     count_splits,
     lexicon_from_counts,
     lexicon_stats,
@@ -61,8 +62,8 @@ from fanlex.scorer import _explain_terms, _score_rows
 
 _ALL_CLASSES = [c.value for c in ModelClass]
 
-# A handler's stdout text, report (None for none) and files: path -> text chunks.
-Outputs = tuple[str, "str | None", dict[str, Iterable[str]]]
+# A handler's stdout text, report (None for none) and files: path -> its writer.
+Outputs = tuple[str, "str | None", dict[str, Callable[[TextIO], object]]]
 
 
 def _model_class(value: str) -> ModelClass:
@@ -175,7 +176,7 @@ def cmd_build_lexicon(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
         ["model", "unique terms", "common", "only fake", "only valid"],
         [[lex.model_class.value, *map(str, stats)]],
     )
-    return stdout, report, {args.out: _lexicon_lines(lex)}
+    return stdout, report, {args.out: lambda fh: _write_lexicon(lex, fh)}
 
 
 def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
@@ -217,7 +218,7 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
             )
     report = "\n\n".join(blocks) if args.explain else None
     if args.out:
-        return "", report, {args.out: lines}
+        return "", report, {args.out: methodcaller("writelines", lines)}
     return "".join(lines), report, {}
 
 
@@ -492,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
         if report is not None and not report.endswith("\n"):
             report += "\n"
         if args.report:
-            files[args.report] = [report]
+            files[args.report] = methodcaller("write", report)
             report = None
         report_bytes = b"" if report is None else report.encode("utf-8")
         write_atomic(files)

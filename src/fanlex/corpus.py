@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from fanlex._kernels import _lower, normalize_token, normalized_tokens
 from fanlex.config import Locale, RunConfig
@@ -272,8 +272,8 @@ def document_to_json(doc: Document) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
-def write_atomic(files: Mapping[str, Iterable[str]]) -> None:
-    """Write each path's text chunks through a temporary file beside it.
+def write_atomic(files: Mapping[str, Callable[[TextIO], object]]) -> None:
+    """Write each path through a temporary file beside it, which its writer fills.
 
     No target is replaced before every file is written, so a failure while
     writing leaves existing files with their old bytes and removes the
@@ -284,10 +284,10 @@ def write_atomic(files: Mapping[str, Iterable[str]]) -> None:
     targets = {f"{path}.{os.urandom(4).hex()}.tmp": path for path in files}
     pending: list[str] = []  # temporary files not yet renamed
     try:
-        for tmp, chunks in zip(targets, files.values()):
+        for tmp, write in zip(targets, files.values()):
             with open(tmp, "x", encoding="utf-8") as fh:
                 pending.append(tmp)
-                fh.writelines(chunks)
+                write(fh)
         while pending:
             os.replace(pending[0], targets[pending[0]])
             pending.pop(0)
@@ -302,7 +302,7 @@ def write_atomic(files: Mapping[str, Iterable[str]]) -> None:
 
 def save_corpus(ds: Dataset, path: str) -> None:
     """Write a dataset back out as canonical JSONL."""
-    write_atomic({path: (document_to_json(doc) + "\n" for doc in ds.documents)})
+    write_atomic({path: lambda fh: fh.writelines(document_to_json(d) + "\n" for d in ds.documents)})
 
 
 def split_sentences(
@@ -449,6 +449,9 @@ def verify_stats_by_group(
     without sentences are left out. Raises NoSentencesError when ds has
     no sentence.
     """
+    for name, entries in (("slang", slang), ("dictionary", dictionary)):
+        if isinstance(entries, str):  # it would be matched a character at a time
+            raise TypeError(f"{name} must be a collection of entries, not a str")
     config = RunConfig() if config is None else config
     turkish, include_title = config.locale is Locale.TURKISH, config.include_title
     dict_words = _dictionary_words(dictionary, turkish)

@@ -16,7 +16,7 @@ from collections import Counter
 from enum import Enum
 from itertools import chain, compress, repeat
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from fanlex._kernels import expand_suffix_subsequences  # re-exported: C04 imports it from here
 from fanlex._kernels import normalize_token, normalized_tokens, suffix_runs
@@ -67,18 +67,18 @@ class TermEntry(NamedTuple):
 class Lexicon:
     """Term counts for one model class; scores are worked out at lookup.
 
-    counts maps each term to its (fake, valid) counts, at least one of
-    them above zero, and each total is the sum of its side. Counts,
-    totals, count mode and smoothing are the whole state; treat them as
-    immutable. A term's score for a class is (count + smoothing) /
-    (total + smoothing * vocabulary), computed each time the term is
-    looked up, and entries is a read-only TermEntry view of counts and
-    scores. A lexicon given entries instead of counts takes their counts
-    and scores as they are.
+    fake_counts and valid_counts map each term a side counted to its count
+    there, above zero, and each total is the sum of its side. The two
+    mappings, kept as given and uncopied, the totals, count mode and
+    smoothing are the whole state; treat them as immutable. A term's score
+    for a class is (count + smoothing) / (total + smoothing * vocabulary),
+    over the terms of either side, computed each time the term is looked
+    up, and entries is a read-only TermEntry view of counts and scores. A
+    lexicon given entries instead keeps their counts and per-side scores.
 
-    Raises TypeError unless exactly one of counts and entries is given,
-    ValueError for a smoothing that is not an int or float (a bool is
-    not), finite and >= 0, or for a smoothing or total that makes a
+    Raises TypeError unless exactly one of the two counts and entries is
+    given, ValueError for a smoothing that is not an int or float (a bool
+    is not), finite and >= 0, or for a smoothing or total that makes a
     score denominator overflow, and EmptyTrainingSplitError for a total
     that is not above zero.
     """
@@ -91,7 +91,8 @@ class Lexicon:
         valid_total: int,
         count_mode: CountMode,
         smoothing: float = 0.0,
-        counts: dict[str, tuple[int, int]] | None = None,
+        fake_counts: Mapping[str, int] | None = None,
+        valid_counts: Mapping[str, int] | None = None,
         entries: Mapping[str, TermEntry] | None = None,
     ) -> None:
         # A bool is no number: save_lexicon would write it as true, which
@@ -115,37 +116,42 @@ class Lexicon:
         self.valid_total = valid_total
         self.count_mode = count_mode
         self.smoothing = smoothing
-        if (counts is None) == (entries is None):
-            raise TypeError("Lexicon needs exactly one of counts or entries")
-        vocabulary = len(counts if entries is None else entries)
+        if {fake_counts is None, valid_counts is None} != {entries is not None}:
+            raise TypeError("Lexicon needs exactly one of counts (fake and valid) or entries")
+        # _pair works out (value + shift) / denominator on each side. Given
+        # scores pass it unchanged, bit for bit: x + -0.0 == x and x / 1.0 == x.
+        if entries is None:
+            self._values, self._shift = (fake_counts, valid_counts), smoothing
+        else:
+            fake_counts = {t: e.fake_count for t, e in entries.items() if e.fake_count}
+            valid_counts = {t: e.valid_count for t, e in entries.items() if e.valid_count}
+            self._values = ({t: e.fake_score for t, e in entries.items()},
+                            {t: e.valid_score for t, e in entries.items()})
+            self._shift = -0.0
+        self.fake_counts, self.valid_counts = fake_counts, valid_counts
+        # Counted, not a set: a set of the terms would outweigh both sides' keys.
+        fake, valid = self._values
+        self._vocabulary = len(fake) + len(valid) - sum(map(fake.__contains__, valid))
+        mass = smoothing * self._vocabulary  # the smoothing in each denominator
         largest = max(fake_total, valid_total)
         top = sys.float_info.max
-        if not (largest <= top and largest + smoothing * vocabulary <= top):
+        if not (largest <= top and largest + mass <= top):
             raise ValueError(
                 f"smoothing {smoothing!r} or a total is too large: the score "
                 "denominator is not finite"
             )
-        # _pair works out (value + shift) / denominator on each side. Given
-        # scores pass it unchanged, bit for bit: x + -0.0 == x and x / 1.0 == x.
-        if entries is None:
-            self.counts = self._values = counts
-            self._shift = smoothing
-            self._denominators = (
-                fake_total + smoothing * vocabulary,
-                valid_total + smoothing * vocabulary,
-            )
-        else:
-            self.counts = {t: (e.fake_count, e.valid_count) for t, e in entries.items()}
-            self._values = {t: (e.fake_score, e.valid_score) for t, e in entries.items()}
-            self._shift, self._denominators = -0.0, (1.0, 1.0)
+        self._denominators = (
+            (fake_total + mass, valid_total + mass) if entries is None else (1.0, 1.0)
+        )
 
     def _pair(self, term: str) -> tuple[float, float] | None:
         """term's (fake, valid) scores, or None for a term not in the lexicon."""
-        values = self._values.get(term)
-        if values is None:
+        fake_values, valid_values = self._values
+        fake, valid = fake_values.get(term, 0), valid_values.get(term, 0)
+        if not (fake or valid) and term not in fake_values:  # a count is never 0
             return None
         shift, (fake_denominator, valid_denominator) = self._shift, self._denominators
-        return (values[0] + shift) / fake_denominator, (values[1] + shift) / valid_denominator
+        return (fake + shift) / fake_denominator, (valid + shift) / valid_denominator
 
     @property
     def entries(self) -> Mapping[str, TermEntry]:
@@ -155,10 +161,11 @@ class Lexicon:
         if not isinstance(other, Lexicon):
             return NotImplemented
         state = attrgetter(
-            "model_class", "count_mode", "fake_total", "valid_total", "smoothing", "counts"
+            "model_class", "count_mode", "fake_total", "valid_total", "smoothing",
+            "fake_counts", "valid_counts", "_vocabulary",
         )
         return state(self) == state(other) and all(
-            self._pair(t) == other._pair(t) for t in self.counts
+            self._pair(t) == other._pair(t) for t in self.entries
         )
 
 
@@ -169,16 +176,22 @@ class _EntryView(Mapping[str, TermEntry]):
         self._lex = lex
 
     def __getitem__(self, term: str) -> TermEntry:
-        return TermEntry(term, *self._lex.counts[term], *self._lex._pair(term))
+        lex = self._lex
+        pair = lex._pair(term)
+        if pair is None:
+            raise KeyError(term)
+        return TermEntry(term, lex.fake_counts.get(term, 0), lex.valid_counts.get(term, 0), *pair)
 
     def __contains__(self, term: object) -> bool:
-        return term in self._lex.counts
+        fake, valid = self._lex._values
+        return term in fake or term in valid
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._lex.counts)
+        fake, valid = self._lex._values
+        return chain(fake, (t for t in valid if t not in fake))
 
     def __len__(self) -> int:
-        return len(self._lex.counts)
+        return self._lex._vocabulary
 
 
 class LexiconStats(NamedTuple):
@@ -301,23 +314,22 @@ def lexicon_from_counts(
 ) -> Lexicon:
     """Assemble a lexicon from per-class term counts.
 
-    Counts must be ints >= 0; terms counted zero on both sides are
-    dropped. Scores are (count + smoothing) / (total + smoothing *
-    vocabulary), which reduces to count / total at the default
-    smoothing of 0 and sums to 1 over the stored terms either way.
-    Nothing is sorted here: terms are ordered when the lexicon is saved.
+    Counts must be ints >= 0. The lexicon takes a side's mapping over,
+    uncopied, when it holds no 0, and else a copy without its zeros.
+    Scores are (count + smoothing) / (total + smoothing * vocabulary),
+    which reduces to count / total at the default smoothing of 0 and sums
+    to 1 over the stored terms either way. Nothing is sorted here: terms
+    are ordered when the lexicon is saved.
     """
     for side, side_counts in (("fake", fake_counts), ("valid", valid_counts)):
         if not all(type(c) is int and c >= 0 for c in side_counts.values()):
             raise ValueError(f"{side} counts must be integers >= 0")
-    valid_count = valid_counts.get
-    counts = {t: (fc, valid_count(t, 0)) for t, fc in fake_counts.items() if fc}
-    counts.update(
-        (t, (0, vc)) for t, vc in valid_counts.items() if vc and t not in counts
-    )
+    fake, valid = ({t: c for t, c in counts.items() if c} if 0 in counts.values() else counts
+                   for counts in (fake_counts, valid_counts))
     return Lexicon(
         model_class,
-        counts=counts,
+        fake_counts=fake,
+        valid_counts=valid,
         fake_total=sum(fake_counts.values()),
         valid_total=sum(valid_counts.values()),
         count_mode=count_mode,
@@ -368,30 +380,24 @@ def build_lexicon(
 
 def lexicon_stats(lex: Lexicon) -> LexiconStats:
     """Unique term count and its split into common/only-fake/only-valid."""
-    common = only_fake = only_valid = 0
-    for fc, vc in lex.counts.values():
-        if fc > 0 and vc > 0:
-            common += 1
-        elif fc > 0:
-            only_fake += 1
-        else:
-            only_valid += 1
+    fake, valid = lex.fake_counts.keys(), lex.valid_counts.keys()
+    common = sum(map(fake.__contains__, valid))
     return LexiconStats(
-        unique_terms=len(lex.counts),
+        unique_terms=len(fake) + len(valid) - common,
         common_terms=common,
-        only_fake=only_fake,
-        only_valid=only_valid,
+        only_fake=len(fake) - common,
+        only_valid=len(valid) - common,
     )
 
 
 def _entry_blocks(lex: Lexicon) -> Iterator[str]:
     """Entry lines in term order, as json.dumps(ensure_ascii=False, separators=(",", ":"))
-    writes {"t": term, "fc": fc, "vc": vc}, each ended by "\n", 1,024 to a block."""
-    counts, encode = lex.counts, json.encoder.encode_basestring
-    terms = sorted(counts)
-    for start in range(0, len(terms), 1024):
-        block = terms[start : start + 1024]
-        yield "".join(['{"t":%s,"fc":%d,"vc":%d}\n' % (encode(t), *counts[t]) for t in block])
+    writes {"t": term, "fc": fc, "vc": vc}, each ended by "\n", 256 to a block."""
+    fake, valid, encode = lex.fake_counts.get, lex.valid_counts.get, json.encoder.encode_basestring
+    terms = sorted(lex.entries)  # one list, sorted in place: a set of the terms outweighs it
+    for start in range(0, len(terms), 256):
+        yield "".join(['{"t":%s,"fc":%d,"vc":%d}\n' % (encode(t), fake(t, 0), valid(t, 0))
+                       for t in terms[start : start + 256]])
 
 
 def _add_lines(digest, text: str) -> None:
@@ -401,15 +407,6 @@ def _add_lines(digest, text: str) -> None:
         digest.update((text if text[-1] == "\n" else text + "\n").encode("utf-8"))
 
 
-def _checksum(texts: Iterable[str]) -> str:
-    import hashlib  # maps OpenSSL's libcrypto; only lexicon files need it
-
-    digest = hashlib.sha256()
-    for text in texts:
-        _add_lines(digest, text)
-    return digest.hexdigest()
-
-
 def save_lexicon(lex: Lexicon, path: str) -> None:
     """Write a lexicon: one JSON header line, then one entry per line.
 
@@ -417,15 +414,18 @@ def save_lexicon(lex: Lexicon, path: str) -> None:
     holding a lone surrogate raises LexiconParseError; path is left as it was.
     """
     try:
-        write_atomic({path: _lexicon_lines(lex)})
+        write_atomic({path: lambda fh: _write_lexicon(lex, fh)})
     except UnicodeEncodeError:
-        term = min(t for t in lex.counts if t.encode("utf-8", "replace").decode() != t)
+        term = min(t for t in lex.entries if t.encode("utf-8", "replace").decode() != t)
         raise LexiconParseError(f"{path}: term {term!r} holds a lone surrogate") from None
 
 
-def _lexicon_lines(lex: Lexicon) -> Iterator[str]:
-    """save_lexicon's text: the header, then the entry blocks, made and hashed first."""
-    blocks = list(_entry_blocks(lex))
+def _write_lexicon(lex: Lexicon, fh: TextIO) -> None:
+    """save_lexicon's text, written to fh's bytes in one pass: the header
+    with a placeholder checksum, the entry blocks, hashed as they are
+    written, and then the checksum over the placeholder."""
+    import hashlib  # maps OpenSSL's libcrypto; only lexicon files need it
+
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -434,10 +434,18 @@ def _lexicon_lines(lex: Lexicon) -> Iterator[str]:
         "fake_total": lex.fake_total,
         "valid_total": lex.valid_total,
         "smoothing": lex.smoothing,
-        "checksum": _checksum(blocks),
+        "checksum": "0" * 64,  # as long as a sha256 hex digest
     }
-    yield json.dumps(header, ensure_ascii=False, separators=(",", ":")) + "\n"
-    yield from blocks
+    text = json.dumps(header, ensure_ascii=False, separators=(",", ":")) + "\n"
+    out, digest = fh.buffer, hashlib.sha256()
+    out.write(text.encode("ascii"))
+    for block in _entry_blocks(lex):
+        data = block.encode("utf-8")
+        digest.update(data)
+        out.write(data)
+    # An ASCII header's characters are its bytes; the checksum is its last field.
+    out.seek(text.rindex(header["checksum"]))
+    out.write(digest.hexdigest().encode("ascii"))
 
 
 def load_lexicon(path: str) -> Lexicon:
@@ -477,9 +485,9 @@ def load_lexicon(path: str) -> Lexicon:
         if type(smoothing) not in (int, float) or not 0 <= smoothing <= sys.float_info.max:
             raise LexiconParseError(f"{path}: bad smoothing value {smoothing!r}")
 
-        import hashlib  # as in _checksum
+        import hashlib  # as in _write_lexicon
         digest = hashlib.sha256()
-        counts: dict[str, tuple[int, int]] = {}
+        fake_counts, valid_counts = {}, {}  # term -> its count, above 0
         fake_sum = valid_sum = 0
         error: FormatError | None = None  # the first bad entry line's
         lineno = 1
@@ -500,9 +508,12 @@ def load_lexicon(path: str) -> Lexicon:
                         raise LexiconParseError(f"{path}:{n}: bad entry values")
                     if fc + vc < 1:
                         raise LexiconConsistencyError(f"{path}:{n}: entry {term!r} has no evidence")
-                    if term in counts:
+                    if term in fake_counts or term in valid_counts:
                         raise LexiconParseError(f"{path}:{n}: duplicate term {term!r}")
-                    counts[term] = (fc, vc)
+                    if fc:
+                        fake_counts[term] = fc
+                    if vc:
+                        valid_counts[term] = vc
                     fake_sum += fc
                     valid_sum += vc
             except FormatError as exc:
@@ -528,7 +539,8 @@ def load_lexicon(path: str) -> Lexicon:
     try:
         return Lexicon(
             model_class,
-            counts=counts,
+            fake_counts=fake_counts,
+            valid_counts=valid_counts,
             fake_total=fake_total,
             valid_total=valid_total,
             count_mode=count_mode,
@@ -556,13 +568,13 @@ def merge_lexicons(a: Lexicon, b: Lexicon) -> Lexicon:
         raise ModelMismatchError(
             f"cannot merge smoothing {a.smoothing} with {b.smoothing}"
         )
-    counts = dict(a.counts)
-    for term, (fc, vc) in b.counts.items():
-        a_fc, a_vc = counts.get(term, (0, 0))
-        counts[term] = (a_fc + fc, a_vc + vc)
+    fake, valid = Counter(a.fake_counts), Counter(a.valid_counts)
+    fake.update(b.fake_counts)
+    valid.update(b.valid_counts)
     return Lexicon(
         a.model_class,
-        counts=counts,
+        fake_counts=fake,
+        valid_counts=valid,
         fake_total=a.fake_total + b.fake_total,
         valid_total=a.valid_total + b.valid_total,
         count_mode=a.count_mode,

@@ -102,6 +102,21 @@ def test_one_pair_or_one_checkout_is_a_usage_error(tmp_path, capsys):
         assert exc.value.code == 2
 
 
+def test_a_checkout_with_cached_bytecode_is_refused_before_any_run(tmp_path, monkeypatch):
+    """Cached bytecode under either src/ lowers that side's setup_s and
+    peak_rss_mb, so main exits 1 naming the directory and runs nothing."""
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("ran"))
+    for side in ("parent", "change"):
+        parent, change = tmp_path / side / "parent", tmp_path / side / "change"
+        for tree in (parent, change):
+            (tree / "src" / "pkg").mkdir(parents=True)
+        cache = (parent if side == "parent" else change) / "src" / "pkg" / "__pycache__"
+        cache.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main([str(parent), str(change), "--workload", "raw-wide"])
+        assert isinstance(exc.value.code, str) and exc.value.code.startswith(f"{cache}: ")
+
+
 def test_main_reads_the_bounds_of_the_change_benchmark(tmp_path, capsys, monkeypatch):
     """The bounds come from the change's BENCHMARK.json, which is read and
     left as it was; the sides alternate which runs first."""

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import io
 import json
 import os
 import random
@@ -663,6 +664,14 @@ def test_outputs_never_overwrite_inputs(
     assert not Path(fresh).exists()
 
 
+def _written(write):
+    """The text a file writer of a handler's Outputs writes."""
+    fh = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    write(fh)
+    fh.flush()
+    return fh.buffer.getvalue().decode("utf-8")
+
+
 def test_handlers_return_outputs_and_write_nothing(capsys, cli_files, every_command):
     assert list(every_command) == list(COMMANDS)
     out = str(cli_files["dir"] / "out.txt")
@@ -675,7 +684,7 @@ def test_handlers_return_outputs_and_write_nothing(capsys, cli_files, every_comm
         assert (stdout == "") is (command == "score")
         assert report
         assert list(files) == ([out] if takes_out else [])
-        assert all("".join(chunks).startswith("{") for chunks in files.values())
+        assert all(_written(write).startswith("{") for write in files.values())
         assert capsys.readouterr() == ("", "")
         assert sorted(cli_files["dir"].iterdir()) == before
 

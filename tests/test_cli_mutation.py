@@ -12,6 +12,7 @@ leaves every output file as it was, and a run that succeeds prints only
 finite numbers and writes a lexicon that loads again.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from fanlex.cli import main
 from fanlex.corpus import Dataset, Document, Label, save_corpus
-from fanlex.lexicon import ModelClass, _checksum, build_lexicon, load_lexicon, save_lexicon
+from fanlex.lexicon import ModelClass, build_lexicon, load_lexicon, save_lexicon
 from synth import separable_corpus
 
 # JSON texts that one value of a JSON line, or a text line's value, becomes.
@@ -274,7 +275,8 @@ def _refit(raw):
             for i, key in enumerate(("fc", "vc")):
                 if type(entry.get(key)) is int:
                     totals[i] += entry[key]
-    header.update(fake_total=totals[0], valid_total=totals[1], checksum=_checksum(kept))
+    checksum = hashlib.sha256(_joined(kept)).hexdigest()
+    header.update(fake_total=totals[0], valid_total=totals[1], checksum=checksum)
     return "\n".join([json.dumps(header), *lines[1:]]).encode("utf-8")
 
 

@@ -507,6 +507,20 @@ def test_verify_stats_guards():
         verify_stats(Dataset(empty), slang=["lan"], dictionary=["bu"])
 
 
+def test_verify_stats_refuses_a_bare_str_word_list():
+    """A str is no list of entries: matched a character at a time, "lan" as
+    slang and "bu" as dictionary gave no slang and two misspellings."""
+    ds = Dataset((Document(id="a", text="lan bu", label=Label.FAKE),))
+    with pytest.raises(TypeError, match="^slang must be"):
+        verify_stats(ds, slang="lan", dictionary="bu")
+    with pytest.raises(TypeError, match="^dictionary must be"):
+        verify_stats(ds, slang=["lan"], dictionary="bu")
+    with pytest.raises(TypeError, match="^slang must be"):
+        verify_stats_by_group(ds, "lan", ["bu"], lambda doc: None)
+    report = verify_stats(ds, slang=["lan"], dictionary=["bu"])
+    assert (report.slang_per_sentence, report.misspelling_per_sentence) == (1.0, 0.0)
+
+
 # Lines of a word list: comments, blank lines, words that normalize to
 # nothing, Turkish and Greek capitals, edge punctuation, and phrases with
 # runs of spaces around and between their words.
@@ -740,10 +754,10 @@ def test_write_atomic_failure_keeps_old_bytes(tmp_path):
         raise RuntimeError("disk gone")
 
     with pytest.raises(RuntimeError):
-        write_atomic({str(target): chunks()})
+        write_atomic({str(target): lambda fh: fh.writelines(chunks())})
     assert target.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
-    write_atomic({str(target): ["ne", "w\n"]})
+    write_atomic({str(target): lambda fh: fh.writelines(["ne", "w\n"])})
     assert target.read_bytes() == b"new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
@@ -753,7 +767,8 @@ def test_write_atomic_replaces_nothing_when_a_later_target_fails(tmp_path):
     first.write_bytes(b"old\n")
     second = tmp_path / "missing" / "second.txt"
     with pytest.raises(FileNotFoundError) as info:
-        write_atomic({str(first): ["new\n"], str(second): ["new\n"]})
+        write_atomic({str(first): lambda fh: fh.write("new\n"),
+                      str(second): lambda fh: fh.write("new\n")})
     assert info.value.filename == str(second)
     assert first.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["first.txt"]

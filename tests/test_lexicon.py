@@ -30,7 +30,6 @@ from fanlex.lexicon import (
     TermEntry,
     TermPipeline,
     _entry_blocks,
-    _lexicon_lines,
     build_lexicon,
     count_splits,
     count_terms,
@@ -461,7 +460,8 @@ def test_terms_counted_zero_on_both_sides_are_dropped(tmp_path):
     fake = {"a": 1, "z": 0, "y": 0, "b": 0}
     valid = {"a": 1, "y": 0, "x": 0, "b": 2, "c": 1}
     lex = lexicon_from_counts(ModelClass.RAW, fake, valid)
-    assert list(lex.counts.items()) == [("a", (1, 1)), ("b", (0, 2)), ("c", (0, 1))]
+    counts = [(t, e[1:3]) for t, e in lex.entries.items()]  # (fake_count, valid_count)
+    assert counts == [("a", (1, 1)), ("b", (0, 2)), ("c", (0, 1))]
     lex = lexicon_from_counts(ModelClass.RAW, {"a": 1, "z": 0}, {"a": 1})
     assert "z" not in lex.entries
     assert lexicon_stats(lex).only_valid == 0
@@ -484,17 +484,19 @@ def test_lexicon_from_counts_rejects_bad_counts(side, bad):
         lexicon_from_counts(ModelClass.RAW, fake, valid)
 
 
-@pytest.mark.parametrize("given", ["both", "neither"])
+@pytest.mark.parametrize("given", [
+    ("fake_counts", "valid_counts", "entries"), (), ("fake_counts",), ("valid_counts", "entries"),
+], ids=["both", "neither", "one side", "one side and entries"])
 def test_lexicon_needs_exactly_one_of_counts_and_entries(given):
     entry = TermEntry("b", 1, 1, 0.5, 0.5)
-    sources = {"counts": {"a": (1, 1)}, "entries": {"b": entry}}
+    sources = {"fake_counts": {"a": 1}, "valid_counts": {"a": 1}, "entries": {"b": entry}}
     with pytest.raises(TypeError, match="exactly one"):
         Lexicon(
             ModelClass.RAW,
             fake_total=2,
             valid_total=2,
             count_mode=CountMode.TOKEN_FREQ,
-            **(sources if given == "both" else {}),
+            **{name: sources[name] for name in given},
         )
 
 
@@ -518,7 +520,7 @@ def test_lexicon_refuses_smoothing_that_is_not_a_number(smoothing):
     """save_lexicon would write a bool smoothing that load_lexicon refuses."""
     with pytest.raises(ValueError, match="smoothing must be int or float"):
         Lexicon(ModelClass.RAW, fake_total=1, valid_total=1, count_mode=CountMode.TOKEN_FREQ,
-                smoothing=smoothing, counts={"a": (1, 1)})
+                smoothing=smoothing, fake_counts={"a": 1}, valid_counts={"a": 1})
     fake = Dataset((raw_doc("f", Label.FAKE, ["a"]),))
     valid = Dataset((raw_doc("v", Label.VALID, ["a"]),))
     with pytest.raises(ValueError, match="smoothing must be int or float"):
@@ -583,7 +585,7 @@ def test_entry_lines_equal_json_dumps(pairs):
     lex = lexicon_from_counts(ModelClass.RAW, fake, valid)
     assert "".join(_entry_blocks(lex)).split("\n")[:-1] == [
         _dumps({"t": t, "fc": fake[t], "vc": valid[t]})
-        for t in sorted(lex.counts)
+        for t in sorted(lex.entries)
     ]
 
 
@@ -699,7 +701,7 @@ def test_load_agrees_with_per_line_parse(tmp_path, plain, odd):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join([_dumps(header), *lines]) + "\n")
     try:
-        got = dict(load_lexicon(path).counts)
+        got = {t: e[1:3] for t, e in load_lexicon(path).entries.items()}
     except FanlexError as exc:
         got = (type(exc), str(exc))
     assert got == expected
@@ -829,6 +831,13 @@ def test_save_refuses_a_lone_surrogate_term(tmp_path, fake, bad):
         save_lexicon(lex, str(path))
     assert str(err.value) == f"{path}: term {bad!r} holds a lone surrogate"
     assert list(tmp_path.iterdir()) == []
+    # Over an existing file: the header is written before the failing
+    # entry, but only to the temporary file, which goes.
+    path.write_bytes(b"old\n")
+    with pytest.raises(LexiconParseError):
+        save_lexicon(lex, str(path))
+    assert path.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_load_rejects_version(tmp_path, mini_lexicon):
@@ -920,11 +929,11 @@ def test_load_rejects_entry_without_evidence(tmp_path):
 HUGE = 10**400
 _HUGE_IN_LIBRARY = {
     "Lexicon-smoothing": lambda: Lexicon(
-        ModelClass.RAW, counts={"a": (1, 1)}, fake_total=1, valid_total=1,
+        ModelClass.RAW, fake_counts={"a": 1}, valid_counts={"a": 1}, fake_total=1, valid_total=1,
         count_mode=CountMode.TOKEN_FREQ, smoothing=HUGE,
     ),
     "Lexicon-totals": lambda: Lexicon(
-        ModelClass.RAW, counts={"a": (HUGE, 0), "b": (0, 1)}, fake_total=HUGE,
+        ModelClass.RAW, fake_counts={"a": HUGE}, valid_counts={"b": 1}, fake_total=HUGE,
         valid_total=1, count_mode=CountMode.TOKEN_FREQ,
     ),
     "RunConfig-smoothing": lambda: RunConfig(smoothing=HUGE),
@@ -1110,15 +1119,51 @@ def test_load_holds_about_one_lexicon(tmp_path):
 
 
 def test_writer_holds_its_blocks_not_lines(tmp_path):
-    """Up to the header, the writer holds the entry text as joined blocks:
-    well under the lexicon's own size, where a string per line took 0.8x."""
+    """The writer holds the sorted terms and one joined block at a time,
+    and fills in the checksum after: its traced peak is well under the
+    lexicon's own size, where all blocks held for the header took 0.44x
+    and a string per line 0.8x."""
     path = str(tmp_path / "lex.jsonl")
     save_lexicon(_wide_lexicon(), path)
     lex, size, _ = _traced(lambda: load_lexicon(path))
-    lines = _lexicon_lines(lex)
-    _, _, held = _traced(lambda: next(lines))
-    lines.close()
-    assert held <= 0.6 * size
+    _, _, peak = _traced(lambda: save_lexicon(lex, path))
+    assert peak <= 0.2 * size
+
+
+def _wide_split(rng, label, words, n_docs=300):
+    """Plain-text documents of 150 tokens each, drawn with a long tail from words."""
+    return Dataset(tuple(
+        Document(id=f"{label.value}{i}", label=label,
+                 text=" ".join(words[int(len(words) * rng.random() ** 2)] for _ in range(150)))
+        for i in range(n_docs)
+    ))
+
+
+def test_build_holds_about_its_counts(tmp_path):
+    """The lexicon takes the counted Counters over and the writer holds one
+    block: from the Counters through lexicon_stats and save_lexicon, the
+    traced peak stays near the Counters' own size, where a merged copy of
+    the counts beside them and every block held for the header took 2.0x."""
+    rng = random.Random(7)
+    letters = "abcçdefgğhıijklmnoöprsştuüvyz"
+    words = sorted({"".join(rng.choices(letters, k=rng.randint(3, 12))) for _ in range(60_000)})
+    fake, valid = (_wide_split(rng, label, words) for label in (Label.FAKE, Label.VALID))
+    pipeline = TermPipeline((ModelClass.RAW,))
+    path = str(tmp_path / "lex.jsonl")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        (fake_counts,), (valid_counts,) = count_splits(fake, valid, pipeline)
+        size = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        lex = lexicon_from_counts(ModelClass.RAW, fake_counts, valid_counts)
+        lexicon_stats(lex)
+        save_lexicon(lex, path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert load_lexicon(path) == lex
+    assert peak <= 1.1 * size
 
 
 def test_load_numbers_lines_across_blocks(tmp_path):

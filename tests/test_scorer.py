@@ -149,11 +149,13 @@ def _reference_scores(lex):
     """term -> (fake, valid) scores from the lexicon's counts, as written:
     (count + smoothing) / (total + smoothing * vocabulary)."""
     s = lex.smoothing
-    fake_denom = lex.fake_total + s * len(lex.counts)
-    valid_denom = lex.valid_total + s * len(lex.counts)
+    fake, valid = lex.fake_counts, lex.valid_counts
+    terms = set(fake) | set(valid)
+    fake_denom = lex.fake_total + s * len(terms)
+    valid_denom = lex.valid_total + s * len(terms)
     return {
-        t: ((fc + s) / fake_denom, (vc + s) / valid_denom)
-        for t, (fc, vc) in lex.counts.items()
+        t: ((fake.get(t, 0) + s) / fake_denom, (valid.get(t, 0) + s) / valid_denom)
+        for t in terms
     }
 
 
@@ -186,7 +188,8 @@ def _explain_reference(terms, lex, top_n):
 def test_explain_terms_matches_full_sort(counts, doc_terms, top_n, smoothing):
     lex = Lexicon(
         ModelClass.RAW,
-        counts=counts,
+        fake_counts={t: fc for t, (fc, _) in counts.items() if fc},
+        valid_counts={t: vc for t, (_, vc) in counts.items() if vc},
         fake_total=sum(fc for fc, _ in counts.values()) or 1,
         valid_total=sum(vc for _, vc in counts.values()) or 1,
         count_mode=CountMode.TOKEN_FREQ,
@@ -227,7 +230,8 @@ def test_scores_at_lookup_equal_a_score_dict_bit_for_bit(
 ):
     lex = Lexicon(
         ModelClass.RAW,
-        counts=counts,
+        fake_counts={t: fc for t, (fc, _) in counts.items() if fc},
+        valid_counts={t: vc for t, (_, vc) in counts.items() if vc},
         fake_total=sum(fc for fc, _ in counts.values()) or 1,
         valid_total=sum(vc for _, vc in counts.values()) or 1,
         count_mode=CountMode.TOKEN_FREQ,

@@ -77,7 +77,7 @@ ANALYZERS = [None, TABLE]
 
 def _lexicon_key(lex):
     return (lex.model_class, lex.count_mode, lex.smoothing, lex.fake_total,
-            lex.valid_total, tuple(sorted(lex.counts.items())))
+            lex.valid_total, tuple(sorted((t, e[1:3]) for t, e in lex.entries.items())))
 
 
 def _all_distinct(results):
