@@ -1,7 +1,7 @@
 """Run configuration shared by the library and the CLI.
 
-RunConfig carries the run settings, and this module owns the enums of
-those settings, so every other module may import it: it imports no
+RunConfig carries the run settings, and this module owns their enums
+and FrozenRecord, so every other module may import it: it imports no
 fanlex module but errors. TermPipeline, scoring, corpus statistics,
 evaluation and cross-validation take a RunConfig.
 
@@ -13,7 +13,6 @@ Command-line flags override file values, which override the defaults.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
 from enum import Enum
 
 from fanlex.errors import InputError, open_text
@@ -46,29 +45,66 @@ class TermSetMode(Enum):
     MULTISET = "MULTISET"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    locale: Locale = Locale.TURKISH
-    count_mode: CountMode = CountMode.TOKEN_FREQ
-    term_set_mode: TermSetMode = TermSetMode.DISTINCT
-    smoothing: float = 0.0
-    seed: int = 0
-    include_title: bool = True
-    display_scale: float = 1.0
+_set = object.__setattr__  # a FrozenRecord's __init__ sets each field through it
 
-    def __post_init__(self) -> None:
+
+class FrozenRecord:
+    """A frozen dataclass's methods, and _replace, over the slotted fields in __match_args__."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError  # only a refusal needs it
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self.__match_args__, self._values()), **changes))
+
+
+class RunConfig(FrozenRecord):
+    """The run settings, each of its default's type; smoothing and display_scale finite."""
+
+    __slots__ = __match_args__ = ("locale", "count_mode", "term_set_mode", "smoothing", "seed",
+                                  "include_title", "display_scale")
+
+    def __init__(self, locale: Locale = Locale.TURKISH,
+                 count_mode: CountMode = CountMode.TOKEN_FREQ,
+                 term_set_mode: TermSetMode = TermSetMode.DISTINCT, smoothing: float = 0.0,
+                 seed: int = 0, include_title: bool = True, display_scale: float = 1.0) -> None:
+        values = locals()
         for name, kind in FIELD_TYPES.items():
-            value = getattr(self, name)
+            value = values[name]
             # A bool is no number; an int is accepted where a float is expected.
             if isinstance(value, bool) != (kind is bool) or not isinstance(
                 value, (int, float) if kind is float else kind
             ):
                 raise TypeError(f"{name} must be {kind.__name__}, not {type(value).__name__}")
+            _set(self, name, value)
         # Bounds, not math.isfinite: they refuse an int too large for a
         # float as not finite, where converting it would raise.
-        if not 0 <= self.smoothing <= sys.float_info.max:
+        if not 0 <= smoothing <= sys.float_info.max:
             raise ValueError("smoothing must be finite and >= 0")
-        if not 0 < self.display_scale <= sys.float_info.max:
+        if not 0 < display_scale <= sys.float_info.max:
             raise ValueError("display_scale must be finite and > 0")
 
     def to_dict(self) -> dict:
@@ -79,7 +115,7 @@ class RunConfig:
 
 # Each setting's type is the type of its default; config keys, CLI flags
 # and the type check all follow this table.
-FIELD_TYPES: dict[str, type] = {f.name: type(f.default) for f in fields(RunConfig)}
+FIELD_TYPES = dict(zip(RunConfig.__match_args__, map(type, RunConfig.__init__.__defaults__)))
 
 
 def _parse(kind: type, text: str):

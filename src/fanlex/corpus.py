@@ -12,12 +12,11 @@ import os
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from fanlex._kernels import _lower, normalize_token, normalized_tokens
-from fanlex.config import Locale, RunConfig
+from fanlex.config import FrozenRecord, Locale, RunConfig, _set
 from fanlex.errors import (
     CorpusParseError,
     DomainError,
@@ -78,35 +77,39 @@ DEFAULT_ABBREVIATIONS = frozenset(
 _BOUNDARY = re.compile(rf"[{re.escape(TERMINALS)}]+(?=\s|$)")
 
 
-@dataclass(frozen=True, slots=True)
-class Document:
+class Document(FrozenRecord):
     """One news item with a gold label.
 
     Documents read by one iter_corpus call, or by calls given one
     interned dict, share one frozen MorphAnalysis per distinct analysis.
     """
 
-    id: str
-    text: str
-    label: Label
-    title: str | None = None
-    source: str | None = None
-    analyses: tuple[MorphAnalysis, ...] | None = None
+    __slots__ = __match_args__ = ("id", "text", "label", "title", "source", "analyses")
+
+    def __init__(self, id: str, text: str, label: Label, title: str | None = None,
+                 source: str | None = None,
+                 analyses: tuple[MorphAnalysis, ...] | None = None) -> None:
+        _set(self, "id", id)
+        _set(self, "text", text)
+        _set(self, "label", label)
+        _set(self, "title", title)
+        _set(self, "source", source)
+        _set(self, "analyses", analyses)
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(FrozenRecord):
     """An ordered, id-unique collection of documents."""
 
-    documents: tuple[Document, ...]
-    split: Split = Split.UNSPLIT
+    __slots__ = __match_args__ = ("documents", "split")
 
-    def __post_init__(self) -> None:
+    def __init__(self, documents: tuple[Document, ...], split: Split = Split.UNSPLIT) -> None:
         seen: set[str] = set()
-        for doc in self.documents:
+        for doc in documents:
             if doc.id in seen:
                 raise DuplicateDocumentError(f"duplicate document id {doc.id!r}")
             seen.add(doc.id)
+        _set(self, "documents", documents)
+        _set(self, "split", split)
 
     def __len__(self) -> int:
         return len(self.documents)

@@ -410,9 +410,13 @@ def _add_lines(digest, text: str) -> None:
 def save_lexicon(lex: Lexicon, path: str) -> None:
     """Write a lexicon: one JSON header line, then one entry per line.
 
-    Only counts are stored; scores are worked out at lookup. A term
-    holding a lone surrogate raises LexiconParseError; path is left as it was.
+    Only counts are stored; scores are worked out at lookup. A term with a lone surrogate
+    raises LexiconParseError, one with no count LexiconConsistencyError; path stays as it was.
     """
+    fake, valid = lex.fake_counts, lex.valid_counts
+    bare = lex._values[0] is not fake and [t for t in lex.entries if not (t in fake or t in valid)]
+    if bare:  # only scores given as entries can leave a term uncounted
+        raise LexiconConsistencyError(f"{path}: entry {min(bare)!r} has no evidence")
     try:
         write_atomic({path: lambda fh: _write_lexicon(lex, fh)})
     except UnicodeEncodeError:

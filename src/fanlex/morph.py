@@ -8,11 +8,10 @@ not know. Documents that carry pre-computed analyses bypass both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable
 
 from fanlex._kernels import has_letter, normalize_token, tokenize
-from fanlex.config import Locale
+from fanlex.config import FrozenRecord, Locale, _set
 from fanlex.errors import AnalysisError, InputError, open_text, parse_json
 
 if TYPE_CHECKING:
@@ -67,22 +66,22 @@ DEFAULT_SUFFIX_RULES: tuple[tuple[str, str], ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class MorphAnalysis:
+class MorphAnalysis(FrozenRecord):
     """One analyzed token: normalized surface, root, POS and suffix tags."""
 
-    raw: str
-    root: str
-    pos: str
-    suffixes: tuple[str, ...] = ()
+    __slots__ = __match_args__ = ("raw", "root", "pos", "suffixes")
 
-    def __post_init__(self) -> None:
-        if not self.raw:
+    def __init__(self, raw: str, root: str, pos: str, suffixes: tuple[str, ...] = ()) -> None:
+        if not raw:
             raise ValueError("analysis raw form must be non-empty")
-        if not self.root:
+        if not root:
             raise ValueError("analysis root must be non-empty")
-        if any(not tag for tag in self.suffixes):
+        if any(not tag for tag in suffixes):
             raise ValueError("suffix tags must be non-empty")
+        _set(self, "raw", raw)
+        _set(self, "root", root)
+        _set(self, "pos", pos)
+        _set(self, "suffixes", suffixes)
 
 
 def analysis_from_json(item: object, raw: str | None = None) -> MorphAnalysis:
@@ -111,8 +110,7 @@ def analysis_from_json(item: object, raw: str | None = None) -> MorphAnalysis:
     )
 
 
-@dataclass(frozen=True)
-class AnalyzerRuleTable:
+class AnalyzerRuleTable(FrozenRecord):
     """Surface lookup table plus ordered fallback suffix rules.
 
     entries is keyed by normalized surface form and may be edited; a
@@ -123,22 +121,22 @@ class AnalyzerRuleTable:
     analyses: lexicon.TermPipeline keeps the per-run token memo.
     """
 
-    entries: dict[str, tuple[MorphAnalysis, ...]] = field(default_factory=dict)
-    suffix_rules: tuple[tuple[str, str], ...] = DEFAULT_SUFFIX_RULES
+    __match_args__ = ("entries", "suffix_rules")
+    __slots__ = (*__match_args__, "_by_last_char")  # the index is no field
 
-    def __post_init__(self) -> None:
-        rules = sorted(
-            enumerate(self.suffix_rules), key=lambda item: (-len(item[1][0]), item[0])
-        )
-        object.__setattr__(self, "suffix_rules", tuple(rule for _, rule in rules))
+    def __init__(self, entries: dict[str, tuple[MorphAnalysis, ...]] | None = None,
+                 suffix_rules: tuple[tuple[str, str], ...] = DEFAULT_SUFFIX_RULES) -> None:
+        suffix_rules = tuple(sorted(suffix_rules, key=lambda rule: -len(rule[0])))  # stable
         # Bucket by final character so tokens that match nothing are
         # rejected with one dict probe instead of a scan of all rules.
         by_last_char: dict[str, list[tuple[str, str]]] = {}
-        for surface, tag in self.suffix_rules:
+        for surface, tag in suffix_rules:
             if not surface:
                 raise ValueError("suffix rule surface must be non-empty")
             by_last_char.setdefault(surface[-1], []).append((surface, tag))
-        object.__setattr__(self, "_by_last_char", by_last_char)
+        _set(self, "entries", {} if entries is None else entries)
+        _set(self, "suffix_rules", suffix_rules)
+        _set(self, "_by_last_char", by_last_char)
 
 
 # Rule table with no exact entries and the demo suffix rules.
@@ -208,7 +206,7 @@ def analyze_token(
         raise AnalysisError(f"token {token!r} is empty after normalization")
     hit = table.entries.get(norm)
     if hit:
-        return hit[0] if hit[0].raw == norm else replace(hit[0], raw=norm)
+        return hit[0] if hit[0].raw == norm else hit[0]._replace(raw=norm)
     root, matched = strip_suffixes(norm, table)
     return MorphAnalysis(
         raw=norm, root=root, pos=UNKNOWN_POS, suffixes=tuple(tag for _, tag in matched)

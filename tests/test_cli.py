@@ -9,7 +9,6 @@ import sys
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -1637,7 +1636,7 @@ SETTINGS = [
 
 
 def test_settings_table_names_every_field():
-    assert [row[0] for row in SETTINGS] == [f.name for f in fields(RunConfig)]
+    assert [row[0] for row in SETTINGS] == list(RunConfig.__match_args__)
 
 
 def _wrap_configs(monkeypatch, wrap):
@@ -2006,6 +2005,47 @@ def test_lexicon_files_load_hashlib(cli_files):
     build = ["build-lexicon", "--fake", str(cli_files["fake"]),
              "--valid", str(cli_files["valid"]), "--class", "RAW", "--out", lex]
     assert _loads_hashlib([build])[1]
+
+
+# dataclasses imports inspect, and inspect ast, dis and tokenize: together
+# the largest share of fanlex's import. No command needs them.
+_START_UP_PROBE = """
+import sys
+names = ("dataclasses", "inspect")
+before = [name for name in names if name in sys.modules]
+import fanlex.cli
+for argv in {runs!r}:
+    assert fanlex.cli.main(argv) == 0, argv
+try:
+    fanlex.cli.main(["--version"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print([name for name in names if name in sys.modules and name not in before])
+"""
+
+
+def test_no_command_loads_dataclasses(every_command, cli_files):
+    out = ["--out", str(cli_files["dir"] / "probe.lex")]
+    runs = [[*argv, *out] if name == "build-lexicon" else argv
+            for name, argv in every_command.items()]
+    proc = subprocess.run(
+        [sys.executable, "-c", _START_UP_PROBE.format(runs=runs)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_module_runs_as_a_script():
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanlex.cli", "--version"], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == (0, f"fanlex {fanlex.__version__}\n")
+    proc = subprocess.run([sys.executable, "-m", "fanlex.cli", "bogus"], capture_output=True)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
 
 
 # Raw stdout bytes of the commands whose records are NamedTuples: json.loads

@@ -2,7 +2,6 @@ import json
 import os
 import random
 import threading
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -279,16 +278,16 @@ def test_equal_analyses_share_one_object_per_load(write_text):
 
 def test_records_are_slotted():
     """Document and MorphAnalysis hold no __dict__ and take no new
-    attribute, but dataclasses.replace still copies them."""
+    attribute, but _replace still copies them."""
     analysis = analysis_from_json({"raw": "evde", "root": "ev", "pos": "Noun"})
     doc = Document(id="a", text="evde", label=Label.FAKE, analyses=(analysis,))
     for record in (doc, analysis):
         assert not hasattr(record, "__dict__")
         with pytest.raises((AttributeError, TypeError)):
             object.__setattr__(record, "extra", 1)
-    assert replace(doc, id="b") == Document(id="b", text="evde", label=Label.FAKE,
+    assert doc._replace(id="b") == Document(id="b", text="evde", label=Label.FAKE,
                                             analyses=(analysis,))
-    assert replace(analysis, suffixes=("Loc",)).suffixes == ("Loc",)
+    assert analysis._replace(suffixes=("Loc",)).suffixes == ("Loc",)
 
 
 def test_document_json_key_order():

@@ -441,13 +441,13 @@ def test_cross_validate_builds_no_dataset(monkeypatch):
     # of which would re-check every id.
     ds = separable_corpus(random.Random(3), 10, 10)
     built = []
-    real = Dataset.__post_init__
+    real = Dataset.__init__
 
-    def counting(self):
-        built.append(len(self))
-        real(self)
+    def counting(self, documents, *args, **kwargs):
+        built.append(len(documents))
+        real(self, documents, *args, **kwargs)
 
-    monkeypatch.setattr(Dataset, "__post_init__", counting)
+    monkeypatch.setattr(Dataset, "__init__", counting)
     cross_validate(ds, 5, ALL_CLASSES, seed=0)
     assert built == []
 

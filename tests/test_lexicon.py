@@ -840,6 +840,29 @@ def test_save_refuses_a_lone_surrogate_term(tmp_path, fake, bad):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_save_refuses_an_entry_without_counts(tmp_path):
+    """A lexicon given entries may hold one that neither side counted, which
+    load_lexicon refuses: saving refuses it first, naming the file and the
+    first such term in term order, and leaves the target as it was."""
+    entries = {t: TermEntry(t, fc, vc, 0.5, 0.5)
+               for t, fc, vc in [("a", 1, 0), ("z", 0, 0), ("y", 0, 0), ("b", 0, 2)]}
+    lex = Lexicon(ModelClass.RAW, entries=entries, fake_total=1, valid_total=2,
+                  count_mode=CountMode.TOKEN_FREQ)
+    path = tmp_path / "lex.jsonl"
+    path.write_bytes(b"old\n")
+    with pytest.raises(LexiconConsistencyError) as err:
+        save_lexicon(lex, str(path))
+    assert str(err.value) == f"{path}: entry 'y' has no evidence"
+    assert path.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [path]
+    # With every entry counted, the file saves and loads.
+    del entries["y"], entries["z"]
+    given = Lexicon(ModelClass.RAW, entries=entries, fake_total=1, valid_total=2,
+                    count_mode=CountMode.TOKEN_FREQ)
+    save_lexicon(given, str(path))
+    assert load_lexicon(str(path)).entries.keys() == {"a", "b"}
+
+
 def test_load_rejects_version(tmp_path, mini_lexicon):
     path = tmp_path / "lex.jsonl"
     save_lexicon(mini_lexicon, str(path))
