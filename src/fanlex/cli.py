@@ -29,7 +29,6 @@ from fanlex.config import ENV_CONFIG, FIELD_TYPES, RunConfig, _parse, load_confi
 from fanlex.corpus import (
     Document,
     Label,
-    _read_word_list,
     _word_list_blocks,
     corpus_stats,
     iter_corpus,
@@ -113,15 +112,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return make_config(file_values, **overrides)
 
 
-def _resolve_analyzer(args: argparse.Namespace, cfg: RunConfig) -> AnalyzerRuleTable | None:
+def _resolve_analyzer(args: argparse.Namespace, cfg: RunConfig) -> AnalyzerRuleTable:
     suffix_rules = (
         load_suffix_rules(args.suffix_rules) if args.suffix_rules else DEFAULT_SUFFIX_RULES
     )
     if args.rule_table:
         return load_rule_table(args.rule_table, cfg.locale, suffix_rules)
-    if args.suffix_rules:
-        return AnalyzerRuleTable(suffix_rules=suffix_rules)
-    return None
+    return AnalyzerRuleTable(suffix_rules=suffix_rules)
 
 
 def _json_line(obj: object) -> str:
@@ -315,7 +312,7 @@ def cmd_corpus_stats(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
 
 
 def cmd_verify_corpus(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
-    slang = _read_word_list(args.slang)
+    slang = _word_list_blocks(args.slang)
     dictionary = _word_list_blocks(args.dictionary)
     docs = iter_corpus(args.input)
     overall, groups = verify_stats_by_group(docs, slang, dictionary, _group_key, cfg)

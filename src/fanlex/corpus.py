@@ -304,8 +304,24 @@ def write_atomic(files: Mapping[str, Callable[[TextIO], object]]) -> None:
 
 
 def save_corpus(ds: Dataset, path: str) -> None:
-    """Write a dataset back out as canonical JSONL."""
-    write_atomic({path: lambda fh: fh.writelines(document_to_json(d) + "\n" for d in ds.documents)})
+    """Write a dataset back out as canonical JSONL, one document a line.
+
+    A document that iter_corpus would refuse, for an id that is not a non-empty
+    string or for a lone surrogate, raises CorpusParseError naming the file, its
+    line and the document; path stays as it was.
+    """
+    def write(fh: TextIO) -> None:
+        for n, doc in enumerate(ds.documents, 1):
+            if not isinstance(doc.id, str) or not doc.id:
+                raise CorpusParseError(f"{path}:{n}: 'id' must be a non-empty string")
+            try:  # a text file encodes a line that is not ASCII as it is written
+                fh.write(document_to_json(doc) + "\n")
+            except UnicodeEncodeError:
+                raise CorpusParseError(
+                    f"{path}:{n}: document {doc.id!r} holds a lone surrogate"
+                ) from None
+
+    write_atomic({path: write})
 
 
 def split_sentences(
@@ -335,18 +351,17 @@ def split_sentences(
     return sentences
 
 
-def corpus_stats(ds: Iterable[Document], config: RunConfig | None = None) -> CorpusStats:
+def corpus_stats(ds: Iterable[Document], config: RunConfig = RunConfig()) -> CorpusStats:
     """Document counts per label plus token and sentence means, in one read of ds.
 
-    Of the config (default RunConfig()) only include_title is read.
+    Of the config only include_title is read.
     """
-    include_title = (RunConfig() if config is None else config).include_title
     counts = {Label.FAKE: 0, Label.VALID: 0}
     token_total = 0
     sentence_total = 0
     for doc in ds:
         counts[doc.label] += 1
-        text = compose_text(doc.title, doc.text, include_title)
+        text = compose_text(doc.title, doc.text, config.include_title)
         token_total += len(tokenize(text))
         sentence_total += len(split_sentences(text))
     n = counts[Label.FAKE] + counts[Label.VALID]
@@ -371,11 +386,6 @@ def _word_list_blocks(path: str) -> Iterator[str]:
             if "#" in block:
                 block = "\n".join(s for s in block.split("\n") if s.lstrip()[:1] != "#")
             yield block
-
-
-def _read_word_list(path: str) -> list[str]:
-    """A word list's entries as written: the stripped lines of its blocks, blank ones left out."""
-    return [e for block in _word_list_blocks(path) for e in map(str.strip, block.split("\n")) if e]
 
 
 def _entry_words(entry: str, turkish: bool) -> list[str]:
@@ -429,22 +439,23 @@ def load_word_list(path: str, locale: Locale = Locale.TURKISH) -> list[str]:
     entries as written as well as this list.
     """
     turkish = _turkish(locale)
-    entries = (" ".join(_entry_words(e, turkish)) for e in _read_word_list(path))
+    lines = (line for block in _word_list_blocks(path) for line in block.split("\n"))
+    entries = (" ".join(_entry_words(e, turkish)) for e in lines)
     return [e for e in dict.fromkeys(entries) if e]
 
 
 def verify_stats_by_group(
     ds: Iterable[Document],
-    slang: Sequence[str],
+    slang: Iterable[str],
     dictionary: Iterable[str],
     group_key: Callable[[Document], Hashable],
-    config: RunConfig | None = None,
+    config: RunConfig = RunConfig(),
 ) -> tuple[VerificationReport, dict[Hashable, VerificationReport]]:
     """verify_stats over ds, any iterable of documents, and per group.
 
-    The dictionary is read first, and an item of it may hold several
-    entries, one per line. ds is read once, after the word lists are
-    checked. Of the config (default RunConfig()) the locale and
+    The slang list is read first, then the dictionary, and an item of
+    either may hold several entries, one per line. ds is read once, after
+    the word lists are checked. Of the config the locale and
     include_title are read. The word lists are taken as verify_stats
     takes them. Each document is tokenized once; its sentence, slang and
     misspelling counts are added to its group's, and the overall figures
@@ -455,11 +466,11 @@ def verify_stats_by_group(
     for name, entries in (("slang", slang), ("dictionary", dictionary)):
         if isinstance(entries, str):  # it would be matched a character at a time
             raise TypeError(f"{name} must be a collection of entries, not a str")
-    config = RunConfig() if config is None else config
     turkish, include_title = config.locale is Locale.TURKISH, config.include_title
-    dict_words = _dictionary_words(dictionary, turkish)
     # A one-word entry is a phrase of length 1, probed last.
-    phrases = {tuple(words) for entry in slang if (words := _entry_words(entry, turkish))}
+    lines = (line for item in slang for line in item.split("\n"))
+    phrases = {tuple(words) for entry in lines if (words := _entry_words(entry, turkish))}
+    dict_words = _dictionary_words(dictionary, turkish)
     if not phrases:
         raise DomainError("slang list is empty")
     phrase_lengths = sorted({len(p) for p in phrases}, reverse=True)

@@ -99,7 +99,7 @@ def evaluate_models(
     train_valid: Iterable[Document],
     test: Iterable[Document],
     classes: Sequence[ModelClass],
-    config: RunConfig | None = None,
+    config: RunConfig = RunConfig(),
     analyzer: AnalyzerRuleTable | None = None,
 ) -> dict[ModelClass, EvalResult]:
     """Train one lexicon per model class and evaluate on the test set.
@@ -109,7 +109,6 @@ def evaluate_models(
     between training and test before scoring. Results do not depend on
     test document order. Each document is analyzed at most once.
     """
-    config = RunConfig() if config is None else config
     _check_classes(classes)
     pipeline = TermPipeline(classes, analyzer, config)
     train_ids: Counter = Counter()
@@ -133,7 +132,7 @@ def cross_validate(
     k: int,
     classes: Sequence[ModelClass],
     seed: int,
-    config: RunConfig | None = None,
+    config: RunConfig = RunConfig(),
     analyzer: AnalyzerRuleTable | None = None,
 ) -> CvReport:
     """Stratified k-fold cross-validation over mixed-label documents.
@@ -149,7 +148,6 @@ def cross_validate(
     build_lexicon on its training split and score_document on its test
     split.
     """
-    config = RunConfig() if config is None else config
     _check_classes(classes)
     pipeline = TermPipeline(classes, analyzer, config)
     kept = [(doc.label, pipeline.terms(doc)) for doc in docs]

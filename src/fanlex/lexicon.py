@@ -245,11 +245,11 @@ class TermPipeline:
         self,
         classes: Sequence[ModelClass],
         analyzer: AnalyzerRuleTable | None = None,
-        config: RunConfig | None = None,
+        config: RunConfig = RunConfig(),
     ) -> None:
         self.classes = tuple(classes)
         self.analyzer = DEFAULT_RULE_TABLE if analyzer is None else analyzer
-        self.config = config = RunConfig() if config is None else config
+        self.config = config
         self._title = config.include_title
         self._turkish = config.locale is Locale.TURKISH
         self._memo: dict[str, MorphAnalysis] = {}
@@ -407,16 +407,42 @@ def _add_lines(digest, text: str) -> None:
         digest.update((text if text[-1] == "\n" else text + "\n").encode("utf-8"))
 
 
+def _check_sums(path: str, totals: tuple[int, int], counts: tuple[Mapping, Mapping]) -> None:
+    """Refuse a fake or valid total that differs from the sum of its side's counts."""
+    for side, total, side_counts in zip(("fake", "valid"), totals, counts):
+        found = sum(side_counts.values())
+        if found != total:
+            try:
+                shown = f" {found}"
+            except ValueError:  # more digits than int -> str allows
+                shown = ""
+            raise LexiconConsistencyError(
+                f"{path}: {side}_total {total} does not match entry sum{shown}"
+            )
+
+
 def save_lexicon(lex: Lexicon, path: str) -> None:
     """Write a lexicon: one JSON header line, then one entry per line.
 
-    Only counts are stored; scores are worked out at lookup. A term with a lone surrogate
-    raises LexiconParseError, one with no count LexiconConsistencyError; path stays as it was.
+    Only counts are stored; scores are worked out at lookup. What load_lexicon would
+    refuse in the file, or load as another lexicon, is refused, and path stays as it
+    was: a total that is not an int (a bool is not) raises LexiconParseError; so does
+    a term that is not a non-empty string or holds a lone surrogate, or a stored count
+    that is not an int above 0. A term with no count, or a total other than its side's
+    count sum, raises LexiconConsistencyError.
     """
     fake, valid = lex.fake_counts, lex.valid_counts
+    for side, total in (("fake", lex.fake_total), ("valid", lex.valid_total)):
+        if type(total) is not int:
+            raise LexiconParseError(f"{path}: header '{side}_total' must be an integer")
+    bad = [t for counts in (fake, valid) for t, n in counts.items()
+           if not (type(t) is str and t and type(n) is int and n > 0)]
+    if bad:
+        raise LexiconParseError(f"{path}: entry {min(bad, key=str)!r}: bad entry values")
     bare = lex._values[0] is not fake and [t for t in lex.entries if not (t in fake or t in valid)]
     if bare:  # only scores given as entries can leave a term uncounted
-        raise LexiconConsistencyError(f"{path}: entry {min(bare)!r} has no evidence")
+        raise LexiconConsistencyError(f"{path}: entry {min(bare, key=str)!r} has no evidence")
+    _check_sums(path, (lex.fake_total, lex.valid_total), (fake, valid))
     try:
         write_atomic({path: lambda fh: _write_lexicon(lex, fh)})
     except UnicodeEncodeError:
@@ -492,7 +518,6 @@ def load_lexicon(path: str) -> Lexicon:
         import hashlib  # as in _write_lexicon
         digest = hashlib.sha256()
         fake_counts, valid_counts = {}, {}  # term -> its count, above 0
-        fake_sum = valid_sum = 0
         error: FormatError | None = None  # the first bad entry line's
         lineno = 1
         # Lines of JSON whitespace alone are skipped, but line numbers
@@ -518,8 +543,6 @@ def load_lexicon(path: str) -> Lexicon:
                         fake_counts[term] = fc
                     if vc:
                         valid_counts[term] = vc
-                    fake_sum += fc
-                    valid_sum += vc
             except FormatError as exc:
                 error = error or exc
             lineno += len(block)
@@ -528,15 +551,7 @@ def load_lexicon(path: str) -> Lexicon:
     if error is not None:
         raise error
 
-    for side, total, found in (("fake", fake_total, fake_sum), ("valid", valid_total, valid_sum)):
-        if found != total:
-            try:
-                shown = f" {found}"
-            except ValueError:  # more digits than int -> str allows
-                shown = ""
-            raise LexiconConsistencyError(
-                f"{path}: {side}_total {total} does not match entry sum{shown}"
-            )
+    _check_sums(path, (fake_total, valid_total), (fake_counts, valid_counts))
     for side, total in (("fake", fake_total), ("valid", valid_total)):
         if total <= 0:
             raise LexiconConsistencyError(f"{path}: {side}_total {total} is not > 0")

@@ -40,7 +40,7 @@ class TermContribution(NamedTuple):
 def score_document(
     doc: Document,
     lex: Lexicon,
-    config: RunConfig | None = None,
+    config: RunConfig = RunConfig(),
     analyzer: AnalyzerRuleTable | None = None,
 ) -> DocumentScore:
     """Score one document against one lexicon.

@@ -17,12 +17,12 @@ import fanlex.cli
 import fanlex.corpus
 import fanlex.evaluation
 import fanlex.morph
-from fanlex.cli import COMMANDS, _resolve_config, build_parser, main
+from fanlex.cli import COMMANDS, _resolve_analyzer, _resolve_config, build_parser, main
 from fanlex.config import FIELD_TYPES, RunConfig, load_config_file
 from fanlex.corpus import Label, load_corpus, save_corpus
 from fanlex.errors import AnalysisError
 from fanlex.lexicon import RAW_POS_SEPARATOR, CountMode, TermPipeline, load_lexicon
-from fanlex.morph import Locale, MorphAnalysis, compose_text
+from fanlex.morph import AnalyzerRuleTable, Locale, MorphAnalysis, compose_text
 from fanlex.scorer import TermSetMode, explain
 from synth import separable_corpus
 
@@ -1757,6 +1757,16 @@ def test_analyzing_commands_take_analyzer_files(command):
         [command, *REQUIRED[command], "--rule-table", "t.jsonl", "--suffix-rules", "s.tsv"]
     )
     assert (args.rule_table, args.suffix_rules) == ("t.jsonl", "s.tsv")
+
+
+def test_analyzer_without_a_rule_table_is_a_table_of_the_suffix_rules(write_text):
+    """With no analyzer file the analyzer equals the default table; with
+    --suffix-rules alone it is a table of those rules and no entries."""
+    args = build_parser().parse_args(["score", *REQUIRED["score"]])
+    assert _resolve_analyzer(args, RunConfig()) == fanlex.morph.DEFAULT_RULE_TABLE
+    rules = write_text("s.tsv", "ler\tPLU\n")
+    args = build_parser().parse_args(["score", *REQUIRED["score"], "--suffix-rules", rules])
+    assert _resolve_analyzer(args, RunConfig()) == AnalyzerRuleTable(suffix_rules=(("ler", "PLU"),))
 
 
 @pytest.mark.parametrize("flag", ["--rule-table", "--suffix-rules"])

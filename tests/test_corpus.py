@@ -20,7 +20,7 @@ from fanlex.corpus import (
     _BOUNDARY,
     _dictionary_words,
     _entry_words,
-    _read_word_list,
+    _word_list_blocks,
     corpus_stats,
     document_to_json,
     iter_corpus,
@@ -319,6 +319,31 @@ def test_corpus_round_trip_bytes(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        (Document(id="", text="x", label=Label.VALID), "'id' must be a non-empty string"),
+        (Document(id="b", text="x\ud800", label=Label.VALID),
+         "document 'b' holds a lone surrogate"),
+        (Document(id="\udfff", text="x", label=Label.VALID, title="é"),
+         "document '\\udfff' holds a lone surrogate"),
+    ],
+    ids=["empty-id", "surrogate-text", "surrogate-id"],
+)
+def test_save_corpus_refuses_what_iter_corpus_refuses(tmp_path, second, message):
+    """A document that iter_corpus would refuse is refused when saved, naming
+    the file and the document's line; the target keeps its bytes and no
+    temporary file is left."""
+    ds = Dataset((Document(id="a", text="bir", label=Label.FAKE), second))
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"old\n")
+    with pytest.raises(CorpusParseError) as err:
+        save_corpus(ds, str(path))
+    assert str(err.value) == f"{path}:2: {message}"
+    assert path.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_dataset_rejects_duplicate_ids():
     doc = Document(id="a", text="x", label=Label.FAKE)
     with pytest.raises(DuplicateDocumentError):
@@ -567,7 +592,7 @@ def test_verify_stats_takes_entries_as_written_or_loaded(
         except DomainError as exc:  # NoSentencesError included
             return type(exc), str(exc)
 
-    as_written = outcome(_read_word_list(slang), _read_word_list(words))
+    as_written = outcome(list(_word_list_blocks(slang)), list(_word_list_blocks(words)))
     loaded = outcome(load_word_list(slang, locale), load_word_list(words, locale))
     assert as_written == loaded
 
@@ -689,6 +714,17 @@ def test_verify_stats_by_group_equals_per_group_verify_stats():
     assert groups == _per_subset(ds, _source_label)
     assert ("z", "FAKE") not in groups
     assert list(groups) == [("x", "FAKE"), ("y", "VALID"), ("(none)", "VALID")]
+
+
+def test_verify_stats_by_group_reads_slang_items_as_lines():
+    """A slang item, like a dictionary item, holds entries one per line: a
+    newline in it separates two entries, where a space joins a phrase."""
+    ds = Dataset((Document(id="a", text="Lan bu. Çok fena.", label=Label.FAKE),))
+    lines = verify_stats_by_group(ds, ["lan\nçok fena", ""], ["bu\nçok"], _source_label)
+    assert lines == verify_stats_by_group(ds, SLANG, ["bu", "çok"], _source_label)
+    assert lines[0] == (1.0, 0.0)
+    joined = verify_stats_by_group(ds, ["lan çok fena"], ["bu\nçok"], _source_label)[0]
+    assert joined == (0.0, 1.0)  # "lan" and "fena" are misspelled
 
 
 _WORDS = ["bu", "Çok", "fena", "lan", "iyi", "ccok", "47", "Dr.", "x.", "!", "...", "?"]

@@ -863,6 +863,113 @@ def test_save_refuses_an_entry_without_counts(tmp_path):
     assert load_lexicon(str(path)).entries.keys() == {"a", "b"}
 
 
+def _counted(fake, valid, fake_total=None, valid_total=None):
+    """A RAW lexicon given its counts, totals their sums unless given."""
+    return Lexicon(
+        ModelClass.RAW, fake_counts=fake, valid_counts=valid,
+        fake_total=sum(fake.values()) if fake_total is None else fake_total,
+        valid_total=sum(valid.values()) if valid_total is None else valid_total,
+        count_mode=CountMode.TOKEN_FREQ,
+    )
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: _counted({"a": 1}, {"b": 1}, fake_total=2), LexiconConsistencyError,
+         "fake_total 2 does not match entry sum 1"),
+        (lambda: _counted({"a": 1}, {"b": 1, "c": 2}, valid_total=2), LexiconConsistencyError,
+         "valid_total 2 does not match entry sum 3"),
+        (lambda: lexicon_from_counts(ModelClass.RAW, {"": 1, "a": 1}, {"b": 1}),
+         LexiconParseError, "entry '': bad entry values"),
+        (lambda: _counted({"a": 1.5}, {"b": 1}), LexiconParseError,
+         "header 'fake_total' must be an integer"),
+        (lambda: _counted({"a": 1}, {"b": 1}, valid_total=True), LexiconParseError,
+         "header 'valid_total' must be an integer"),
+        (lambda: _counted({"z": 1.5, "c": 2, "a": 1}, {"b": 1}, fake_total=4), LexiconParseError,
+         "entry 'z': bad entry values"),
+        (lambda: _counted({"a": 1}, {"b": True}, valid_total=1), LexiconParseError,
+         "entry 'b': bad entry values"),
+        (lambda: _counted({"z": -1, "y": 2, "c": 0}, {"c": 1}), LexiconParseError,
+         "entry 'c': bad entry values"),
+    ],
+    ids=["fake-total", "valid-total", "empty-term", "float-total", "bool-total", "float-count",
+         "bool-count", "zero-and-negative-counts"],
+)
+def test_save_refuses_what_load_refuses(tmp_path, make, error, message):
+    """Each of these lexicons, written, would be refused by load_lexicon or
+    load as another lexicon: saving refuses it with the loader's error type
+    and wording, naming the file and the side or the first term in term
+    order, and leaves the target as it was."""
+    path = tmp_path / "lex.jsonl"
+    path.write_bytes(b"old\n")
+    with pytest.raises(error) as err:
+        save_lexicon(make(), str(path))
+    assert str(err.value) == f"{path}: {message}"
+    assert path.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+# Mostly counts that save, with now and then an empty term, a zero or
+# negative count, or one that is no int.
+_ROUND_TRIP_COUNTS = st.dictionaries(
+    st.sampled_from(["a", "b", "c", "çay", "a b", "\u2028", ""]),
+    st.sampled_from([1, 1, 1, 1, 1, 2, 2, 2, 3, 3, 0, -1, 0.5, 2.0, True]),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    fake=_ROUND_TRIP_COUNTS,
+    valid=_ROUND_TRIP_COUNTS,
+    shifts=st.tuples(*[st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1, 0.0, True])] * 2),
+    from_counts=st.booleans(),
+    mode=st.sampled_from(CountMode),
+    # Floats only: an int smoothing is written as given and loads as a float.
+    smoothing=st.sampled_from([0.0, 0.5, 1.0]),
+)
+@example({"a": 1}, {"b": 1}, (1, 0), False, CountMode.TOKEN_FREQ, 0.0)  # a total off its sum
+@example({"": 1, "a": 1}, {"b": 1}, (0, 0), True, CountMode.TOKEN_FREQ, 0.0)  # an empty term
+@example({"a": 0.5, "b": 1}, {"b": 1}, (0, 0), False, CountMode.TOKEN_FREQ, 0.0)  # a float
+@example({"a": 0, "b": 1}, {"a": 1}, (0, 0), False, CountMode.DOC_PRESENCE, 0.5)  # a stored 0
+@example({"a": 2, "a b": 1}, {"a": 1, "\u2028": 3}, (0, 0), False, CountMode.TOKEN_FREQ, 1.0)
+def test_save_then_load_gives_the_lexicon_or_saves_nothing(
+    tmp_path, fake, valid, shifts, from_counts, mode, smoothing
+):
+    """A lexicon saves only as a file that loads as an equal lexicon and saves
+    again to the same bytes; otherwise saving raises and leaves the directory
+    as it was."""
+    try:
+        if from_counts:
+            lex = lexicon_from_counts(ModelClass.ROOT, fake, valid, mode, smoothing)
+        else:
+            # Totals off their sums by a shift, or turned into a float or a bool.
+            totals = [sum(c.values()) for c in (fake, valid)]
+            totals = [t + s if type(s) is int else type(s)(t) for t, s in zip(totals, shifts)]
+            lex = Lexicon(ModelClass.ROOT, fake_counts=fake, valid_counts=valid,
+                          fake_total=totals[0], valid_total=totals[1], count_mode=mode,
+                          smoothing=smoothing)
+    except (TypeError, ValueError, EmptyTrainingSplitError):
+        return  # no lexicon to save
+    path, again = tmp_path / "lex.jsonl", tmp_path / "again.jsonl"
+    path.write_bytes(b"old\n")
+    try:
+        save_lexicon(lex, str(path))
+    except (FanlexError, ValueError):
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]
+        return
+    loaded = load_lexicon(str(path))
+    assert loaded == lex
+    save_lexicon(loaded, str(again))
+    assert again.read_bytes() == path.read_bytes()
+    again.unlink()
+
+
 def test_load_rejects_version(tmp_path, mini_lexicon):
     path = tmp_path / "lex.jsonl"
     save_lexicon(mini_lexicon, str(path))
