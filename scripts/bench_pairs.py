@@ -10,9 +10,9 @@ for each end-to-end metric, the parent's median and quartiles, the
 change's median, in how many pairs the change was better, in the
 direction BENCHMARK.json gives, and a verdict:
 
-- gain: the change is better in at least 9 in 10 pairs (a tie counts for
-  neither side), and its median is better than the parent's by more than
-  the distance between the parent's quartiles;
+- gain: over at least 10 pairs, the change is better in at least 9 in 10
+  (a tie counts for neither side), and its median is better than the
+  parent's by more than the distance between the parent's quartiles;
 - regressed: the change's median is worse than the parent's by more than
   the metric's bound in BENCHMARK.json, a share of the parent's median;
 - unresolved: the parent's quartile distance, as a share of its median, is
@@ -73,7 +73,7 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: dict[str, dict]) -> li
         gained, spread, bound = sign * (moved - median), q3 - q1, metric["bound"] * abs(median)
         if gained < -bound:
             verdict = "regressed"
-        elif wins >= 0.9 * len(pairs) and gained > spread:
+        elif len(pairs) >= 10 and wins >= 0.9 * len(pairs) and gained > spread:
             verdict = "gain"
         elif spread > bound and not all(sign * (c - p) > 0 for c in change for p in parent):
             verdict = "unresolved"

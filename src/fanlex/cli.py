@@ -42,10 +42,8 @@ from fanlex.evaluation import cross_validate, evaluate_models
 from fanlex.lexicon import (
     ModelClass,
     RAW_POS_SEPARATOR,
-    TermPipeline,
     _write_lexicon,
-    count_splits,
-    lexicon_from_counts,
+    build_lexicon,
     lexicon_stats,
     load_lexicon,
 )
@@ -152,12 +150,12 @@ def _nonempty(docs: Iterator[Document], message: str) -> Iterator[Document]:
 
 
 def cmd_build_lexicon(args: argparse.Namespace, cfg: RunConfig) -> Outputs:
-    pipeline = TermPipeline((args.model_class,), _resolve_analyzer(args, cfg), cfg)
+    analyzer = _resolve_analyzer(args, cfg)
     interned: dict[tuple, MorphAnalysis] = {}  # one table for both corpora
     fake_docs = labeled(iter_corpus(args.fake, interned=interned), Label.FAKE, "--fake")
     valid_docs = labeled(iter_corpus(args.valid, interned=interned), Label.VALID, "--valid")
-    (fake,), (valid,) = count_splits(fake_docs, valid_docs, pipeline)
-    lex = lexicon_from_counts(args.model_class, fake, valid, cfg.count_mode, cfg.smoothing)
+    lex = build_lexicon(fake_docs, valid_docs, args.model_class, cfg.count_mode, analyzer=analyzer,
+                        locale=cfg.locale, include_title=cfg.include_title, smoothing=cfg.smoothing)
     stats = lexicon_stats(lex)
     stdout = _json_line(
         {

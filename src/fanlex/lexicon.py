@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 from fanlex._kernels import expand_suffix_subsequences  # re-exported: C04 imports it from here
 from fanlex._kernels import normalize_token, normalized_tokens, suffix_runs
 from fanlex.config import CountMode, Locale, RunConfig
-from fanlex.corpus import Dataset, Document, write_atomic
+from fanlex.corpus import Document, write_atomic
 from fanlex.errors import (
     EmptyTrainingSplitError,
     FormatError,
@@ -356,8 +356,8 @@ def count_splits(
 
 
 def build_lexicon(
-    fake_train: Dataset,
-    valid_train: Dataset,
+    fake_train: Iterable[Document],
+    valid_train: Iterable[Document],
     model_class: ModelClass,
     count_mode: CountMode = CountMode.TOKEN_FREQ,
     *,
@@ -366,7 +366,7 @@ def build_lexicon(
     include_title: bool = True,
     smoothing: float = 0.0,
 ) -> Lexicon:
-    """Build a lexicon from fake and valid training splits.
+    """Build a lexicon from fake and valid training splits, each read once.
 
     The result does not depend on document order, and counting is
     exact: building on a union of corpora equals merging lexicons
@@ -429,7 +429,7 @@ def save_lexicon(lex: Lexicon, path: str) -> None:
     was: a total that is not an int (a bool is not) raises LexiconParseError; so does
     a term that is not a non-empty string or holds a lone surrogate, or a stored count
     that is not an int above 0. A term with no count, or a total other than its side's
-    count sum, raises LexiconConsistencyError.
+    count sum, raises LexiconConsistencyError; the first faulty term in term order is named.
     """
     fake, valid = lex.fake_counts, lex.valid_counts
     for side, total in (("fake", lex.fake_total), ("valid", lex.valid_total)):
@@ -437,11 +437,13 @@ def save_lexicon(lex: Lexicon, path: str) -> None:
             raise LexiconParseError(f"{path}: header '{side}_total' must be an integer")
     bad = [t for counts in (fake, valid) for t, n in counts.items()
            if not (type(t) is str and t and type(n) is int and n > 0)]
-    if bad:
-        raise LexiconParseError(f"{path}: entry {min(bad, key=str)!r}: bad entry values")
-    bare = lex._values[0] is not fake and [t for t in lex.entries if not (t in fake or t in valid)]
-    if bare:  # only scores given as entries can leave a term uncounted
-        raise LexiconConsistencyError(f"{path}: entry {min(bare, key=str)!r} has no evidence")
+    uncounted = lex._values[0] is not fake  # only scores given as entries leave a term uncounted
+    bare = [t for t in lex.entries if not (t in fake or t in valid)] if uncounted else []
+    first = min(bad + bare, key=str, default=None)
+    if first in bad:
+        raise LexiconParseError(f"{path}: entry {first!r}: bad entry values")
+    if bare:
+        raise LexiconConsistencyError(f"{path}: entry {first!r} has no evidence")
     _check_sums(path, (lex.fake_total, lex.valid_total), (fake, valid))
     try:
         write_atomic({path: lambda fh: _write_lexicon(lex, fh)})
@@ -485,7 +487,9 @@ def load_lexicon(path: str) -> Lexicon:
     LexiconChecksumError when the entry lines do not hash to the
     stored checksum, which wins over any bad entry line, and
     LexiconConsistencyError when totals disagree with the entry counts,
-    a total is not above 0 or an entry carries no evidence.
+    a total is not above 0 or an entry carries no evidence. The header's
+    smoothing is kept as written (an int stays an int); one that Lexicon
+    refuses raises LexiconParseError naming the file.
     """
     # Only "\n" ends a line. str.splitlines would also split at U+0085
     # or U+2028 inside a term, which json.dumps leaves unescaped.
@@ -510,10 +514,6 @@ def load_lexicon(path: str) -> Lexicon:
         except (KeyError, ValueError) as exc:
             raise LexiconParseError(f"{path}: bad header field ({exc})") from exc
         fake_total, valid_total = header["fake_total"], header["valid_total"]
-        smoothing = header.get("smoothing", 0.0)
-        # The upper bound also refuses integers too large for a float.
-        if type(smoothing) not in (int, float) or not 0 <= smoothing <= sys.float_info.max:
-            raise LexiconParseError(f"{path}: bad smoothing value {smoothing!r}")
 
         import hashlib  # as in _write_lexicon
         digest = hashlib.sha256()
@@ -563,7 +563,7 @@ def load_lexicon(path: str) -> Lexicon:
             fake_total=fake_total,
             valid_total=valid_total,
             count_mode=count_mode,
-            smoothing=float(smoothing),
+            smoothing=header.get("smoothing", 0.0),
         )
     except ValueError as exc:
         raise LexiconParseError(f"{path}: {exc}") from exc
@@ -572,7 +572,8 @@ def load_lexicon(path: str) -> Lexicon:
 def merge_lexicons(a: Lexicon, b: Lexicon) -> Lexicon:
     """Merge two lexicons by adding counts term-wise.
 
-    Both must share model class, count mode and smoothing. Merging the
+    Both must share model class, count mode and smoothing. Each total of
+    the result is the sum of its side's merged counts. Merging the
     lexicons of two disjoint corpora equals building on their union.
     """
     if a.model_class is not b.model_class:
@@ -590,12 +591,4 @@ def merge_lexicons(a: Lexicon, b: Lexicon) -> Lexicon:
     fake, valid = Counter(a.fake_counts), Counter(a.valid_counts)
     fake.update(b.fake_counts)
     valid.update(b.valid_counts)
-    return Lexicon(
-        a.model_class,
-        fake_counts=fake,
-        valid_counts=valid,
-        fake_total=a.fake_total + b.fake_total,
-        valid_total=a.valid_total + b.valid_total,
-        count_mode=a.count_mode,
-        smoothing=a.smoothing,
-    )
+    return lexicon_from_counts(a.model_class, fake, valid, a.count_mode, a.smoothing)

@@ -52,9 +52,7 @@ def score_document(
     include_title shape the terms (default RunConfig()). For many
     documents use score_batch, which shares one TermPipeline.
     """
-    pipeline = TermPipeline((lex.model_class,), analyzer, config)
-    terms = Counter(pipeline.terms(doc)[0])
-    return _score_terms(terms, lex, pipeline.config.term_set_mode)
+    return next(_score_rows((doc,), (lex,), config, analyzer))[3]
 
 
 def _score_terms(

@@ -1925,6 +1925,48 @@ def test_score_byte_determinism(cli_files):
     assert runs[0].stdout == runs[1].stdout
 
 
+def test_output_does_not_depend_on_the_hash_seed(cli_files, write_text):
+    """Every command's stdout, stderr and written files are the same bytes
+    under two string hash seeds, so no set or dict order leaks into output."""
+    out = cli_files["dir"] / "out"
+    fake, valid, test, mixed = (cli_files[k] for k in ("fake", "valid", "test", "mixed"))
+    slang = write_text("slang.txt", "fraudcore\nverity1\n")
+    words = write_text("dict.txt", "veritycore\nfraud2\n")
+    commands = [
+        ["build-lexicon", "--fake", fake, "--valid", valid, "--class", "RAW_POS",
+         "--out", out / "raw_pos.lex", "--report", out / "build.txt"],
+        ["build-lexicon", "--fake", fake, "--valid", valid, "--class", "SUFFIX",
+         "--out", out / "suffix.lex"],
+        ["score", "--lexicon", out / "raw_pos.lex", "--lexicon", out / "suffix.lex",
+         "--input", test, "--explain", "3", "--report", out / "score.txt"],
+        ["evaluate", "--train-fake", fake, "--train-valid", valid, "--test", test,
+         "--report", out / "evaluate.txt"],
+        ["cross-validate", "--input", mixed, "--folds", "2", "--report", out / "cv.txt"],
+        ["verify-corpus", "--input", mixed, "--slang", slang, "--dictionary", words,
+         "--report", out / "verify.txt"],
+        ["corpus-stats", "--input", mixed],
+    ]
+
+    def outputs(seed):
+        out.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        streams = []
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "fanlex", *map(str, argv)],
+                                  capture_output=True, env=env)
+            assert proc.returncode == 0 and proc.stdout
+            streams.append((proc.stdout, proc.stderr))
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        for p in out.iterdir():
+            p.unlink()
+        out.rmdir()
+        return streams, files
+
+    first = outputs("0")
+    assert len(first[1]) == 7
+    assert outputs("1") == first
+
+
 # main builds only the subparser of the command that runs; the rest get
 # their names and help lines only. Everything a user sees must equal the
 # parser with every subparser built.

@@ -863,6 +863,33 @@ def test_save_refuses_an_entry_without_counts(tmp_path):
     assert load_lexicon(str(path)).entries.keys() == {"a", "b"}
 
 
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ([("a", 0, 0), ("z", 1.5, 1)], LexiconConsistencyError, "entry 'a' has no evidence"),
+        ([("a", 1.5, 1), ("z", 0, 0)], LexiconParseError, "entry 'a': bad entry values"),
+    ],
+    ids=["uncounted-first", "bad-values-first"],
+)
+def test_save_names_the_first_faulty_term_as_load_does(tmp_path, rows, error, message):
+    """Given a term that no side counted and a term with a bad count, saving
+    names the one first in term order with its own error, as the loader stops
+    at that term's line."""
+    entries = {t: TermEntry(t, fc, vc, 0.5, 0.5) for t, fc, vc in rows}
+    lex = Lexicon(ModelClass.RAW, entries=entries, fake_total=1, valid_total=1,
+                  count_mode=CountMode.TOKEN_FREQ)
+    path = tmp_path / "lex.jsonl"
+    with pytest.raises(error) as err:
+        save_lexicon(lex, str(path))
+    assert str(err.value) == f"{path}: {message}"
+    assert list(tmp_path.iterdir()) == []
+    rows = [{"t": t, "fc": fc, "vc": vc} for t, fc, vc in rows]
+    _write_manual(path, {"fake_total": 1, "valid_total": 1}, rows)
+    with pytest.raises(error) as err:
+        load_lexicon(str(path))
+    assert str(err.value).startswith(f"{path}:2: ")
+
+
 def _counted(fake, valid, fake_total=None, valid_total=None):
     """A RAW lexicon given its counts, totals their sums unless given."""
     return Lexicon(
@@ -929,14 +956,14 @@ _ROUND_TRIP_COUNTS = st.dictionaries(
     shifts=st.tuples(*[st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1, 0.0, True])] * 2),
     from_counts=st.booleans(),
     mode=st.sampled_from(CountMode),
-    # Floats only: an int smoothing is written as given and loads as a float.
-    smoothing=st.sampled_from([0.0, 0.5, 1.0]),
+    smoothing=st.sampled_from([0.0, 0.5, 1.0, 0, 1, 2]),
 )
 @example({"a": 1}, {"b": 1}, (1, 0), False, CountMode.TOKEN_FREQ, 0.0)  # a total off its sum
 @example({"": 1, "a": 1}, {"b": 1}, (0, 0), True, CountMode.TOKEN_FREQ, 0.0)  # an empty term
 @example({"a": 0.5, "b": 1}, {"b": 1}, (0, 0), False, CountMode.TOKEN_FREQ, 0.0)  # a float
 @example({"a": 0, "b": 1}, {"a": 1}, (0, 0), False, CountMode.DOC_PRESENCE, 0.5)  # a stored 0
 @example({"a": 2, "a b": 1}, {"a": 1, "\u2028": 3}, (0, 0), False, CountMode.TOKEN_FREQ, 1.0)
+@example({"a": 1}, {"b": 1}, (0, 0), True, CountMode.TOKEN_FREQ, 1)  # an int smoothing
 def test_save_then_load_gives_the_lexicon_or_saves_nothing(
     tmp_path, fake, valid, shifts, from_counts, mode, smoothing
 ):
@@ -1162,13 +1189,19 @@ def test_load_rejects_bad_headers(write_text, content, error):
         ({"fake_total": 1.0}, {"t": "a", "fc": 1, "vc": 1}),
         ({"valid_total": "1"}, {"t": "a", "fc": 1, "vc": 1}),
         ({"smoothing": 10**400}, {"t": "a", "fc": 1, "vc": 1}),
+        ({"smoothing": -1}, {"t": "a", "fc": 1, "vc": 1}),
+        ({"smoothing": "0.5"}, {"t": "a", "fc": 1, "vc": 1}),
+        ({"smoothing": None}, {"t": "a", "fc": 1, "vc": 1}),
     ],
 )
 def test_load_rejects_non_integer_values(tmp_path, header_extra, entry):
     path = tmp_path / "lex.jsonl"
     _write_manual(path, header_extra, [entry])
-    with pytest.raises(LexiconParseError):
+    with pytest.raises(LexiconParseError) as err:
         load_lexicon(str(path))
+    if "smoothing" in header_extra:
+        assert str(err.value).startswith(f"{path}: ")
+        assert "smoothing" in str(err.value)
 
 
 def test_load_rejects_undecodable_file(tmp_path):
