@@ -131,8 +131,8 @@ def _parse(kind: type, text: str):
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a key = value config file, each key at most once, into
-    RunConfig keyword arguments. One leading byte order mark is ignored."""
+    """Parse a key = value config file, each key at most once, into RunConfig
+    keyword arguments within their bounds. One leading byte order mark is ignored."""
     values: dict = {}
     first_line: dict[str, int] = {}
     with open_text(path, InputError, "utf-8-sig") as fh:
@@ -156,9 +156,11 @@ def load_config_file(path: str) -> dict:
             try:
                 values[key] = _parse(FIELD_TYPES[key], value)
             except (KeyError, ValueError) as exc:
-                raise InputError(
-                    f"{path}:{lineno}: bad value {value!r} for {key!r}"
-                ) from exc
+                raise InputError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from exc
+    try:
+        RunConfig(**values)
+    except ValueError as exc:  # a number outside its setting's bounds
+        raise InputError(f"{path}: {exc}") from exc
     return values
 
 

@@ -11,7 +11,7 @@ from functools import reduce
 from operator import add, attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from fanlex.config import RunConfig
+from fanlex.config import RunConfig, TermSetMode
 from fanlex.corpus import Document, Label, _fold_of, tallied
 from fanlex.errors import LeakageError
 from fanlex.lexicon import (
@@ -22,7 +22,6 @@ from fanlex.lexicon import (
     lexicon_from_counts,
 )
 from fanlex.morph import AnalyzerRuleTable
-from fanlex.scorer import _score_terms
 
 
 class ConfusionMatrix(NamedTuple):
@@ -202,21 +201,17 @@ def _score_fold(
     actual: Sequence[Label],
     config: RunConfig,
 ) -> dict[ModelClass, EvalResult]:
-    """Build each class's lexicon from its counts and score the test terms.
+    """Build each class's lexicon from its counts and label the test terms.
 
     Counts hold one Counter per class and each test document's terms one
     list per class, in class order. Counts are drawn one class at a time.
     """
     results: dict[ModelClass, EvalResult] = {}
+    distinct = config.term_set_mode is TermSetMode.DISTINCT
     counts = zip(classes, fake_counts, valid_counts)
     for i, (model_class, fake, valid) in enumerate(counts):
-        lex = lexicon_from_counts(
-            model_class, fake, valid, config.count_mode, config.smoothing
-        )
-        predicted = [
-            _score_terms(Counter(terms[i]), lex, config.term_set_mode).label
-            for terms in test_terms
-        ]
+        label = lexicon_from_counts(model_class, fake, valid, config.count_mode, config.smoothing)._label
+        predicted = [label(dict.fromkeys(t[i]) if distinct else t[i]) for t in test_terms]
         cm = confusion(predicted, actual)
         results[model_class] = EvalResult(confusion=cm, metrics=metrics(cm))
     return results

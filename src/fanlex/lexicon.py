@@ -14,14 +14,14 @@ import json
 import sys
 from collections import Counter
 from enum import Enum
-from itertools import chain, compress, repeat
+from itertools import chain, compress, filterfalse, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from fanlex._kernels import expand_suffix_subsequences  # re-exported: C04 imports it from here
 from fanlex._kernels import normalize_token, normalized_tokens, suffix_runs
 from fanlex.config import CountMode, Locale, RunConfig
-from fanlex.corpus import Document, write_atomic
+from fanlex.corpus import Document, Label, write_atomic
 from fanlex.errors import (
     EmptyTrainingSplitError,
     FormatError,
@@ -74,7 +74,8 @@ class Lexicon:
     for a class is (count + smoothing) / (total + smoothing * vocabulary),
     over the terms of either side, computed each time the term is looked
     up, and entries is a read-only TermEntry view of counts and scores. A
-    lexicon given entries instead keeps their counts and per-side scores.
+    lexicon given entries instead keeps their counts and per-side scores;
+    it still labels a document from its counts, totals and smoothing.
 
     Raises TypeError unless exactly one of the two counts and entries is
     given, ValueError for a smoothing that is not an int or float (a bool
@@ -152,6 +153,18 @@ class Lexicon:
             return None
         shift, (fake_denominator, valid_denominator) = self._shift, self._denominators
         return (fake + shift) / fake_denominator, (valid + shift) / valid_denominator
+
+    def _label(self, terms: Iterable[str]) -> Label:
+        """VALID only when the valid score sum of terms (read up to three times) is strictly
+        greater, decided on the counts: with the smoothing as p / q, a side sums to
+        (q c + p k) / (q T + p N), c its counts of terms, k the known terms, N the vocabulary."""
+        fc, vc = (sum(map(c.get, terms, repeat(0))) for c in (self.fake_counts, self.valid_counts))
+        p, q = self.smoothing.as_integer_ratio()
+        fake, valid = (side.__contains__ for side in self._values)  # entries= keys every term on both
+        k = sum(map(fake, terms)) + sum(map(valid, filterfalse(fake, terms))) if p else 0
+        n = p * self._vocabulary
+        fake_side = (q * fc + p * k) * (q * self.valid_total + n)
+        return Label.VALID if (q * vc + p * k) * (q * self.fake_total + n) > fake_side else Label.FAKE
 
     @property
     def entries(self) -> Mapping[str, TermEntry]:

@@ -1,10 +1,10 @@
 """Document scoring against built lexicons.
 
 A document's fake score is the sum of the fake scores of its terms,
-same for valid; terms absent from the lexicon contribute zero to both
-sides. The predicted label is VALID only when the valid score is
-strictly greater, so exact ties (including empty documents) go to
-FAKE.
+same for valid; unknown terms add zero to both sides. The label is
+VALID only when the exact valid score is strictly greater, decided on
+the counts, so ties (empty documents too) go to FAKE even where the
+float sums printed differ in the last digit.
 """
 
 from __future__ import annotations
@@ -76,11 +76,10 @@ def _score_terms(
         else:
             fake += weight * pair[0]
             valid += weight * pair[1]
-    label = Label.VALID if valid > fake else Label.FAKE
     return DocumentScore(
         fake_score=fake,
         valid_score=valid,
-        label=label,
+        label=lex._label(terms if distinct else list(terms.elements())),
         model_class=lex.model_class,
         unknown_terms=unknown,
     )

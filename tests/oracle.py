@@ -10,6 +10,8 @@ str.isalpha where the package uses regular expressions and lowercases
 whole texts.
 """
 
+from fractions import Fraction
+
 SEP = ""
 JOINERS = "'’-"
 
@@ -140,3 +142,24 @@ def score_doc(doc, model_class, fake_scores, valid_scores):
     valid = sum(valid_scores.get(t, 0.0) for t in terms)
     label = "VALID" if valid > fake else "FAKE"
     return fake, valid, label
+
+
+def exact_label(terms, fake_counts, valid_counts, fake_total, valid_total, smoothing=0, distinct=True):
+    """A document's label from its term occurrences, in exact fractions.
+
+    fake_counts and valid_counts both map every vocabulary term to its
+    count, as build_scores returns them. Each known term t, weighing 1 when
+    distinct and else its number of occurrences w, adds
+    w * (c_t + s) / (T + s * N) to a side, N being the vocabulary size.
+    VALID wins only when its side is strictly greater.
+    """
+    s = Fraction(smoothing)
+    n = len(fake_counts)
+    fake = valid = Fraction(0)
+    for term in sorted(set(terms)):
+        if term not in fake_counts:
+            continue
+        w = 1 if distinct else terms.count(term)
+        fake += w * (fake_counts[term] + s) / (fake_total + s * n)
+        valid += w * (valid_counts[term] + s) / (valid_total + s * n)
+    return "VALID" if valid > fake else "FAKE"

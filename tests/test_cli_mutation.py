@@ -6,10 +6,19 @@ an extreme (a JSON value of a lexicon, corpus or rule-table line, or
 the text of a config or word-list line). For the lexicon files, some
 examples then make the header's totals and checksum agree with the
 damaged entries again, so parsing reaches the later checks and the
-scores worked out at lookup. Whatever the damage, `main` returns 0, 2,
-3 or 4 without raising; a failed run prints nothing on stdout and
-leaves every output file as it was, and a run that succeeds prints only
-finite numbers and writes a lexicon that loads again.
+scores worked out at lookup. Whatever the damage, `main` returns
+without raising, and the exit code is the damaged file's own: 4, the
+format family, for a lexicon, and 2, the input family, for any other
+file, in both cases with a message that names the file; or 3, a domain
+error of well-formed data, such as too few documents for the folds,
+which need name no file; or 0. A config file that still loads is a set
+of settings, and the run may fail for them as it would given them as
+flags, naming no file. A failed run prints nothing on stdout
+and leaves every output file as it was. A run that succeeds has read
+the damaged file whole, so the file is UTF-8 and each line of a JSON
+lines file that is not JSON whitespace alone is one JSON value with no
+lone surrogate; it prints only finite numbers and writes a lexicon
+that loads again.
 """
 
 import hashlib
@@ -25,13 +34,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanlex.cli import main
+from fanlex.config import load_config_file, make_config
 from fanlex.corpus import Dataset, Document, Label, save_corpus
+from fanlex.errors import InputError
 from fanlex.lexicon import ModelClass, build_lexicon, load_lexicon, save_lexicon
 from synth import separable_corpus
 
 # JSON texts that one value of a JSON line, or a text line's value, becomes.
 EXTREMES = [
     "1" + "0" * 400,  # 10**400, too large for a float
+    "9" * 4300,  # the most digits int() reads; one more is past int -> str's limit
     "1e308",
     "1e309",  # parses as infinity
     "-1",
@@ -58,6 +70,12 @@ MUTATIONS = {
     "line": ("drop", "duplicate", "swap"),
 }
 ALL_MUTATIONS = tuple(kind for group in MUTATIONS.values() for kind in group)
+
+# Bytes that str.strip takes for space: JSON's own, then the rest of ASCII's.
+SPACES = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+# The inputs in JSON lines formats; the others are lines of text.
+JSON_LINES = {"lex", "fake", "valid", "test", "corpus", "table"}
 
 COMMANDS = {
     "score --explain": ["score", "--lexicon", "{lex}", "--input", "{test}", "--explain", "3"],
@@ -194,7 +212,7 @@ def test_mutated_input_ends_in_an_exit_code(inputs, command, kinds, data):
     for name in ("out", "report"):
         paths[name].write_bytes(before)
     code, stdout, stderr = _run(_input_argv(command, paths))
-    assert code in (0, 2, 3, 4), stderr
+    _check_exit(code, stderr, target, paths[target])
     if code:
         assert stdout == b""
         assert paths["out"].read_bytes() == paths["report"].read_bytes() == before
@@ -206,6 +224,33 @@ def test_mutated_input_ends_in_an_exit_code(inputs, command, kinds, data):
         load_lexicon(str(paths["out"]))
 
 
+def _check_exit(code, stderr, target, path):
+    """The exit code is the damaged file's fault family's, 3 or 0, as the
+    module docstring says; a run that succeeds read the file as it is."""
+    family = 4 if target == "lex" else 2
+    assert code in ((0, 4) if family == 4 else (0, 2, 3)), stderr
+    if code == family and not _loads_as_settings(target, path):
+        assert str(path).encode("utf-8") in stderr, stderr
+    if code == 0:
+        text = path.read_bytes().decode("utf-8")
+        if target in JSON_LINES:
+            for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+                if line.strip(" \t\n\r"):
+                    json.dumps(json.loads(line), ensure_ascii=False).encode("utf-8")
+
+
+def _loads_as_settings(target, path):
+    """Whether path is a config file whose settings load: a run may then fail
+    for those settings, as it would given them as flags, naming no file."""
+    if target != "config":
+        return False
+    try:
+        make_config(load_config_file(str(path)))
+    except InputError:
+        return False
+    return True
+
+
 def _mutate(data, lines, kinds=ALL_MUTATIONS):
     """A file's bytes, given as its lines, after one mutation of one of
     `kinds` drawn from `data`."""
@@ -214,11 +259,16 @@ def _mutate(data, lines, kinds=ALL_MUTATIONS):
     at = data.draw(st.integers(0, len(lines) - 1))
     if kind in ("flip", "insert", "delete"):
         raw = bytearray(_joined(lines))
-        i = data.draw(st.integers(0, len(raw) - 1))
+        # The file's end and its line edges as often as the rest, and bytes
+        # that str.strip takes for space as often as any: an inserted byte
+        # may open or end a line, or follow the last one.
+        end = len(raw) if kind == "insert" else len(raw) - 1
+        edges = [0, *(j + d for j, b in enumerate(raw) if b == 10 for d in (0, 1) if j + d <= end)]
+        i = data.draw(st.just(end) | st.sampled_from(edges) | st.integers(0, end))
         if kind == "flip":
             raw[i] ^= data.draw(st.integers(1, 255))
         elif kind == "insert":
-            raw.insert(i, data.draw(st.integers(0, 255)))
+            raw.insert(i, data.draw(st.sampled_from(SPACES) | st.integers(0, 255)))
         else:
             del raw[i]
         return bytes(raw)
@@ -275,9 +325,12 @@ def _refit(raw):
             for i, key in enumerate(("fc", "vc")):
                 if type(entry.get(key)) is int:
                     totals[i] += entry[key]
-    checksum = hashlib.sha256(_joined(kept)).hexdigest()
-    header.update(fake_total=totals[0], valid_total=totals[1], checksum=checksum)
-    return "\n".join([json.dumps(header), *lines[1:]]).encode("utf-8")
+    header["checksum"] = hashlib.sha256(_joined(kept)).hexdigest()
+    try:
+        text = json.dumps({**header, "fake_total": totals[0], "valid_total": totals[1]})
+    except ValueError:  # a sum past int -> str's digit limit: the checksum alone agrees
+        text = json.dumps(header)
+    return "\n".join([text, *lines[1:]]).encode("utf-8")
 
 
 def _numbers(obj):
@@ -309,7 +362,7 @@ def test_mutated_lexicon_ends_in_an_exit_code(base, command, data, refit):
     paths["lex"].write_bytes(_refit(raw) if refit else raw)
     argv = [part.format(**paths) for part in COMMANDS[command]]
     code, stdout, stderr = _run(argv)
-    assert code in (0, 2, 3, 4), stderr
+    _check_exit(code, stderr, "lex", paths["lex"])
     if code:
         assert stdout == b""
         return

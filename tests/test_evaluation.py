@@ -8,7 +8,7 @@ import weakref
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fanlex.evaluation
@@ -280,6 +280,30 @@ CV_TABLE = AnalyzerRuleTable(
 )
 
 
+def _doc(doc_id, label, text):
+    return Document(id=doc_id, text=text, label=label)
+
+
+# A tie that float sums miss: trained on fake "a"x3 "z"x7 and valid "b"x3
+# "c"x6 "y"x21, the document "a b c" scores 3/10 on both sides, where float
+# sums read 0.3 against 0.30000000000000004. Its label is FAKE either way.
+TIE_FAKE = "a a a " + "z " * 7
+TIE_VALID = "b b b " + "c " * 6 + "y " * 21
+TIE_SPLITS = (
+    Dataset((_doc("f0", F, TIE_FAKE), _doc("v0", V, TIE_VALID))),
+    Dataset((_doc("t0", V, "a b c"), _doc("t1", F, "c b a a"))),
+)
+# Each fold holds out one fake and one valid document; the valid documents
+# are alike, so the fold that tests "a b c" trains on the two above.
+TIE_CORPUS = (
+    Dataset((
+        _doc("f0", F, "a b c"), _doc("f1", F, TIE_FAKE),
+        _doc("v0", V, TIE_VALID), _doc("v1", V, TIE_VALID),
+    )),
+    2,
+)
+
+
 @st.composite
 def cv_corpora(draw):
     k = draw(st.integers(2, 4))
@@ -318,6 +342,17 @@ def cv_corpora(draw):
     include_title=st.booleans(),
     analyzer=st.sampled_from([None, CV_TABLE]),
     seed=st.integers(0, 50),
+)
+@example(
+    corpus=TIE_CORPUS,
+    classes=[ModelClass.RAW],
+    count_mode=CountMode.TOKEN_FREQ,
+    term_set_mode=TermSetMode.DISTINCT,
+    smoothing=0.0,
+    locale=Locale.TURKISH,
+    include_title=True,
+    analyzer=None,
+    seed=0,
 )
 @settings(max_examples=80, deadline=None)
 def test_cross_validate_equals_per_fold_rebuild(
@@ -365,6 +400,16 @@ def eval_splits(draw):
     locale=st.sampled_from(list(Locale)),
     include_title=st.booleans(),
     analyzer=st.sampled_from([None, CV_TABLE]),
+)
+@example(
+    splits=TIE_SPLITS,
+    classes=[ModelClass.RAW],
+    count_mode=CountMode.TOKEN_FREQ,
+    term_set_mode=TermSetMode.DISTINCT,
+    smoothing=0.0,
+    locale=Locale.TURKISH,
+    include_title=True,
+    analyzer=None,
 )
 @settings(max_examples=80, deadline=None)
 def test_evaluate_models_equals_per_class_rebuild(

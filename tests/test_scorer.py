@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -108,18 +108,18 @@ def test_scores_match_oracle(model_class):
     lex = build_lexicon(
         train.filter(Label.FAKE), train.filter(Label.VALID), model_class
     )
-    _, _, _, _, fs, vs = oracle.build_scores(
+    fc, vc, ft, vt, fs, vs = oracle.build_scores(
         train.filter(Label.FAKE).documents,
         train.filter(Label.VALID).documents,
         model_class.value,
     )
     for doc in probe.documents:
-        fake, valid, label = oracle.score_doc(doc, model_class.value, fs, vs)
+        fake, valid, _ = oracle.score_doc(doc, model_class.value, fs, vs)
         score = score_document(doc, lex)
         assert score.fake_score == pytest.approx(fake, abs=1e-12)
         assert score.valid_score == pytest.approx(valid, abs=1e-12)
-        if abs(fake - valid) > 1e-9:
-            assert score.label.value == label
+        terms = oracle.term_list(doc, model_class.value)
+        assert score.label.value == oracle.exact_label(terms, fc, vc, ft, vt)
 
 
 def test_explain_ranking(mini_lexicon):
@@ -257,6 +257,67 @@ def test_scores_at_lookup_equal_a_score_dict_bit_for_bit(
     score = _score_terms(terms, given_lex, term_set_mode)
     expected = _sum_reference(terms, scaled, term_set_mode)
     assert (score.fake_score, score.valid_score, score.unknown_terms) == expected
+
+
+# Counts of 0 to 4 over a few terms, so that exact ties are common; the
+# document may name unknown terms. The pinned case ties at 3/10 against
+# 3/30 + 6/30, which float sums read as 0.3 against 0.30000000000000004.
+@given(
+    counts=st.dictionaries(
+        st.sampled_from("abcdefg"),
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+        min_size=1,
+    ).filter(lambda counts: all(map(any, zip(*counts.values())))),
+    doc_terms=st.lists(st.sampled_from("abcdefgx"), max_size=12),
+    smoothing=st.sampled_from([0, 0.5, 1, 0.1]),
+    term_set_mode=st.sampled_from(TermSetMode),
+    exponent=st.integers(-6, 8),
+)
+@example(
+    counts={"a": (3, 0), "z": (7, 0), "b": (0, 3), "c": (0, 6), "y": (0, 21)},
+    doc_terms=["a", "b", "c"],
+    smoothing=0,
+    term_set_mode=TermSetMode.DISTINCT,
+    exponent=0,
+)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_labels_follow_the_exact_rule(counts, doc_terms, smoothing, term_set_mode, exponent):
+    fake_total = sum(fc for fc, _ in counts.values())
+    valid_total = sum(vc for _, vc in counts.values())
+    lex = Lexicon(
+        ModelClass.RAW,
+        fake_counts={t: fc for t, (fc, _) in counts.items() if fc},
+        valid_counts={t: vc for t, (_, vc) in counts.items() if vc},
+        fake_total=fake_total,
+        valid_total=valid_total,
+        count_mode=CountMode.TOKEN_FREQ,
+        smoothing=smoothing,
+    )
+    expected = oracle.exact_label(
+        doc_terms,
+        {t: fc for t, (fc, _) in counts.items()},
+        {t: vc for t, (_, vc) in counts.items()},
+        fake_total,
+        valid_total,
+        smoothing,
+        distinct=term_set_mode is TermSetMode.DISTINCT,
+    )
+    terms = Counter(doc_terms)
+    assert _score_terms(terms, lex, term_set_mode).label.value == expected
+    # Scores given as entries, scaled as C05 scales them, label the same.
+    factor = 2.0**exponent
+    given_lex = Lexicon(
+        ModelClass.RAW,
+        entries={
+            t: TermEntry(t, *counts[t], f * factor, v * factor)
+            for t, (f, v) in _reference_scores(lex).items()
+        },
+        fake_total=fake_total,
+        valid_total=valid_total,
+        count_mode=CountMode.TOKEN_FREQ,
+        smoothing=smoothing,
+    )
+    assert _score_terms(terms, given_lex, term_set_mode).label.value == expected
 
 
 def test_score_batch_shape(mini_lexicon):
